@@ -37,7 +37,7 @@ from .harness import (
     verify_convergence,
 )
 from .ledger import Block, Chain, ChainCorrupt, Receipt
-from .lenses import Lens, LensSpec, compile_lens, get, overlap, put
+from .lenses import Lens, LensSpec, compile_lens, get, put
 from .peer import DataRequest, DataResponse, Edit, PeerNode, ShareBinding
 from .relational import Schema, Table, Value
 
@@ -80,7 +80,6 @@ __all__ = [
     "get",
     "load_dump",
     "load_scenario",
-    "overlap",
     "put",
     "query_metadata",
     "run",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -20,9 +19,9 @@ from .harness import (
     load_scenario,
     run,
     verify_convergence,
+    write_trace,
 )
 from .ledger import Chain, ChainCorrupt
-from .relational import canonical_json
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -31,15 +30,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    config = scenario.config
-    if args.max_ticks is not None:
-        config = replace(config, max_ticks=args.max_ticks)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    scenario = replace(scenario, config=config)
-
     try:
-        world = run(scenario)
+        world = run(scenario, args.max_ticks)
     except (MaxTicksExceeded, SimulationError) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
@@ -53,11 +45,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         dump(world, args.dump)
         print(f"state dumped to {args.dump}")
     if args.trace:
-        trace_path = Path(args.trace)
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
-        trace_path.write_bytes(
-            b"".join(canonical_json(e.to_json_dict()) + b"\n" for e in world.trace)
-        )
+        write_trace(world.trace, args.trace)
         print(f"trace written to {args.trace}")
     return 0 if report.ok else 1
 
@@ -120,7 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--max-ticks", type=int, default=None)
     p_run.add_argument("--dump", metavar="DIR", default=None, help="write a state dump")
     p_run.add_argument("--trace", metavar="FILE", default=None, help="write the trace log")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="re-check a state dump: chain, replay, convergence")

@@ -35,7 +35,7 @@ from .contract import (
     tx_to_json_dict,
 )
 from .ledger import Chain, Receipt
-from .lenses import Lens, LensSpec, compile_lens
+from .lenses import Lens, LensError, LensSpec, compile_lens
 from .peer import (
     RETRY,
     DataRequest,
@@ -73,7 +73,7 @@ class NotQuiescent(SimulationError):
 
 
 class CascadeOverflow(SimulationError):
-    """A share exceeded the cascade hop budget; the scenario is pathological."""
+    """A causal chain of cascades exceeded the hop budget; the scenario is pathological."""
 
 
 # --- scenario model ----------------------------------------------------------
@@ -82,7 +82,6 @@ class CascadeOverflow(SimulationError):
 @dataclass(frozen=True)
 class SimConfig:
     max_ticks: int = 100
-    seed: int = 0  # reserved for randomized scenarios; the core loop is seed-free
     network_delay_ticks: int = 1
     blocks_per_tick: int = 1
     max_cascade_hops: int = 16
@@ -278,7 +277,6 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
     cfg = doc.get("config", {})
     config = SimConfig(
         max_ticks=int(cfg.get("max_ticks", SimConfig.max_ticks)),
-        seed=int(cfg.get("seed", SimConfig.seed)),
         network_delay_ticks=int(cfg.get("network_delay_ticks", SimConfig.network_delay_ticks)),
         blocks_per_tick=int(cfg.get("blocks_per_tick", SimConfig.blocks_per_tick)),
         max_cascade_hops=int(cfg.get("max_cascade_hops", SimConfig.max_cascade_hops)),
@@ -349,7 +347,6 @@ class World:
     """All simulation state: peers, chain, contract, in-flight messages, clock."""
 
     def __init__(self, scenario: Scenario) -> None:
-        self.scenario: Optional[Scenario] = scenario
         self.name = scenario.name
         self.config = scenario.config
         self.clock = 0
@@ -359,48 +356,20 @@ class World:
         self._script: tuple[ScheduledAction, ...] = scenario.script
         self._script_pos = 0
         self._msg_seq = 0
-        self._trace_seq = 0
-        self._cascade_counts: dict[str, int] = {}
+        # The cascade budget counts hops along one causal chain: a cascade
+        # proposed after merging a share's version is one hop further than the
+        # update that made that version. Hops of cascades awaiting a block, and
+        # of the update behind each share's current version (0 unless a cascade).
+        self._tx_hops: dict[UpdateTx, int] = {}
+        self._version_hops: dict[str, int] = {}
         self._build(scenario)
-
-    @classmethod
-    def from_parts(
-        cls,
-        *,
-        name: str,
-        peers: Mapping[str, PeerNode],
-        chain: Chain,
-        contract: ContractState,
-        clock: int,
-        trace: Sequence[TraceEvent] = (),
-    ) -> "World":
-        """Reassemble a world from dumped state (no scenario, no queues)."""
-        world = cls.__new__(cls)
-        world.scenario = None
-        world.name = name
-        world.config = SimConfig()
-        world.clock = clock
-        world.trace = list(trace)
-        world.peers = dict(peers)
-        world._inflight = []
-        world._script = ()
-        world._script_pos = 0
-        world._msg_seq = 0
-        world._trace_seq = len(world.trace)
-        world._cascade_counts = {}
-        world.chain = chain
-        world.contract = contract
-        return world
 
     def _build(self, scenario: Scenario) -> None:
         bindings: dict[str, dict[str, ShareBinding]] = {p: {} for p in scenario.principals}
         for share in scenario.shares:
             for peer, lens_id in share.lens_by_peer.items():
                 (counterpart,) = set(share.lens_by_peer) - {peer}
-                role = "initiator" if peer == share.deployer else "participant"
-                bindings[peer][share.shared_id] = ShareBinding(
-                    share.shared_id, lens_id, counterpart, role
-                )
+                bindings[peer][share.shared_id] = ShareBinding(share.shared_id, lens_id, counterpart)
 
         for p in sorted(scenario.principals):
             tables = {t.id: t for t in scenario.tables.get(p, ())}
@@ -442,8 +411,7 @@ class World:
     # -- bookkeeping -----------------------------------------------------------
 
     def _trace(self, actor: str, kind: str, payload: Mapping[str, object]) -> None:
-        self.trace.append(TraceEvent(self.clock, self._trace_seq, actor, kind, payload))
-        self._trace_seq += 1
+        self.trace.append(TraceEvent(self.clock, len(self.trace), actor, kind, payload))
 
     def _enqueue(self, message: Message, deliver_tick: Optional[int] = None) -> None:
         if deliver_tick is None:
@@ -451,27 +419,11 @@ class World:
         self._inflight.append(_Queued(deliver_tick, self._msg_seq, message))
         self._msg_seq += 1
 
-    def _submit_update(self, tx: UpdateTx) -> None:
+    def _submit(self, tx: Union[UpdateTx, PermChangeTx]) -> None:
         self.chain.submit(tx)
-        self._trace(
-            tx.requester,
-            "propose",
-            {
-                "type": "update",
-                "shared_id": tx.shared_id,
-                "changed_attrs": sorted(tx.changed_attrs),
-                "base_version": tx.base_version,
-                "new_digest": tx.new_digest,
-            },
-        )
-
-    def _bump_cascade(self, shared_id: str) -> None:
-        count = self._cascade_counts.get(shared_id, 0) + 1
-        self._cascade_counts[shared_id] = count
-        if count > self.config.max_cascade_hops:
-            raise CascadeOverflow(
-                f"share {shared_id!r} exceeded {self.config.max_cascade_hops} cascade hops"
-            )
+        # The requester is the event's actor.
+        payload = {k: v for k, v in tx_to_json_dict(tx).items() if k != "requester"}
+        self._trace(tx.requester, "propose", payload)
 
     def quiescent(self) -> bool:
         """No messages in flight, empty mempool, nothing staged, script done."""
@@ -489,7 +441,7 @@ class World:
             peer.on_notification(message)
         elif isinstance(message, Receipt):
             for tx in peer.on_receipt(message):
-                self._submit_update(tx)
+                self._submit(tx)
         elif isinstance(message, DataRequest):
             if peer.on_data_request(message) == RETRY:
                 self._enqueue(message, deliver_tick=self.clock + 1)
@@ -507,14 +459,20 @@ class World:
                         "version": message.version,
                     },
                 )
+            # The digest check admits only the share's current version.
+            hops = self._version_hops.get(message.shared_id, 0) + 1
             for tx in outcome.cascade_txs:
-                self._bump_cascade(tx.shared_id)
+                if hops > self.config.max_cascade_hops:
+                    raise CascadeOverflow(
+                        f"share {tx.shared_id!r} exceeded {self.config.max_cascade_hops} cascade hops"
+                    )
+                self._tx_hops[tx] = hops
                 self._trace(
                     peer.principal,
                     "cascade",
                     {"after_merge_of": message.shared_id, "shared_id": tx.shared_id},
                 )
-                self._submit_update(tx)
+                self._submit(tx)
         else:
             raise TypeError(f"unroutable message {message!r}")
 
@@ -534,25 +492,9 @@ class World:
         elif isinstance(action, ProposeAction):
             tx = peer.regenerate_and_propose(action.shared_id)
             if tx is not None:
-                self._submit_update(tx)
+                self._submit(tx)
         elif isinstance(action, PermChangeAction):
-            tx = PermChangeTx(
-                shared_id=action.shared_id,
-                requester=peer.principal,
-                attr=action.attr,
-                new_principals=action.principals,
-            )
-            self.chain.submit(tx)
-            self._trace(
-                peer.principal,
-                "propose",
-                {
-                    "type": "perm_change",
-                    "shared_id": action.shared_id,
-                    "attr": action.attr,
-                    "principals": sorted(action.principals),
-                },
-            )
+            self._submit(PermChangeTx(action.shared_id, peer.principal, action.attr, action.principals))
         else:
             raise TypeError(f"unknown action {action!r}")
 
@@ -606,6 +548,10 @@ class World:
             block = self.chain.blocks[-1]
             self._trace("ledger", "block", {"index": block.index, "txs": len(block.txs)})
             for tx, verdict in block.txs:
+                if isinstance(tx, UpdateTx):
+                    hops = self._tx_hops.pop(tx, 0)
+                    if verdict.ok:
+                        self._version_hops[tx.shared_id] = hops
                 payload = {
                     "shared_id": tx_shared_id(tx),
                     "tx": tx_to_json_dict(tx)["type"],
@@ -660,31 +606,24 @@ def _write(path: Path, data: bytes) -> None:
     path.write_bytes(data + b"\n")
 
 
+def write_trace(trace: Sequence[TraceEvent], path: str | Path) -> None:
+    """Write a trace as JSON Lines, one canonical event per line."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"".join(canonical_json(e.to_json_dict()) + b"\n" for e in trace))
+
+
 def dump(world: World, out_dir: str | Path) -> Path:
     """Write the world's state in canonical form: tables, copies, contract, chain, trace."""
     out = Path(out_dir)
-    manifest: dict[str, object] = {
+    manifest = {
         "name": world.name,
         "clock": world.clock,
         "principals": sorted(world.peers),
-        "peers": {},
+        "peers": {p: world.peers[p].to_json_dict() for p in sorted(world.peers)},
     }
     for principal in sorted(world.peers):
         peer = world.peers[principal]
-        manifest["peers"][principal] = {  # type: ignore[index]
-            "tables": sorted(peer.tables),
-            "lenses": [peer.lenses[k].spec.to_json_dict() for k in sorted(peer.lenses)],
-            "bindings": [
-                {
-                    "shared_id": b.shared_id,
-                    "lens_id": b.lens_id,
-                    "counterpart": b.counterpart,
-                    "role": b.role,
-                }
-                for _, b in sorted(peer.bindings.items())
-            ],
-            "versions": dict(sorted(peer.known_versions.items())),
-        }
         for tid in sorted(peer.tables):
             _write(out / "tables" / principal / f"{tid}.json", peer.tables[tid].canonical_bytes())
         for sid in sorted(peer.shared_copies):
@@ -692,60 +631,46 @@ def dump(world: World, out_dir: str | Path) -> Path:
     _write(out / "world.json", canonical_json(manifest))
     _write(out / "contract.json", world.contract.canonical_bytes())
     _write(out / "chain.json", world.chain.dumps())
-    trace_lines = b"".join(canonical_json(e.to_json_dict()) + b"\n" for e in world.trace)
-    (out / "trace.jsonl").parent.mkdir(parents=True, exist_ok=True)
-    (out / "trace.jsonl").write_bytes(trace_lines)
+    write_trace(world.trace, out / "trace.jsonl")
     return out
 
 
 def load_dump(dump_dir: str | Path) -> World:
-    """Rebuild a (quiescent) world from a dump directory."""
+    """Rebuild a (quiescent) world from a dump directory.
+
+    A missing, unparseable or inconsistent file raises ValidationError, except
+    that a chain.json which fails its checks raises ChainCorrupt.
+    """
     root = Path(dump_dir)
+
+    def read(*parts: str):
+        return json.loads(root.joinpath(*parts).read_text(encoding="utf-8"))
+
+    def read_table(*parts: str) -> Table:
+        return Table.from_json_dict(read(*parts))
+
+    def read_trace() -> list[TraceEvent]:
+        # A function of its own, so the text lines are freed before the tables load.
+        path = root / "trace.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+        return [TraceEvent.from_json_dict(json.loads(line)) for line in lines if line.strip()]
+
     try:
-        manifest = json.loads((root / "world.json").read_text(encoding="utf-8"))
-        contract = ContractState.from_json_dict(
-            json.loads((root / "contract.json").read_text(encoding="utf-8"))
-        )
+        manifest = read("world.json")
+        contract = ContractState.from_json_dict(read("contract.json"))
         chain = Chain.loads((root / "chain.json").read_bytes())
-        trace = []
-        trace_path = root / "trace.jsonl"
-        if trace_path.exists():
-            for line in trace_path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    trace.append(TraceEvent.from_json_dict(json.loads(line)))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        trace = read_trace()
+        # A world with no principals and an empty script, given the dumped state.
+        world = World(Scenario(manifest["name"], (), {}, {}, (), ()))
+        world.clock, world.trace, world.chain, world.contract = manifest["clock"], trace, chain, contract
+        for principal in manifest["principals"]:
+            info = manifest["peers"][principal]
+            tables = {tid: read_table("tables", principal, f"{tid}.json") for tid in info["tables"]}
+            copies = {sid: read_table("shared", principal, f"{sid}.json") for sid in info["versions"]}
+            world.peers[principal] = PeerNode.from_json_dict(principal, info, tables, copies)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, RelationalError, LensError) as exc:
         raise ValidationError(f"unreadable dump at {root}: {exc}") from exc
-
-    peers: dict[str, PeerNode] = {}
-    for principal in manifest["principals"]:
-        info = manifest["peers"][principal]
-        tables = {}
-        for tid in info["tables"]:
-            doc = json.loads((root / "tables" / principal / f"{tid}.json").read_text(encoding="utf-8"))
-            tables[tid] = Table.from_json_dict(doc)
-        lenses = {}
-        for spec_doc in info["lenses"]:
-            spec = LensSpec.from_json_dict(spec_doc)
-            lenses[spec.lens_id] = compile_lens(spec, tables[spec.source_table_id].schema)
-        bindings = {
-            b["shared_id"]: ShareBinding(b["shared_id"], b["lens_id"], b["counterpart"], b["role"])
-            for b in info["bindings"]
-        }
-        peer = PeerNode(principal, tables, lenses, bindings)
-        for sid, version in info["versions"].items():
-            doc = json.loads((root / "shared" / principal / f"{sid}.json").read_text(encoding="utf-8"))
-            peer.shared_copies[sid] = Table.from_json_dict(doc)
-            peer.known_versions[sid] = version
-        peers[principal] = peer
-
-    return World.from_parts(
-        name=manifest["name"],
-        peers=peers,
-        chain=chain,
-        contract=contract,
-        clock=manifest["clock"],
-        trace=trace,
-    )
+    return world
 
 
 # --- convergence ----------------------------------------------------------------

@@ -3,9 +3,10 @@
 Blocks record every submitted transaction together with its verdict, accepted
 or not, so denied attempts stay auditable. Within one block at most one update
 per shared table is accepted; later updates on the same table are rejected
-outright and must be resubmitted against the new version. The whole chain can
-be re-executed from the genesis block to reconstruct the contract state, and
-any tampering with a dumped chain is detected via the digest linkage.
+outright and must be resubmitted against the new version. Replay re-executes
+the whole chain from the genesis block, reconstructing the contract state and
+re-deriving every recorded verdict; tampering with a dumped chain is detected
+by the digest linkage or by a verdict that replay does not reproduce.
 """
 
 from __future__ import annotations
@@ -59,16 +60,22 @@ class Block:
     block_digest: str
 
     @staticmethod
-    def compute_digest(
+    def _body(
         index: int, tick: int, txs: Sequence[tuple[Transaction, Verdict]], prev_digest: str
-    ) -> str:
-        body = {
+    ) -> dict:
+        """Everything the block digest covers: the block less its own digest."""
+        return {
             "index": index,
             "tick": tick,
             "prev_digest": prev_digest,
             "txs": [{"tx": tx_to_json_dict(tx), "verdict": v.to_json_dict()} for tx, v in txs],
         }
-        return sha256_hex(canonical_json(body))
+
+    @staticmethod
+    def compute_digest(
+        index: int, tick: int, txs: Sequence[tuple[Transaction, Verdict]], prev_digest: str
+    ) -> str:
+        return sha256_hex(canonical_json(Block._body(index, tick, txs, prev_digest)))
 
     @classmethod
     def build(
@@ -78,13 +85,8 @@ class Block:
         return cls(index, tick, tuple(txs), prev_digest, digest)
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "tick": self.tick,
-            "prev_digest": self.prev_digest,
-            "block_digest": self.block_digest,
-            "txs": [{"tx": tx_to_json_dict(tx), "verdict": v.to_json_dict()} for tx, v in self.txs],
-        }
+        body = self._body(self.index, self.tick, self.txs, self.prev_digest)
+        return {**body, "block_digest": self.block_digest}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Block":
@@ -92,6 +94,45 @@ class Block:
             (tx_from_json_dict(e["tx"]), Verdict.from_json_dict(e["verdict"])) for e in d["txs"]
         )
         return cls(d["index"], d["tick"], txs, d["prev_digest"], d["block_digest"])
+
+
+def execute_block(
+    state: ContractState, txs: Sequence[Transaction], tick: int
+) -> tuple[ContractState, list[Verdict], list[Notification]]:
+    """Run one block's transactions in order against the evolving contract state.
+
+    Returns the new state, one verdict per transaction, and the notifications
+    of the accepted updates. Block production and replay both go through here.
+    An update whose shared table already saw an accepted update in this block
+    is rejected with BlockedBySerialization regardless of its own merits; the
+    submitter must refetch and resubmit.
+    """
+    verdicts: list[Verdict] = []
+    notes: list[Notification] = []
+    updated: set[str] = set()
+    for tx in txs:
+        if isinstance(tx, UpdateTx):
+            if tx.shared_id in updated:
+                verdict = Verdict.reject(
+                    RejectReason.BLOCKED_BY_SERIALIZATION,
+                    f"{tx.shared_id!r} already updated in this block",
+                )
+            else:
+                verdict = validate_update(state, tx)
+                if verdict.ok:
+                    state, new_notes = apply_update(state, tx, tick)
+                    notes.extend(new_notes)
+                    updated.add(tx.shared_id)
+        elif isinstance(tx, DeployTx):
+            verdict = validate_deploy(state, tx.meta, tx.deployer)
+            if verdict.ok:
+                state = deploy(state, tx.meta, tx.deployer, tick)
+        elif isinstance(tx, PermChangeTx):
+            state, verdict = change_permission(state, tx, tick)
+        else:
+            raise TypeError(f"unknown transaction {tx!r}")
+        verdicts.append(verdict)
+    return state, verdicts, notes
 
 
 class Chain:
@@ -117,48 +158,14 @@ class Chain:
     def produce_block(
         self, contract_state: ContractState, tick: int
     ) -> tuple[ContractState, list[Notification], list[Receipt]]:
-        """Drain the mempool into one block, applying accepted transactions in
-        arrival order against the evolving contract state.
-
-        An update whose shared table already saw an accepted update in this
-        block is rejected with BlockedBySerialization regardless of its own
-        merits; the submitter must refetch and resubmit.
-        """
-        pending = self.mempool
+        """Drain the mempool into one block, executed in arrival order."""
+        txs = [tx for _seq, tx in self.mempool]
         self.mempool = []
-        state = contract_state
-        recorded: list[tuple[Transaction, Verdict]] = []
-        notes: list[Notification] = []
-        receipts: list[Receipt] = []
-        accepted_updates: set[str] = set()
-
-        for _seq, tx in pending:
-            if isinstance(tx, UpdateTx):
-                if tx.shared_id in accepted_updates:
-                    verdict = Verdict.reject(
-                        RejectReason.BLOCKED_BY_SERIALIZATION,
-                        f"{tx.shared_id!r} already updated in this block",
-                    )
-                else:
-                    verdict = validate_update(state, tx)
-                    if verdict.ok:
-                        state, new_notes = apply_update(state, tx, tick)
-                        notes.extend(new_notes)
-                        accepted_updates.add(tx.shared_id)
-            elif isinstance(tx, DeployTx):
-                verdict = validate_deploy(state, tx.meta, tx.deployer)
-                if verdict.ok:
-                    state = deploy(state, tx.meta, tx.deployer, tick)
-            elif isinstance(tx, PermChangeTx):
-                state, verdict = change_permission(state, tx, tick)
-            else:
-                raise TypeError(f"unknown transaction {tx!r}")
-            recorded.append((tx, verdict))
-            receipts.append(Receipt(tx, verdict, tx_submitter(tx)))
-
+        state, verdicts, notes = execute_block(contract_state, txs, tick)
+        recorded = list(zip(txs, verdicts))
         prev = self.blocks[-1]
         self.blocks.append(Block.build(prev.index + 1, tick, recorded, prev.block_digest))
-        return state, notes, receipts
+        return state, notes, [Receipt(tx, v, tx_submitter(tx)) for tx, v in recorded]
 
     def verify(self) -> None:
         """Raise ChainCorrupt unless every digest and link checks out."""
@@ -174,36 +181,25 @@ class Chain:
             prev_digest = block.block_digest
 
     def replay(self) -> ContractState:
-        """Re-execute every accepted transaction from genesis.
+        """Re-execute every block from genesis, re-deriving every recorded verdict.
 
-        The result must equal the incrementally maintained contract state; a
-        divergence means the chain was tampered with (and is reported as such).
+        The result must equal the incrementally maintained contract state. A
+        re-derived verdict that differs from the recorded one, accepted or
+        rejected, means the chain was tampered with and raises ChainCorrupt.
         """
         self.verify()
         state = ContractState.empty()
         for block in self.blocks:
-            for tx, verdict in block.txs:
-                if not verdict.ok:
-                    continue
-                try:
-                    if isinstance(tx, DeployTx):
-                        state = deploy(state, tx.meta, tx.deployer, block.tick)
-                    elif isinstance(tx, UpdateTx):
-                        state, _ = apply_update(state, tx, block.tick)
-                    elif isinstance(tx, PermChangeTx):
-                        state, v = change_permission(state, tx, block.tick)
-                        if not v.ok:
-                            raise ChainCorrupt(
-                                f"block {block.index}: recorded-accepted permission change re-rejected"
-                            )
-                    else:
-                        raise ChainCorrupt(f"block {block.index}: unknown transaction kind")
-                except ChainCorrupt:
-                    raise
-                except Exception as exc:
+            try:
+                state, verdicts, _ = execute_block(state, [tx for tx, _ in block.txs], block.tick)
+            except Exception as exc:  # tampered transactions can trip any contract check
+                raise ChainCorrupt(f"block {block.index}: fails on replay: {exc}") from exc
+            for i, ((_tx, recorded), derived) in enumerate(zip(block.txs, verdicts)):
+                if recorded != derived:
                     raise ChainCorrupt(
-                        f"block {block.index}: accepted transaction fails on replay: {exc}"
-                    ) from exc
+                        f"block {block.index}, transaction {i}: recorded verdict "
+                        f"{recorded.to_json_dict()} but replay gives {derived.to_json_dict()}"
+                    )
         return state
 
     def history(self, shared_id: str) -> list[tuple[int, Transaction, Verdict]]:

@@ -39,10 +39,6 @@ class InsertNotSupported(LensError):
     """The view introduced a row but the lens cannot insert into the source."""
 
 
-class DifferentSource(LensError):
-    """Overlap was asked of two lenses over different source tables."""
-
-
 @dataclass(frozen=True)
 class LensSpec:
     """Declarative lens: which source attributes the view carries, and its key."""
@@ -166,12 +162,3 @@ def put(lens: Lens, source: Table, view: Table) -> Table:
 
     return Table(source.id, source.schema, tuple(new_rows))
 
-
-def overlap(a: LensSpec, b: LensSpec) -> frozenset[str]:
-    """Attributes two lenses over the same source both expose."""
-    if a.source_table_id != b.source_table_id:
-        raise DifferentSource(
-            f"lenses {a.lens_id!r} and {b.lens_id!r} read different sources "
-            f"({a.source_table_id!r} vs {b.source_table_id!r})"
-        )
-    return frozenset(a.view_attrs) & frozenset(b.view_attrs)

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Union
 
 from .contract import Notification, Principal, RejectReason, SharedTableMetadata, UpdateTx
 from .ledger import Receipt
-from .lenses import Lens, get as lens_get, put as lens_put
+from .lenses import Lens, LensSpec, compile_lens, get as lens_get, put as lens_put
 from .relational import Table, Value
 
 
@@ -45,7 +45,13 @@ class ShareBinding:
     shared_id: str
     lens_id: str
     counterpart: Principal
-    role: str  # "initiator" deployed the share; "participant" joined it
+
+    def to_json_dict(self) -> dict:
+        return {"shared_id": self.shared_id, "lens_id": self.lens_id, "counterpart": self.counterpart}
+
+    @classmethod
+    def from_json_dict(cls, d: Mapping) -> "ShareBinding":
+        return cls(d["shared_id"], d["lens_id"], d["counterpart"])
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,34 @@ class PeerNode:
         self.known_versions: dict[str, int] = {}
         self.pending: dict[str, PendingProposal] = {}
         self.outbox: list[Message] = []
+
+    def to_json_dict(self) -> dict:
+        """The peer's dump entry; table contents are written separately, one file each."""
+        return {
+            "tables": sorted(self.tables),
+            "lenses": [self.lenses[k].spec.to_json_dict() for k in sorted(self.lenses)],
+            "bindings": [b.to_json_dict() for _, b in sorted(self.bindings.items())],
+            "versions": dict(sorted(self.known_versions.items())),
+        }
+
+    @classmethod
+    def from_json_dict(
+        cls,
+        principal: Principal,
+        d: Mapping,
+        tables: Mapping[str, Table],
+        shared_copies: Mapping[str, Table],
+    ) -> "PeerNode":
+        """Rebuild a quiescent peer from its dump entry and the tables read back for it."""
+        lenses = {}
+        for spec_doc in d["lenses"]:
+            spec = LensSpec.from_json_dict(spec_doc)
+            lenses[spec.lens_id] = compile_lens(spec, tables[spec.source_table_id].schema)
+        bindings = [ShareBinding.from_json_dict(b) for b in d["bindings"]]
+        peer = cls(principal, tables, lenses, {b.shared_id: b for b in bindings})
+        peer.shared_copies = dict(shared_copies)
+        peer.known_versions = dict(d["versions"])
+        return peer
 
     # -- wiring ---------------------------------------------------------------
 

@@ -9,13 +9,15 @@ Criteria:
   4. at most one accepted update per shared table per block, verified by
      scanning the chain dump
   5. replaying the chain reproduces the live contract state bit-exactly, and
-     any single-byte tampering of a dumped chain is detected
-  6. byte-identical dumps and traces across repeated runs
+     any single-byte tampering of a dumped chain is detected, as is a forged
+     verdict in a chain whose digests were recomputed
+  6. byte-identical dumps and traces across repeated runs, pinned by SHA-256
   7. a stale proposal recovers (refetch, re-put, re-propose) and converges
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -23,9 +25,11 @@ from pathlib import Path
 import pytest
 
 from conftest import BUNDLED_SCENARIOS, iter_law_cases, scenario_path
+from medsync.cli import main
 from medsync.harness import dump, load_scenario, run, verify_convergence
-from medsync.ledger import Chain, ChainCorrupt
+from medsync.ledger import Block, Chain, ChainCorrupt
 from medsync.lenses import get as lens_get, put as lens_put
+from medsync.relational import ZERO_DIGEST, canonical_json
 
 LAW_CASES = 1000
 LAW_SEED = 20260808
@@ -184,6 +188,65 @@ def test_criterion_5_tampering_detected(tmp_path, name, stride):
             Chain.loads(bytes(tampered))
         flipped += 1
     _passed(f"criterion 5: {name}: all {flipped} single-byte tamperings raised ChainCorrupt")
+
+
+def _relink(blocks: list[dict]) -> None:
+    """Recompute every link and digest, as a forger rewriting the whole chain would."""
+    prev = ZERO_DIGEST
+    for b in blocks:
+        b["prev_digest"] = prev
+        block = Block.from_json_dict(b)
+        b["block_digest"] = prev = Block.compute_digest(block.index, block.tick, block.txs, prev)
+
+
+@pytest.mark.parametrize(
+    "name, target, forged_reason",
+    [
+        ("update_flow", "last accepted update", "StaleVersion"),
+        ("conflicting_updates", "last accepted update", "StaleVersion"),
+        ("permission_grant", "last accepted update", "PermissionDenied"),
+        ("cascade_delete", "last accepted update", "BlockedBySerialization"),
+        ("stale_recovery", "rejected update", "BlockedBySerialization"),
+    ],
+)
+def test_criterion_5_forged_verdict_detected(tmp_path, name, target, forged_reason):
+    world = run(_load(name))
+    chain_path = dump(world, tmp_path / name) / "chain.json"
+    blocks = json.loads(chain_path.read_bytes())
+    want_ok = target == "last accepted update"
+    entries = [
+        e for b in blocks for e in b["txs"] if e["tx"]["type"] == "update" and e["verdict"]["ok"] == want_ok
+    ]
+    entries[-1]["verdict"] = {"ok": False, "reason": forged_reason, "detail": "forged"}
+    _relink(blocks)
+    chain_path.write_bytes(canonical_json(blocks) + b"\n")
+
+    forged = Chain.loads(chain_path.read_bytes())  # the links and digests check out
+    with pytest.raises(ChainCorrupt, match="recorded verdict"):
+        forged.replay()
+    assert main(["replay", str(chain_path)]) == 1
+    _passed(f"criterion 5: {name}: {target} forged as {forged_reason} was caught by replay")
+
+
+PINNED_SHA256 = Path(__file__).with_name("bundled_dumps.sha256")
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_criterion_6_pinned_bytes(tmp_path, name):
+    pinned = {}
+    for line in PINNED_SHA256.read_text(encoding="utf-8").splitlines():
+        digest, path = line.split(maxsplit=1)
+        scenario, _, rel = path.partition("/")
+        if scenario == name:
+            pinned[rel] = digest
+    produced = {
+        path: hashlib.sha256(data).hexdigest()
+        for path, data in _dump_files(dump(run(_load(name)), tmp_path / name)).items()
+    }
+    assert produced.keys() == pinned.keys()
+    changed = sorted(path for path in pinned if produced[path] != pinned[path])
+    assert not changed, f"{name}: bytes differ from the pinned dump in {changed}"
+    _passed(f"criterion 6: all {len(pinned)} files of the {name} dump match their pinned SHA-256")
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)

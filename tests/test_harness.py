@@ -20,6 +20,7 @@ from medsync.harness import (
     load_dump,
     load_scenario,
     run,
+    scenario_from_json_dict,
     verify_convergence,
 )
 
@@ -93,6 +94,34 @@ class TestRun:
         scenario = replace(cascade_delete, config=replace(cascade_delete.config, max_cascade_hops=0))
         with pytest.raises(CascadeOverflow):
             run(scenario)
+
+    def test_cascade_budget_counts_hops_per_causal_chain(self):
+        # 17 unrelated deletes each cascade once into D13: 17 cascades on one
+        # share over the run, one hop per causal chain, within the budget of 16.
+        doc = json.loads(Path(scenario_path("cascade_delete")).read_text(encoding="utf-8"))
+        meds = [f"Med{i:02d}" for i in range(20)]
+        rows = {
+            "D1": [["P1", m, f"note{m}", "Addr1", f"dose{m}"] for m in meds],
+            "D3": [["P1", m, f"note{m}", f"dose{m}", f"MeA{m}"] for m in meds],
+            "D2": [[m, f"MeA{m}", f"MoA{m}"] for m in meds],
+        }
+        for tables in doc["tables"].values():
+            for table in tables:
+                table["rows"] = rows[table["id"]]
+        doc["script"] = [
+            {"tick": 1 + 10 * k, "principal": "Researcher", "action": action}
+            for k in range(17)
+            for action in (
+                {"kind": "edit", "table": "D2", "op": "delete", "key": {"a1": meds[k]}},
+                {"kind": "propose", "shared_id": "D23"},
+            )
+        ]
+        doc["config"]["max_ticks"] = 250
+        world = run(scenario_from_json_dict(doc))
+        assert world.config.max_cascade_hops == 16
+        assert [e.payload["shared_id"] for e in world.trace if e.kind == "cascade"] == ["D13"] * 17
+        assert verify_convergence(world).ok
+        assert len(world.peers["Patient"].tables["D1"].rows) == 3
 
     def test_update_reaches_counterpart_table(self, update_flow):
         world = run(update_flow)
@@ -241,6 +270,24 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
         assert main(["run", str(bad)]) == 2
+
+    @pytest.mark.parametrize("subdir, table", [("tables", "D3"), ("shared", "D23")])
+    @pytest.mark.parametrize("corruption", ["bad JSON", "duplicate primary key"])
+    def test_corrupt_dump_exits_2(self, tmp_path, capsys, subdir, table, corruption):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
+        path = dump_dir / subdir / "Doctor" / f"{table}.json"
+        if corruption == "bad JSON":
+            path.write_text("{", encoding="utf-8")
+        else:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc["rows"].append(doc["rows"][0])
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == 2
+        assert capsys.readouterr().err.startswith("dump error: ")
 
     def test_corrupt_chain_exits_1(self, tmp_path, capsys):
         from medsync.cli import main

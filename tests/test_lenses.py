@@ -1,4 +1,4 @@
-"""Lens compilation, get/put semantics, overlap, and the round-trip laws."""
+"""Lens compilation, get/put semantics, and the round-trip laws."""
 
 from __future__ import annotations
 
@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import D3_SCHEMA, L31_SPEC, L32_SPEC, make_edited_view, make_lens_case
+from conftest import D3_SCHEMA, L32_SPEC, make_edited_view, make_lens_case
 from medsync.lenses import (
-    DifferentSource,
     EmptyViewKey,
     FdViolation,
     InsertNotSupported,
     LensSpec,
     compile_lens,
     get,
-    overlap,
     put,
 )
 from medsync.relational import KeyConflict, Schema, SchemaMismatch, Table, UnknownAttribute
@@ -121,23 +119,6 @@ class TestPut:
     def test_wrong_view_schema(self, l32, fixture_f):
         with pytest.raises(SchemaMismatch):
             put(l32, fixture_f, fixture_f)
-
-
-class TestOverlap:
-    def test_shared_attribute(self):
-        assert overlap(L31_SPEC, L32_SPEC) == {"a1"}
-
-    def test_self_overlap(self):
-        assert overlap(L32_SPEC, L32_SPEC) == {"a1", "a5"}
-
-    def test_disjoint(self):
-        a = LensSpec("A", "D3", ("a0",), ("a0",))
-        b = LensSpec("B", "D3", ("a5",), ("a5",))
-        assert overlap(a, b) == frozenset()
-
-    def test_different_sources(self):
-        with pytest.raises(DifferentSource):
-            overlap(L32_SPEC, LensSpec("L23", "D2", ("a1", "a5"), ("a1",)))
 
 
 # --- round-trip laws ---------------------------------------------------------------

@@ -39,7 +39,7 @@ def researcher() -> PeerNode:
         "Researcher",
         tables={"D2": Table("D2", D2_SCHEMA, D2_ROWS)},
         lenses={"L23": compile_lens(L23_SPEC, D2_SCHEMA)},
-        bindings={"D23": ShareBinding("D23", "L23", "Doctor", "participant")},
+        bindings={"D23": ShareBinding("D23", "L23", "Doctor")},
     )
     node.install_share("D23")
     return node
@@ -54,8 +54,8 @@ def doctor() -> PeerNode:
             "L32": compile_lens(L32_SPEC, D3_SCHEMA),
         },
         bindings={
-            "D13": ShareBinding("D13", "L31", "Patient", "initiator"),
-            "D23": ShareBinding("D23", "L32", "Researcher", "initiator"),
+            "D13": ShareBinding("D13", "L31", "Patient"),
+            "D23": ShareBinding("D23", "L32", "Researcher"),
         },
     )
     node.install_share("D13")
