@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    MaxTicksExceeded,
     ScenarioError,
     SimulationError,
     dump,
@@ -26,13 +25,11 @@ from .ledger import Chain, ChainCorrupt
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        world = run(load_scenario(args.scenario))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    try:
-        world = run(scenario, args.max_ticks)
-    except (MaxTicksExceeded, SimulationError) as exc:
+    except SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
 
@@ -105,7 +102,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run a scenario to quiescence and verify convergence")
     p_run.add_argument("scenario", help="path to a scenario JSON file")
-    p_run.add_argument("--max-ticks", type=int, default=None)
     p_run.add_argument("--dump", metavar="DIR", default=None, help="write a state dump")
     p_run.add_argument("--trace", metavar="FILE", default=None, help="write the trace log")
     p_run.set_defaults(func=_cmd_run)

@@ -121,10 +121,6 @@ class SharedTableMetadata:
                     f"{self.shared_id!r}: non-peers {sorted(outside)} permitted on {attr!r}"
                 )
 
-    def counterpart_of(self, principal: Principal) -> Principal:
-        (other,) = self.peers - {principal}
-        return other
-
     def to_json_dict(self) -> dict:
         return {
             "shared_id": self.shared_id,

@@ -2,11 +2,11 @@
 
 A scenario declares the principals, their local tables and lenses, the shares
 to deploy, and a script of scheduled actions. The driver advances a global
-tick; each tick it (1) delivers due messages to peers in lexicographic order,
-(2) executes the script actions scheduled for the tick, (3) collects peer
-outboxes into the in-flight queue, then (4) produces a block and (5) enqueues
-the resulting notifications and receipts. The loop stops at quiescence (no
-messages in flight, empty mempool, no staged proposals, script exhausted).
+tick; each tick t it (1) delivers every message sent in tick t-1, retried data
+requests included, to peers in lexicographic order, (2) runs the script actions
+of tick t, (3) collects peer outboxes, then (4) seals one block and (5) sends
+its notifications and receipts. The loop stops at quiescence (no messages in
+flight, empty mempool, no staged proposals, script exhausted).
 There is no randomness anywhere: a scenario always yields the same trace,
 chain, and dumps, byte for byte.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .contract import (
     ACCEPT,
@@ -82,8 +82,6 @@ class CascadeOverflow(SimulationError):
 @dataclass(frozen=True)
 class SimConfig:
     max_ticks: int = 100
-    network_delay_ticks: int = 1
-    blocks_per_tick: int = 1
     max_cascade_hops: int = 16
 
 
@@ -141,6 +139,9 @@ def _parse_edit(d: Mapping, where: str) -> Edit:
     op = d.get("op")
     if op not in ("insert", "update", "delete"):
         raise ValidationError(f"{where}: edit op must be insert/update/delete, got {op!r}")
+    for name in ("row", "key", "changes"):
+        if d.get(name) is not None and not isinstance(d[name], dict):
+            raise ValidationError(f"{where}: edit {name} must be an object")
     return Edit(op=op, row=d.get("row"), key=d.get("key"), changes=d.get("changes"))
 
 
@@ -165,7 +166,7 @@ def _parse_action(d: Mapping, where: str) -> Action:
 def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
     """Build and cross-validate a scenario from its parsed JSON form."""
     principals = tuple(doc.get("principals", ()))
-    if not principals or len(set(principals)) != len(principals):
+    if not principals or len({p for p in principals if isinstance(p, str)}) != len(principals):
         raise ValidationError("principals must be a non-empty list of unique names")
 
     tables: dict[str, tuple[Table, ...]] = {}
@@ -275,12 +276,6 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
         script.append(ScheduledAction(tick, principal, action))
 
     cfg = doc.get("config", {})
-    config = SimConfig(
-        max_ticks=int(cfg.get("max_ticks", SimConfig.max_ticks)),
-        network_delay_ticks=int(cfg.get("network_delay_ticks", SimConfig.network_delay_ticks)),
-        blocks_per_tick=int(cfg.get("blocks_per_tick", SimConfig.blocks_per_tick)),
-        max_cascade_hops=int(cfg.get("max_cascade_hops", SimConfig.max_cascade_hops)),
-    )
     return Scenario(
         name=doc.get("name", name),
         principals=principals,
@@ -288,7 +283,10 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
         lens_specs=lens_specs,
         shares=tuple(shares),
         script=tuple(script),
-        config=config,
+        config=SimConfig(
+            max_ticks=int(cfg.get("max_ticks", SimConfig.max_ticks)),
+            max_cascade_hops=int(cfg.get("max_cascade_hops", SimConfig.max_cascade_hops)),
+        ),
     )
 
 
@@ -305,7 +303,11 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: scenario must be a JSON object")
-    return scenario_from_json_dict(doc, name=path.stem.replace(".scenario", ""))
+    try:
+        return scenario_from_json_dict(doc, name=path.stem.replace(".scenario", ""))
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        # A value of the wrong JSON type can trip any field access.
+        raise ValidationError(f"{path}: malformed scenario: {exc}") from exc
 
 
 # --- tracing ------------------------------------------------------------------
@@ -333,13 +335,6 @@ class TraceEvent:
         return cls(d["tick"], d["seq"], d["actor"], d["kind"], dict(d["payload"]))
 
 
-@dataclass(frozen=True)
-class _Queued:
-    deliver_tick: int
-    seq: int
-    message: Message
-
-
 # --- the world ----------------------------------------------------------------
 
 
@@ -352,10 +347,9 @@ class World:
         self.clock = 0
         self.trace: list[TraceEvent] = []
         self.peers: dict[str, PeerNode] = {}
-        self._inflight: list[_Queued] = []
+        self._inflight: list[Message] = []  # sent this tick, delivered next tick, in send order
         self._script: tuple[ScheduledAction, ...] = scenario.script
         self._script_pos = 0
-        self._msg_seq = 0
         # The cascade budget counts hops along one causal chain: a cascade
         # proposed after merging a share's version is one hop further than the
         # update that made that version. Hops of cascades awaiting a block, and
@@ -381,15 +375,12 @@ class World:
         state = ContractState.empty()
         genesis: list[tuple[Transaction, Verdict]] = []
         for share in sorted(scenario.shares, key=lambda s: s.shared_id):
-            views = {}
-            for peer in sorted(share.lens_by_peer):
-                views[peer] = self.peers[peer].install_share(share.shared_id)
-            initial = views[share.deployer]
-            others = [v for p, v in views.items() if p != share.deployer]
-            if any(v != initial for v in others):
-                raise ValidationError(
-                    f"share {share.shared_id!r}: the peers' initial views disagree"
-                )
+            try:
+                initial, other = (self.peers[p].install_share(share.shared_id) for p in share.lens_by_peer)
+            except LensError as exc:
+                raise ValidationError(f"share {share.shared_id!r}: {exc}") from exc
+            if initial != other:
+                raise ValidationError(f"share {share.shared_id!r}: the peers' initial views disagree")
             lens = self.peers[share.deployer].lenses[share.lens_by_peer[share.deployer]]
             meta = SharedTableMetadata(
                 shared_id=share.shared_id,
@@ -412,12 +403,6 @@ class World:
 
     def _trace(self, actor: str, kind: str, payload: Mapping[str, object]) -> None:
         self.trace.append(TraceEvent(self.clock, len(self.trace), actor, kind, payload))
-
-    def _enqueue(self, message: Message, deliver_tick: Optional[int] = None) -> None:
-        if deliver_tick is None:
-            deliver_tick = self.clock + self.config.network_delay_ticks
-        self._inflight.append(_Queued(deliver_tick, self._msg_seq, message))
-        self._msg_seq += 1
 
     def _submit(self, tx: Union[UpdateTx, PermChangeTx]) -> None:
         self.chain.submit(tx)
@@ -444,7 +429,7 @@ class World:
                 self._submit(tx)
         elif isinstance(message, DataRequest):
             if peer.on_data_request(message) == RETRY:
-                self._enqueue(message, deliver_tick=self.clock + 1)
+                self._inflight.append(message)
         elif isinstance(message, DataResponse):
             meta = query_metadata(self.contract, message.shared_id)
             outcome = peer.on_data_response(message, meta)
@@ -502,22 +487,28 @@ class World:
         """Advance one tick in the fixed phase order."""
         t = self.clock
 
-        due = [q for q in self._inflight if q.deliver_tick <= t]
-        if due:
-            self._inflight = [q for q in self._inflight if q.deliver_tick > t]
-            for principal in sorted({q.message.to for q in due}):
-                inbox = sorted((q for q in due if q.message.to == principal), key=lambda q: q.seq)
-                for q in inbox:
-                    self._dispatch(self.peers[principal], q.message)
+        due, self._inflight = self._inflight, []
+        due.sort(key=lambda m: m.to)  # stable: each inbox stays in send order
+        for message in due:
+            try:
+                self._dispatch(self.peers[message.to], message)
+            except (RelationalError, LensError) as exc:
+                # The scripted edits produced shared data the recipient's lenses cannot absorb.
+                raise ValidationError(f"tick {t}, {message.to}: {exc}") from exc
 
         while self._script_pos < len(self._script) and self._script[self._script_pos].tick <= t:
-            self._run_action(self._script[self._script_pos])
+            scheduled = self._script[self._script_pos]
+            try:
+                self._run_action(scheduled)
+            except (RelationalError, LensError) as exc:
+                # The script asked for an edit the table refuses, or one the lenses cannot follow.
+                raise ValidationError(f"script tick {scheduled.tick}, {scheduled.principal}: {exc}") from exc
             self._script_pos += 1
 
         for principal in sorted(self.peers):
             peer = self.peers[principal]
+            self._inflight.extend(peer.outbox)
             for msg in peer.outbox:
-                self._enqueue(msg)
                 if isinstance(msg, DataRequest):
                     self._trace(
                         principal,
@@ -543,47 +534,45 @@ class World:
                     )
             peer.outbox.clear()
 
-        for _ in range(self.config.blocks_per_tick):
-            self.contract, notes, receipts = self.chain.produce_block(self.contract, t)
-            block = self.chain.blocks[-1]
-            self._trace("ledger", "block", {"index": block.index, "txs": len(block.txs)})
-            for tx, verdict in block.txs:
-                if isinstance(tx, UpdateTx):
-                    hops = self._tx_hops.pop(tx, 0)
-                    if verdict.ok:
-                        self._version_hops[tx.shared_id] = hops
-                payload = {
-                    "shared_id": tx_shared_id(tx),
-                    "tx": tx_to_json_dict(tx)["type"],
-                    "ok": verdict.ok,
-                }
-                if not verdict.ok:
-                    payload["reason"] = verdict.reason.value
-                self._trace(tx_submitter(tx), "verdict", payload)
-            for note in notes:
-                self._enqueue(note)
-                self._trace(
-                    "contract",
-                    "notify",
-                    {
-                        "shared_id": note.shared_id,
-                        "from": note.source_peer,
-                        "to": note.to,
-                        "new_version": note.new_version,
-                        "changed_attrs": sorted(note.changed_attrs),
-                    },
-                )
-            for receipt in receipts:
-                self._enqueue(receipt)
+        self.contract, notes, receipts = self.chain.produce_block(self.contract, t)
+        block = self.chain.blocks[-1]
+        self._trace("ledger", "block", {"index": block.index, "txs": len(block.txs)})
+        for tx, verdict in block.txs:
+            if isinstance(tx, UpdateTx):
+                hops = self._tx_hops.pop(tx, 0)
+                if verdict.ok:
+                    self._version_hops[tx.shared_id] = hops
+            payload = {
+                "shared_id": tx_shared_id(tx),
+                "tx": tx_to_json_dict(tx)["type"],
+                "ok": verdict.ok,
+            }
+            if not verdict.ok:
+                payload["reason"] = verdict.reason.value
+            self._trace(tx_submitter(tx), "verdict", payload)
+        for note in notes:
+            self._inflight.append(note)
+            self._trace(
+                "contract",
+                "notify",
+                {
+                    "shared_id": note.shared_id,
+                    "from": note.source_peer,
+                    "to": note.to,
+                    "new_version": note.new_version,
+                    "changed_attrs": sorted(note.changed_attrs),
+                },
+            )
+        self._inflight.extend(receipts)
 
         self.clock = t + 1
 
-    def run_to_quiescence(self, max_ticks: Optional[int] = None) -> "World":
-        limit = self.config.max_ticks if max_ticks is None else max_ticks
+    def run_to_quiescence(self) -> "World":
+        """Step until quiescent; the scenario's `max_ticks` is the only tick budget."""
         while not self.quiescent():
-            if self.clock >= limit:
+            if self.clock >= self.config.max_ticks:
                 raise MaxTicksExceeded(
-                    f"world {self.name!r} still busy after {limit} ticks: "
+                    f"world {self.name!r} still busy after {self.config.max_ticks} ticks: "
                     f"{len(self._inflight)} messages in flight, "
                     f"{len(self.chain.mempool)} mempool transactions, "
                     f"pending proposals on "
@@ -593,9 +582,9 @@ class World:
         return self
 
 
-def run(scenario: Scenario, max_ticks: Optional[int] = None) -> World:
+def run(scenario: Scenario) -> World:
     """Build a world from the scenario and drive it to quiescence."""
-    return World(scenario).run_to_quiescence(max_ticks)
+    return World(scenario).run_to_quiescence()
 
 
 # --- dumps ---------------------------------------------------------------------
@@ -646,8 +635,16 @@ def load_dump(dump_dir: str | Path) -> World:
     def read(*parts: str):
         return json.loads(root.joinpath(*parts).read_text(encoding="utf-8"))
 
+    def check(obj, doc, where: str):
+        # Keys or values the decoder ignores would pass every later check. One
+        # object at a time: re-encoding whole files costs extra full GC passes.
+        if obj.to_json_dict() != doc:
+            raise ValidationError(f"{where} holds keys or values a dump does not write")
+        return obj
+
     def read_table(*parts: str) -> Table:
-        return Table.from_json_dict(read(*parts))
+        doc = read(*parts)
+        return check(Table.from_json_dict(doc), doc, "/".join(parts))
 
     def read_trace() -> list[TraceEvent]:
         # A function of its own, so the text lines are freed before the tables load.
@@ -657,7 +654,12 @@ def load_dump(dump_dir: str | Path) -> World:
 
     try:
         manifest = read("world.json")
-        contract = ContractState.from_json_dict(read("contract.json"))
+        contract_doc = read("contract.json")
+        contract = ContractState.from_json_dict(contract_doc)
+        if contract_doc.keys() != {"entries"}:
+            raise ValidationError("contract.json holds keys a dump does not write")
+        for sid, entry in contract_doc["entries"].items():
+            check(contract.entries[sid], entry, "contract.json")
         chain = Chain.loads((root / "chain.json").read_bytes())
         trace = read_trace()
         # A world with no principals and an empty script, given the dumped state.
@@ -667,7 +669,11 @@ def load_dump(dump_dir: str | Path) -> World:
             info = manifest["peers"][principal]
             tables = {tid: read_table("tables", principal, f"{tid}.json") for tid in info["tables"]}
             copies = {sid: read_table("shared", principal, f"{sid}.json") for sid in info["versions"]}
-            world.peers[principal] = PeerNode.from_json_dict(principal, info, tables, copies)
+            peer = PeerNode.from_json_dict(principal, info, tables, copies)
+            world.peers[principal] = check(peer, info, "world.json")
+        # name, clock, principals and peers, each read above, and nothing else
+        if len(manifest) != 4 or manifest["principals"] != sorted(manifest["peers"]):
+            raise ValidationError("world.json holds keys or values a dump does not write")
     except (OSError, ValueError, LookupError, TypeError, AttributeError, RelationalError, LensError) as exc:
         raise ValidationError(f"unreadable dump at {root}: {exc}") from exc
     return world

@@ -5,15 +5,16 @@ or not, so denied attempts stay auditable. Within one block at most one update
 per shared table is accepted; later updates on the same table are rejected
 outright and must be resubmitted against the new version. Replay re-executes
 the whole chain from the genesis block, reconstructing the contract state and
-re-deriving every recorded verdict; tampering with a dumped chain is detected
-by the digest linkage or by a verdict that replay does not reproduce.
+re-deriving every recorded verdict. Tampering with a dumped chain is detected
+by the digest linkage, by JSON its blocks do not re-encode to, or by a verdict
+that replay does not reproduce.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .contract import (
     ContractState,
@@ -167,16 +168,18 @@ class Chain:
         self.blocks.append(Block.build(prev.index + 1, tick, recorded, prev.block_digest))
         return state, notes, [Receipt(tx, v, tx_submitter(tx)) for tx, v in recorded]
 
-    def verify(self) -> None:
-        """Raise ChainCorrupt unless every digest and link checks out."""
+    def verify(self, encoded: Optional[Sequence[Mapping]] = None) -> None:
+        """Raise ChainCorrupt unless links and digests check out and blocks re-encode to `encoded`."""
         prev_digest = ZERO_DIGEST
         for i, block in enumerate(self.blocks):
             if block.index != i:
                 raise ChainCorrupt(f"block {i} carries index {block.index}")
             if block.prev_digest != prev_digest:
                 raise ChainCorrupt(f"block {i} does not link to its predecessor")
-            recomputed = Block.compute_digest(block.index, block.tick, block.txs, block.prev_digest)
-            if recomputed != block.block_digest:
+            body = Block._body(block.index, block.tick, block.txs, block.prev_digest)
+            if encoded is not None and {**body, "block_digest": block.block_digest} != encoded[i]:
+                raise ChainCorrupt(f"block {i} holds keys or values its encoding does not write")
+            if sha256_hex(canonical_json(body)) != block.block_digest:
                 raise ChainCorrupt(f"block {i} digest mismatch")
             prev_digest = block.block_digest
 
@@ -219,18 +222,14 @@ class Chain:
 
     @classmethod
     def from_json_list(cls, blocks: Sequence[Mapping]) -> "Chain":
-        chain = cls.__new__(cls)
-        chain.mempool = []
-        chain._next_seq = 0
+        chain = cls()
         try:
             chain.blocks = [Block.from_json_dict(b) for b in blocks]
-        except ChainCorrupt:
-            raise
         except Exception as exc:  # tampering can trip any decoding layer
             raise ChainCorrupt(f"malformed chain dump: {exc}") from exc
         if not chain.blocks:
             raise ChainCorrupt("chain dump has no genesis block")
-        chain.verify()
+        chain.verify(blocks)
         return chain
 
     @classmethod

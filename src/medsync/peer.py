@@ -324,7 +324,8 @@ class PeerNode:
             )
             return MergeOutcome(applied=False)
 
-        self.shared_copies[resp.shared_id] = resp.table.with_id(resp.shared_id)
+        # The digest covers the id, so the check above proved it is the share's.
+        self.shared_copies[resp.shared_id] = resp.table
         self.known_versions[resp.shared_id] = resp.version
 
         lens = self.lenses[binding.lens_id]

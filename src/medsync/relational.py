@@ -135,9 +135,9 @@ class Table:
         return tuple(row[k] for k in self.schema.key)  # type: ignore[return-value]
 
     def _bind_key(self, key: Mapping[str, Value]) -> tuple[str, ...]:
-        if set(key) != set(self.schema.key):
+        if set(key) != set(self.schema.key) or not all(isinstance(v, str) for v in key.values()):
             raise SchemaMismatch(
-                f"key must bind exactly the primary-key attributes {self.schema.key}, got {sorted(key)}"
+                f"key must bind the primary-key attributes {self.schema.key} to strings, got {dict(key)}"
             )
         return tuple(key[k] for k in self.schema.key)  # type: ignore[return-value]
 

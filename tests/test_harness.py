@@ -35,6 +35,58 @@ def cascade_delete():
     return load_scenario(scenario_path("cascade_delete"))
 
 
+def _set(path, value):
+    """A scenario rewrite that stores `value` at the key path `path`."""
+
+    def rewrite(doc):
+        *parents, last = path
+        for p in parents:
+            doc = doc[p]
+        doc[last] = value
+
+    return rewrite
+
+
+def _script(*actions):
+    """A scenario rewrite whose script is `actions`, all at tick 1."""
+    return _set(("script",), [{"tick": 1, "principal": who, "action": action} for who, action in actions])
+
+
+def _edit(who, table, **edit):
+    return who, {"kind": "edit", "table": table, **edit}
+
+
+def _propose(who, shared_id):
+    return who, {"kind": "propose", "shared_id": shared_id}
+
+
+DUMP_FILES = ["chain.json", "contract.json", "tables/Doctor/D3.json", "world.json"]
+
+SCENARIO_ERRORS = {
+    # the peers' initial views of D23 disagree on MedX
+    "initial views disagree": _set(("tables", "Researcher", 0, "rows", 0, 1), "MeA7"),
+    "edit of a missing row": _script(_edit("Researcher", "D2", op="update", key={"a1": "MedZ"}, changes={})),
+    "key not binding the primary key": _script(_edit("Researcher", "D2", op="delete", key={"a5": "MeA1"})),
+    "insert row a string": _script(_edit("Researcher", "D2", op="insert", row="MedZ")),
+    "key cell a list": _script(_edit("Researcher", "D2", op="delete", key={"a1": ["MedX"]})),
+    "changes a number": _script(_edit("Researcher", "D2", op="update", key={"a1": "MedX"}, changes=0)),
+    "max_ticks not a number": _set(("config", "max_ticks"), "abc"),
+    "principals a number": _set(("principals",), 5),
+    "tables a list": _set(("tables",), []),
+    # D3 breaks a1 -> a5, which the Doctor's lens L32 needs
+    "source breaks a lens FD": _set(("tables", "Doctor", 0, "rows", 1, 4), "MeA5"),
+    "edit breaks a lens FD": _script(
+        _edit("Doctor", "D3", op="update", key={"a0": "P1", "a1": "MedX"}, changes={"a5": "MeA3"}),
+        _propose("Doctor", "D23"),
+    ),
+    # accepted on the ledger, but the Doctor's L32 cannot insert into D3
+    "insert the counterpart lens cannot take": _script(
+        _edit("Researcher", "D2", op="insert", row={"a1": "MedZ", "a5": "MeA4", "a6": "MoA4"}),
+        _propose("Researcher", "D23"),
+    ),
+}
+
+
 class TestLoadScenario:
     def test_bundled_composition(self, update_flow):
         assert sorted(update_flow.principals) == ["Doctor", "Patient", "Researcher"]
@@ -88,7 +140,7 @@ class TestRun:
 
     def test_max_ticks_exceeded(self, update_flow):
         with pytest.raises(MaxTicksExceeded):
-            run(update_flow, max_ticks=2)
+            run(replace(update_flow, config=replace(update_flow.config, max_ticks=2)))
 
     def test_cascade_hop_budget(self, cascade_delete):
         scenario = replace(cascade_delete, config=replace(cascade_delete.config, max_cascade_hops=0))
@@ -185,25 +237,20 @@ class TestRun:
         world = run(replace(update_flow, script=script))
         assert verify_convergence(world).ok
 
-    def test_converges_under_slower_network_and_extra_blocks(self, update_flow):
-        config = replace(update_flow.config, network_delay_ticks=2, blocks_per_tick=2)
-        world = run(replace(update_flow, config=config))
-        assert verify_convergence(world).ok
-        assert world.clock <= 30
-
     def test_premature_data_request_is_requeued(self, update_flow):
         from medsync.peer import DataRequest
 
-        world = World(replace(update_flow, script=()))
+        config = replace(update_flow.config, max_ticks=6)
+        world = World(replace(update_flow, script=(), config=config))
         # ask the researcher for a version nobody has produced yet
-        world._enqueue(DataRequest("D23", 5, "Doctor", "Researcher"), deliver_tick=1)
+        world._inflight.append(DataRequest("D23", 5, "Doctor", "Researcher"))
         for _ in range(3):
             world.step()
-        # still circling: requeued every tick rather than answered or dropped
-        assert len(world._inflight) == 1
-        assert world._inflight[0].message.requested_version == 5
+            # still circling: requeued every tick rather than answered or dropped
+            assert len(world._inflight) == 1
+            assert world._inflight[0].requested_version == 5
         with pytest.raises(MaxTicksExceeded, match="messages in flight"):
-            world.run_to_quiescence(max_ticks=6)
+            world.run_to_quiescence()
 
 
 class TestDump:
@@ -299,3 +346,44 @@ class TestCli:
         data[len(data) // 2] ^= 0x01
         chain_path.write_bytes(bytes(data))
         assert main(["replay", str(chain_path)]) == 1
+
+    @pytest.mark.parametrize("target", DUMP_FILES)
+    @pytest.mark.parametrize("key", ["extra", "reason"])
+    def test_dump_keys_a_dump_does_not_write_are_rejected(self, tmp_path, capsys, target, key):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
+        path = dump_dir / target
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if target == "chain.json":
+            # Into the accepted update: the decoder would drop the key and the
+            # digest, recomputed over the decoded block, would still match.
+            (entry,) = [e for b in doc for e in b["txs"] if e["tx"]["type"] == "update"]
+            (entry["verdict"] if key == "reason" else entry["tx"])[key] = "smuggled"
+        elif target == "contract.json":
+            doc["entries"]["D23"][key] = "smuggled"
+        elif target == "world.json":
+            doc["peers"]["Doctor"][key] = "smuggled"
+        else:
+            doc[key] = "smuggled"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        if target == "chain.json":
+            assert main(["verify", str(dump_dir)]) == 1
+            assert "[FAIL] chain:" in capsys.readouterr().out
+            assert main(["replay", str(path)]) == 1
+        else:
+            assert main(["verify", str(dump_dir)]) == 2
+            assert capsys.readouterr().err.startswith("dump error: ")
+
+    @pytest.mark.parametrize("rewrite", SCENARIO_ERRORS.values(), ids=SCENARIO_ERRORS.keys())
+    def test_run_scenario_errors_exit_2_without_traceback(self, tmp_path, capsys, rewrite):
+        from medsync.cli import main
+
+        doc = json.loads(Path(scenario_path("update_flow")).read_text(encoding="utf-8"))
+        rewrite(doc)
+        path = tmp_path / "broken.scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: ")
