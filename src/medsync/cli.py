@@ -17,6 +17,7 @@ from .harness import (
     load_dump,
     load_scenario,
     run,
+    trace_mismatch,
     verify_convergence,
     write_trace,
 )
@@ -67,6 +68,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("[PASS] replay-matches-contract")
     else:
         print("[FAIL] replay-matches-contract: replayed state differs from the dumped one")
+        ok = False
+    mismatch = trace_mismatch(world.chain, world.trace)
+    if mismatch is None:
+        print("[PASS] trace-matches-chain")
+    else:
+        print(f"[FAIL] trace-matches-chain: {mismatch}")
         ok = False
 
     report = verify_convergence(world)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .contract import (
     ACCEPT,
@@ -335,6 +335,47 @@ class TraceEvent:
         return cls(d["tick"], d["seq"], d["actor"], d["kind"], dict(d["payload"]))
 
 
+def _verdict_payload(tx: Transaction, verdict: Verdict) -> dict:
+    payload: dict[str, object] = {"shared_id": tx_shared_id(tx), "tx": tx_to_json_dict(tx)["type"], "ok": verdict.ok}
+    if not verdict.ok:
+        payload["reason"] = verdict.reason.value
+    return payload
+
+
+def trace_mismatch(chain: Chain, trace: Sequence[TraceEvent]) -> Optional[str]:
+    """How the trace disagrees with the chain, or None when it agrees.
+
+    The `block` events must be the non-genesis blocks in order (index, tick,
+    transaction count), and the `verdict` events after each one its
+    transactions in order (submitter, share, type, outcome and reason). Event
+    `seq` numbers must run 0..n-1 and ticks must never decrease.
+    """
+    blocks = iter(chain.blocks[1:])
+    block = chain.blocks[0]
+    due: list[tuple[int, str, dict]] = []  # the verdict events `block` still owes, last first
+    for seq, event in enumerate(trace):
+        if event.seq != seq:
+            return f"event {seq} carries seq {event.seq}"
+        if seq and event.tick < trace[seq - 1].tick:
+            return f"event {seq} goes back from tick {trace[seq - 1].tick} to {event.tick}"
+        if event.kind == "block":
+            if due:
+                return f"block {block.index} lacks {len(due)} verdict events"
+            block = next(blocks, None)
+            if block is None:
+                return f"event {seq} records a block the chain does not hold"
+            if (event.tick, dict(event.payload)) != (block.tick, {"index": block.index, "txs": len(block.txs)}):
+                return f"event {seq} does not match block {block.index}"
+            due = [(block.tick, tx_submitter(tx), _verdict_payload(tx, v)) for tx, v in reversed(block.txs)]
+        elif event.kind == "verdict":
+            if not due or (event.tick, event.actor, dict(event.payload)) != due.pop():
+                return f"event {seq} matches no transaction of block {block.index}"
+    if due:
+        return f"block {block.index} lacks {len(due)} verdict events"
+    missing = next(blocks, None)
+    return None if missing is None else f"the trace ends before block {missing.index}"
+
+
 # --- the world ----------------------------------------------------------------
 
 
@@ -542,14 +583,7 @@ class World:
                 hops = self._tx_hops.pop(tx, 0)
                 if verdict.ok:
                     self._version_hops[tx.shared_id] = hops
-            payload = {
-                "shared_id": tx_shared_id(tx),
-                "tx": tx_to_json_dict(tx)["type"],
-                "ok": verdict.ok,
-            }
-            if not verdict.ok:
-                payload["reason"] = verdict.reason.value
-            self._trace(tx_submitter(tx), "verdict", payload)
+            self._trace(tx_submitter(tx), "verdict", _verdict_payload(tx, verdict))
         for note in notes:
             self._inflight.append(note)
             self._trace(

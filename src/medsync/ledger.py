@@ -189,8 +189,9 @@ class Chain:
         The result must equal the incrementally maintained contract state. A
         re-derived verdict that differs from the recorded one, accepted or
         rejected, means the chain was tampered with and raises ChainCorrupt.
+        Links and digests are not re-checked: a chain read from bytes was
+        verified by `loads`, and a live chain was built by `produce_block`.
         """
-        self.verify()
         state = ContractState.empty()
         for block in self.blocks:
             try:

@@ -18,9 +18,23 @@ hold on the source; under it the pair is well-behaved:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import compress, repeat
+from operator import itemgetter, ne
+from typing import Mapping, Optional
 
-from .relational import Schema, SchemaMismatch, Table, UnknownAttribute
+from .relational import (
+    KeyConflict,
+    Row,
+    Schema,
+    SchemaMismatch,
+    Table,
+    UnknownAttribute,
+    _normalize_row,
+    tuple_getter,
+)
+
+
+_GONE = object()  # a cell no source row holds
 
 
 class LensError(Exception):
@@ -112,19 +126,27 @@ def get(lens: Lens, source: Table) -> Table:
     """Project the source onto the view attributes, collapsing duplicates.
 
     The view is keyed by the lens view key; the functional-dependency
-    precondition guarantees key uniqueness in the result.
+    precondition guarantees key uniqueness in the result. A view-key cell
+    can be null only where the view key reaches outside the source key; such
+    a view is refused.
     """
     _require_fd(lens, source)
-    tuples = source.project(lens.spec.view_attrs)
-    rows = [dict(zip(lens.spec.view_attrs, t)) for t in tuples]
-    return Table(lens.spec.lens_id, lens.view_schema, tuple(rows))
+    vattrs = lens.spec.view_attrs
+    rows = list(map(dict, map(zip, repeat(vattrs), source.project(vattrs))))
+    for a in lens.spec.view_key:
+        if a not in source.schema.key and any(r[a] is None for r in rows):
+            raise SchemaMismatch(f"primary-key cell {a!r} must not be null")
+    return Table._sorted(lens.spec.lens_id, lens.view_schema, rows)
 
 
 def put(lens: Lens, source: Table, view: Table) -> Table:
     """Embed an edited view back into the source.
 
     Destructive by design: a view row's cells overwrite every matching source
-    row, and source rows absent from the view are dropped entirely.
+    row, and source rows absent from the view are dropped entirely. Source
+    rows whose view cells did not change are carried over as they are. Only
+    inserted rows and rows whose source key was rewritten can break the source
+    schema or its key, so only they are checked.
     """
     if view.schema != lens.view_schema:
         raise SchemaMismatch(
@@ -132,22 +154,38 @@ def put(lens: Lens, source: Table, view: Table) -> Table:
         )
     _require_fd(lens, source)
 
-    vkey = lens.spec.view_key
     vattrs = lens.spec.view_attrs
-    view_by_key = {tuple(r[k] for k in vkey): r for r in view.rows}
+    schema = source.schema
+    key_of = schema.key_of
+    view_key_of = tuple_getter(lens.spec.view_key)
+    view_cells = itemgetter(*vattrs)
+    view_by_key = view._by_key
+    rekeys = any(a in schema.key for a in vattrs if a not in lens.spec.view_key)
 
-    new_rows: list[dict] = []
-    matched: set[tuple] = set()
-    for srow in source.rows:
-        k = tuple(srow[a] for a in vkey)
-        vrow = view_by_key.get(k)
-        if vrow is None:
-            continue  # view dropped this key: delete all source rows carrying it
-        matched.add(k)
-        merged = dict(srow)
-        merged.update({a: vrow[a] for a in vattrs})
-        new_rows.append(merged)
+    srows = source.rows
+    keys = list(map(view_key_of, srows))
+    gone = dict.fromkeys(vattrs, _GONE)  # stands for a view row that was dropped
+    vrows = list(map(view_by_key.get, keys, repeat(gone)))
+    slots: list[Optional[Row]] = list(srows)  # None where a source row leaves its place
+    by_key = dict(source._by_key)
+    moved: list[Row] = []  # rewritten source key or inserted: checked below
+    # Visit only the source rows whose view cells changed or whose view row is gone.
+    for i in compress(range(len(srows)), map(ne, map(view_cells, srows), map(view_cells, vrows))):
+        skey = key_of(srows[i])
+        if vrows[i] is gone:  # the view dropped this key: delete all source rows carrying it
+            slots[i] = None
+            del by_key[skey]
+            continue
+        merged = {**srows[i], **{a: vrows[i][a] for a in vattrs}}
+        if rekeys and key_of(merged) != skey:
+            slots[i] = None
+            del by_key[skey]
+            moved.append(merged)
+        else:
+            slots[i] = by_key[skey] = merged
+    rows = list(filter(None, slots))
 
+    matched = set(keys)
     for k, vrow in view_by_key.items():
         if k in matched:
             continue
@@ -156,9 +194,16 @@ def put(lens: Lens, source: Table, view: Table) -> Table:
                 f"lens {lens.spec.lens_id!r} cannot insert view row {k} into {source.id!r}: "
                 f"source key {lens.source_schema.key} not covered by the view"
             )
-        padded: dict = {a: None for a in lens.source_schema.attrs}
+        padded: Row = {a: None for a in schema.attrs}
         padded.update({a: vrow[a] for a in vattrs})
-        new_rows.append(padded)
+        moved.append(padded)
 
-    return Table(source.id, source.schema, tuple(new_rows))
-
+    if not moved:
+        return Table._derived(source.id, schema, tuple(rows), by_key)
+    moved = [_normalize_row(schema, r) for r in moved]
+    for row in moved:
+        k = key_of(row)
+        if k in by_key:
+            raise KeyConflict(f"duplicate primary key {k} in table {source.id!r}")
+        by_key[k] = row
+    return Table._sorted(source.id, schema, rows + moved)

@@ -88,6 +88,7 @@ class Edit:
 class PendingProposal:
     view: Table
     base_version: int
+    source: Table  # the source table `view` was derived from
 
 
 @dataclass(frozen=True)
@@ -103,18 +104,13 @@ def changed_view_attrs(old: Table, new: Table) -> frozenset[str]:
 
     Rows present on only one side count as a change to every attribute.
     """
-    schema = new.schema
-    old_by_key = {tuple(r[k] for k in schema.key): r for r in old.rows}
-    new_by_key = {tuple(r[k] for k in schema.key): r for r in new.rows}
+    attrs = new.schema.attrs
+    if old._by_key.keys() != new._by_key.keys():
+        return frozenset(attrs)
     changed: set[str] = set()
-    for k, nrow in new_by_key.items():
-        orow = old_by_key.get(k)
-        if orow is None:
-            changed |= set(schema.attrs)
-        else:
-            changed |= {a for a in schema.attrs if orow[a] != nrow[a]}
-    if old_by_key.keys() - new_by_key.keys():
-        changed |= set(schema.attrs)
+    for orow, nrow in zip(old.rows, new.rows):  # same keys, so aligned
+        if orow != nrow:
+            changed.update(a for a in attrs if orow[a] != nrow[a])
     return frozenset(changed)
 
 
@@ -173,12 +169,13 @@ class PeerNode:
             raise UnknownShare(f"{self.principal!r} is not bound to share {shared_id!r}")
         return binding
 
+    def _source_id(self, shared_id: str) -> str:
+        return self.lenses[self._binding(shared_id).lens_id].spec.source_table_id
+
     def regenerate_view(self, shared_id: str) -> Table:
         """Derive the current view for a share from the local source table."""
-        binding = self._binding(shared_id)
-        lens = self.lenses[binding.lens_id]
-        source = self.tables[lens.spec.source_table_id]
-        return lens_get(lens, source).with_id(shared_id)
+        lens = self.lenses[self._binding(shared_id).lens_id]
+        return lens_get(lens, self.tables[lens.spec.source_table_id]).with_id(shared_id)
 
     def install_share(self, shared_id: str) -> Table:
         """Initialize the local copy of a share from the current source; version 0."""
@@ -215,7 +212,7 @@ class PeerNode:
         The copy itself is replaced only once the ledger accepts the proposal.
         Returns None when nothing changed or a proposal is already in flight.
         """
-        self._binding(shared_id)
+        source = self.tables[self._source_id(shared_id)]
         if shared_id in self.pending:
             return None
         new_view = self.regenerate_view(shared_id)
@@ -230,7 +227,7 @@ class PeerNode:
             base_version=base_version,
             new_digest=new_view.digest(),
         )
-        self.pending[shared_id] = PendingProposal(new_view, base_version)
+        self.pending[shared_id] = PendingProposal(new_view, base_version, source)
         return tx
 
     # -- message handlers -----------------------------------------------------
@@ -250,6 +247,8 @@ class PeerNode:
             if staged is not None:
                 self.shared_copies[shared_id] = staged.view
                 self.known_versions[shared_id] = staged.base_version + 1
+                if self.tables[self._source_id(shared_id)] is staged.source:
+                    return []  # the copy is the view of the current source
             # The source may have moved again while the proposal was in flight.
             follow_up = self.regenerate_and_propose(shared_id)
             return [follow_up] if follow_up else []

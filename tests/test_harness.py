@@ -336,6 +336,55 @@ class TestCli:
         assert main(["verify", str(dump_dir)]) == 2
         assert capsys.readouterr().err.startswith("dump error: ")
 
+    def test_verify_checks_the_loaded_chain_once(self, tmp_path, capsys, monkeypatch):
+        from medsync.cli import main
+        from medsync.ledger import Chain
+
+        dump_dir = str(tmp_path / "dump")
+        assert main(["run", scenario_path("update_flow"), "--dump", dump_dir]) == 0
+        calls = []
+        original = Chain.verify
+        monkeypatch.setattr(Chain, "verify", lambda chain, *args: calls.append(chain) or original(chain, *args))
+        assert main(["verify", dump_dir]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_bundled_traces_match_their_chains(self, tmp_path, capsys, name):
+        from medsync.cli import main
+
+        dump_dir = str(tmp_path / "dump")
+        assert main(["run", scenario_path(name), "--dump", dump_dir]) == 0
+        capsys.readouterr()
+        assert main(["verify", dump_dir]) == 0
+        assert "[PASS] trace-matches-chain" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "forgery",
+        ["rejected verdict flipped to ok", "last three events dropped", "seq skipped", "tick rewound"],
+    )
+    def test_forged_trace_fails_verify(self, tmp_path, capsys, forgery):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("permission_grant"), "--dump", str(dump_dir)]) == 0
+        path = dump_dir / "trace.jsonl"
+        events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        if forgery == "rejected verdict flipped to ok":
+            (rejected,) = [e for e in events if e["kind"] == "verdict" and not e["payload"]["ok"]]
+            rejected["payload"]["ok"] = True
+            del rejected["payload"]["reason"]
+        elif forgery == "last three events dropped":
+            del events[-3:]
+        elif forgery == "seq skipped":
+            for e in events[5:]:
+                e["seq"] += 1
+        else:
+            events[-1]["tick"] = events[-2]["tick"] - 1
+        path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == 1
+        assert "[FAIL] trace-matches-chain" in capsys.readouterr().out
+
     def test_corrupt_chain_exits_1(self, tmp_path, capsys):
         from medsync.cli import main
 
