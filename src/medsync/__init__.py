@@ -18,9 +18,7 @@ from .contract import (
     SharedTableMetadata,
     UpdateTx,
     Verdict,
-    apply_update,
     change_permission,
-    deploy,
     query_metadata,
     validate_update,
 )
@@ -36,7 +34,7 @@ from .harness import (
     run,
     verify_convergence,
 )
-from .ledger import Block, Chain, ChainCorrupt, Receipt
+from .ledger import Block, Chain, ChainCorrupt, Receipt, execute_block
 from .lenses import Lens, LensSpec, compile_lens, get, put
 from .peer import DataRequest, DataResponse, Edit, PeerNode, ShareBinding
 from .relational import Schema, Table, Value
@@ -72,11 +70,10 @@ __all__ = [
     "Value",
     "Verdict",
     "World",
-    "apply_update",
     "change_permission",
     "compile_lens",
-    "deploy",
     "dump",
+    "execute_block",
     "get",
     "load_dump",
     "load_scenario",

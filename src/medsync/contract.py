@@ -5,7 +5,10 @@ may update each attribute, the single authority allowed to rewrite those
 permissions, a monotonically increasing version, and the digest of the current
 shared content. Updates are validated against the entry and, when applied,
 notify the peers that did not request them. All operations are pure functions
-from (state, input) to (state, outputs); rejected inputs leave state untouched.
+from (state, input) to (state, outputs). Rules are decided once: the
+validators return verdicts, and `deploy` and `apply_update` apply only what
+their validator accepted (`ledger.execute_block` runs each pair); rejected
+inputs leave state untouched.
 """
 
 from __future__ import annotations
@@ -62,31 +65,6 @@ class Verdict:
 ACCEPT = Verdict.accept()
 
 
-class ContractError(Exception):
-    """Raised by operations whose contract is to fail loudly, not return a verdict."""
-
-    reason: RejectReason = RejectReason.MALFORMED_METADATA
-
-    def as_verdict(self) -> Verdict:
-        return Verdict.reject(self.reason, str(self))
-
-
-class DuplicateSharedError(ContractError):
-    reason = RejectReason.DUPLICATE_SHARED
-
-
-class NotAPeerError(ContractError):
-    reason = RejectReason.NOT_A_PEER
-
-
-class MalformedMetadata(ContractError):
-    reason = RejectReason.MALFORMED_METADATA
-
-
-class UnknownSharedError(ContractError):
-    reason = RejectReason.UNKNOWN_SHARED
-
-
 @dataclass(frozen=True)
 class SharedTableMetadata:
     """One registry entry: who shares the table and who may update what."""
@@ -103,23 +81,6 @@ class SharedTableMetadata:
     def __post_init__(self) -> None:
         object.__setattr__(self, "peers", frozenset(self.peers))
         object.__setattr__(self, "perm", {a: frozenset(p) for a, p in self.perm.items()})
-
-    def validate(self) -> None:
-        """Raise MalformedMetadata unless the entry invariants hold."""
-        if len(self.peers) != 2:
-            raise MalformedMetadata(f"{self.shared_id!r}: a shared table has exactly two peers")
-        if self.authority not in self.peers:
-            raise MalformedMetadata(f"{self.shared_id!r}: authority {self.authority!r} is not a peer")
-        if set(self.perm) != set(self.view_schema.attrs):
-            raise MalformedMetadata(
-                f"{self.shared_id!r}: permission map must cover exactly the view attributes"
-            )
-        for attr, principals in self.perm.items():
-            outside = principals - self.peers
-            if outside:
-                raise MalformedMetadata(
-                    f"{self.shared_id!r}: non-peers {sorted(outside)} permitted on {attr!r}"
-                )
 
     def to_json_dict(self) -> dict:
         return {
@@ -252,7 +213,6 @@ class Notification:
 
     shared_id: str
     new_version: int
-    new_digest: str
     changed_attrs: frozenset[str]
     source_peer: Principal
     to: Principal
@@ -261,31 +221,35 @@ class Notification:
 # --- operations --------------------------------------------------------------
 
 
+def _malformed(detail: str) -> Verdict:
+    return Verdict.reject(RejectReason.MALFORMED_METADATA, detail)
+
+
 def validate_deploy(state: ContractState, meta: SharedTableMetadata, deployer: Principal) -> Verdict:
-    if meta.shared_id in state.entries:
-        return Verdict.reject(RejectReason.DUPLICATE_SHARED, f"{meta.shared_id!r} already deployed")
+    """Check a deployment: a new id, a deploying peer, and well-formed metadata at version 0."""
+    sid = meta.shared_id
+    if sid in state.entries:
+        return Verdict.reject(RejectReason.DUPLICATE_SHARED, f"{sid!r} already deployed")
     if deployer not in meta.peers:
         return Verdict.reject(RejectReason.NOT_A_PEER, f"deployer {deployer!r} is not a sharing peer")
-    try:
-        meta.validate()
-    except MalformedMetadata as exc:
-        return exc.as_verdict()
+    if len(meta.peers) != 2:
+        return _malformed(f"{sid!r}: a shared table has exactly two peers")
+    if meta.authority not in meta.peers:
+        return _malformed(f"{sid!r}: authority {meta.authority!r} is not a peer")
+    if set(meta.perm) != set(meta.view_schema.attrs):
+        return _malformed(f"{sid!r}: permission map must cover exactly the view attributes")
+    for attr, principals in meta.perm.items():
+        outside = principals - meta.peers
+        if outside:
+            return _malformed(f"{sid!r}: non-peers {sorted(outside)} permitted on {attr!r}")
     if meta.version != 0:
-        return Verdict.reject(RejectReason.MALFORMED_METADATA, "deployed metadata must start at version 0")
+        return _malformed("deployed metadata must start at version 0")
     return ACCEPT
 
 
-def deploy(state: ContractState, meta: SharedTableMetadata, deployer: Principal, tick: int) -> ContractState:
-    """Register a new shared table; raises on any invalid deployment."""
-    verdict = validate_deploy(state, meta, deployer)
-    if not verdict.ok:
-        exc_by_reason = {
-            RejectReason.DUPLICATE_SHARED: DuplicateSharedError,
-            RejectReason.NOT_A_PEER: NotAPeerError,
-        }
-        raise exc_by_reason.get(verdict.reason, MalformedMetadata)(verdict.detail)
-    entry = replace(meta, latest_update_time=tick)
-    return ContractState({**state.entries, meta.shared_id: entry})
+def deploy(state: ContractState, meta: SharedTableMetadata, tick: int) -> ContractState:
+    """Register a shared table whose deployment `validate_deploy` accepted."""
+    return ContractState({**state.entries, meta.shared_id: replace(meta, latest_update_time=tick)})
 
 
 def validate_update(state: ContractState, tx: UpdateTx) -> Verdict:
@@ -312,10 +276,7 @@ def validate_update(state: ContractState, tx: UpdateTx) -> Verdict:
 def apply_update(
     state: ContractState, tx: UpdateTx, tick: int
 ) -> tuple[ContractState, list[Notification]]:
-    """Apply a validated update: bump the version, record the digest, notify peers."""
-    verdict = validate_update(state, tx)
-    if not verdict.ok:
-        raise ContractError(f"apply_update on a rejected transaction: {verdict.detail}")
+    """Apply an update `validate_update` accepted: bump the version, record the digest, notify."""
     entry = state.entries[tx.shared_id]
     new_entry = replace(
         entry,
@@ -327,7 +288,6 @@ def apply_update(
         Notification(
             shared_id=tx.shared_id,
             new_version=new_entry.version,
-            new_digest=new_entry.content_digest,
             changed_attrs=tx.changed_attrs,
             source_peer=tx.requester,
             to=peer,
@@ -367,7 +327,4 @@ def change_permission(
 
 
 def query_metadata(state: ContractState, shared_id: str) -> SharedTableMetadata:
-    entry = state.entries.get(shared_id)
-    if entry is None:
-        raise UnknownSharedError(f"no shared table {shared_id!r}")
-    return entry
+    return state.entries[shared_id]

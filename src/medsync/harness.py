@@ -14,12 +14,12 @@ chain, and dumps, byte for byte.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from .contract import (
-    ACCEPT,
     ContractState,
     DeployTx,
     Notification,
@@ -28,13 +28,13 @@ from .contract import (
     Transaction,
     UpdateTx,
     Verdict,
-    deploy,
+    deploy,  # unused; bound here only for the benchmark tracer's wrap target
     query_metadata,
     tx_shared_id,
     tx_submitter,
     tx_to_json_dict,
 )
-from .ledger import Chain, Receipt
+from .ledger import Block, Chain, Receipt, execute_block
 from .lenses import Lens, LensError, LensSpec, compile_lens
 from .peer import (
     RETRY,
@@ -225,27 +225,18 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
             raise ValidationError(f"{where}: {exc}") from exc
         if len(share.lens_by_peer) != 2:
             raise ValidationError(f"{where}: a share has exactly two peers")
-        view_shapes = set()
+        names = [share.shared_id, share.deployer, share.authority, *(p for w in share.perm.values() for p in w)]
+        if not all(isinstance(n, str) for n in names):
+            raise ValidationError(f"{where}: shared_id, deployer, authority and perm entries must be strings")
         for peer, lens_id in share.lens_by_peer.items():
             if peer not in principals:
                 raise ValidationError(f"{where}: unknown principal {peer!r}")
-            spec = next((s for s in lens_specs.get(peer, ()) if s.lens_id == lens_id), None)
-            if spec is None:
+            if not any(s.lens_id == lens_id for s in lens_specs.get(peer, ())):
                 raise ValidationError(f"{where}: {peer!r} has no lens {lens_id!r}")
-            view_shapes.add((spec.view_attrs, spec.view_key))
-        if len(view_shapes) != 1:
-            raise ValidationError(f"{where}: the two peers' lenses derive different view shapes")
-        if share.deployer not in share.lens_by_peer or share.authority not in share.lens_by_peer:
-            raise ValidationError(f"{where}: deployer and authority must be sharing peers")
-        ((attrs, _key),) = view_shapes
-        if set(share.perm) != set(attrs):
-            raise ValidationError(f"{where}: perm must cover exactly the view attributes")
-        for attr, who in share.perm.items():
-            if not who <= set(share.lens_by_peer):
-                raise ValidationError(f"{where}: perm[{attr}] names non-peers")
+        if share.deployer not in share.lens_by_peer:
+            raise ValidationError(f"{where}: the deployer must be a sharing peer")
+        # The contract decides the rest (authority, perm, duplicate ids) at genesis.
         shares.append(share)
-    if len({s.shared_id for s in shares}) != len(shares):
-        raise ValidationError("duplicate shared_id across shares")
 
     script: list[ScheduledAction] = []
     last_tick = 0
@@ -332,6 +323,8 @@ class TraceEvent:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "TraceEvent":
+        if len(d) != 5:  # the five keys below, each read, and nothing else
+            raise ValueError("a trace event holds keys an event does not write")
         return cls(d["tick"], d["seq"], d["actor"], d["kind"], dict(d["payload"]))
 
 
@@ -342,36 +335,85 @@ def _verdict_payload(tx: Transaction, verdict: Verdict) -> dict:
     return payload
 
 
+def _notify_payload(note: Notification) -> dict:
+    return {
+        "shared_id": note.shared_id,
+        "from": note.source_peer,
+        "to": note.to,
+        "new_version": note.new_version,
+        "changed_attrs": sorted(note.changed_attrs),
+    }
+
+
 def trace_mismatch(chain: Chain, trace: Sequence[TraceEvent]) -> Optional[str]:
     """How the trace disagrees with the chain, or None when it agrees.
 
     The `block` events must be the non-genesis blocks in order (index, tick,
-    transaction count), and the `verdict` events after each one its
-    transactions in order (submitter, share, type, outcome and reason). Event
-    `seq` numbers must run 0..n-1 and ticks must never decrease.
+    transaction count). After each one come a `verdict` event per transaction
+    in order (submitter, share, type, outcome and reason), then a `notify`
+    event per accepted update (from the requester to the other sharing peer,
+    the new version and the changed attributes). Each `data_resp` must carry
+    the digest the chain registered for its share and version, and each
+    `put_applied` must follow a `data_resp` to its actor for the same share
+    and version. Event `seq` numbers must run 0..n-1 and ticks must never
+    decrease.
     """
-    blocks = iter(chain.blocks[1:])
-    block = chain.blocks[0]
-    due: list[tuple[int, str, dict]] = []  # the verdict events `block` still owes, last first
+    peers: dict[str, frozenset[str]] = {}
+    registered: dict[tuple[str, int], str] = {}  # (share, version) -> digest, in the blocks so far
+    responses: Counter = Counter()  # (to, share, version) of data_resp events not yet applied
+
+    def owed(block: Block) -> list[tuple[int, str, str, dict]]:
+        """Register the block's accepted transactions; its verdict and notify events, last first."""
+        events = [(block.tick, tx_submitter(tx), "verdict", _verdict_payload(tx, v)) for tx, v in block.txs]
+        for tx, verdict in block.txs:
+            if not verdict.ok:
+                continue
+            if isinstance(tx, DeployTx):
+                peers[tx.meta.shared_id] = tx.meta.peers
+                registered[tx.meta.shared_id, 0] = tx.meta.content_digest
+            elif isinstance(tx, UpdateTx):
+                registered[tx.shared_id, tx.base_version + 1] = tx.new_digest
+                for to in sorted(peers[tx.shared_id] - {tx.requester}):
+                    note = Notification(tx.shared_id, tx.base_version + 1, tx.changed_attrs, tx.requester, to)
+                    events.append((block.tick, "contract", "notify", _notify_payload(note)))
+        return events[::-1]
+
+    blocks = iter(chain.blocks)
+    block = next(blocks)
+    owed(block)  # registers the deployments; genesis verdicts are not traced
+    due: list[tuple[int, str, str, dict]] = []
     for seq, event in enumerate(trace):
         if event.seq != seq:
             return f"event {seq} carries seq {event.seq}"
         if seq and event.tick < trace[seq - 1].tick:
             return f"event {seq} goes back from tick {trace[seq - 1].tick} to {event.tick}"
-        if event.kind == "block":
-            if due:
-                return f"block {block.index} lacks {len(due)} verdict events"
-            block = next(blocks, None)
-            if block is None:
-                return f"event {seq} records a block the chain does not hold"
-            if (event.tick, dict(event.payload)) != (block.tick, {"index": block.index, "txs": len(block.txs)}):
-                return f"event {seq} does not match block {block.index}"
-            due = [(block.tick, tx_submitter(tx), _verdict_payload(tx, v)) for tx, v in reversed(block.txs)]
-        elif event.kind == "verdict":
-            if not due or (event.tick, event.actor, dict(event.payload)) != due.pop():
-                return f"event {seq} matches no transaction of block {block.index}"
+        p = event.payload
+        try:
+            if event.kind == "block":
+                if due:
+                    return f"block {block.index} lacks {len(due)} verdict or notify events"
+                block = next(blocks, None)
+                if block is None:
+                    return f"event {seq} records a block the chain does not hold"
+                if (event.tick, dict(p)) != (block.tick, {"index": block.index, "txs": len(block.txs)}):
+                    return f"event {seq} does not match block {block.index}"
+                due = owed(block)
+            elif event.kind in ("verdict", "notify"):
+                if not due or (event.tick, event.actor, event.kind, dict(p)) != due.pop():
+                    return f"event {seq} matches no transaction of block {block.index}"
+            elif event.kind == "data_resp":
+                if registered.get((p["shared_id"], p["version"])) != p["digest"]:
+                    return f"event {seq} carries a digest the chain does not register for its version"
+                responses[p["to"], p["shared_id"], p["version"]] += 1
+            elif event.kind == "put_applied":
+                key = (event.actor, p["shared_id"], p["version"])
+                if not responses[key]:
+                    return f"event {seq} applies data no data_resp event carried"
+                responses[key] -= 1
+        except (LookupError, TypeError):  # a payload of the wrong shape
+            return f"event {seq} has a malformed payload"
     if due:
-        return f"block {block.index} lacks {len(due)} verdict events"
+        return f"block {block.index} lacks {len(due)} verdict or notify events"
     missing = next(blocks, None)
     return None if missing is None else f"the trace ends before block {missing.index}"
 
@@ -413,8 +455,7 @@ class World:
                 lenses[spec.lens_id] = compile_lens(spec, tables[spec.source_table_id].schema)
             self.peers[p] = PeerNode(p, tables, lenses, bindings[p])
 
-        state = ContractState.empty()
-        genesis: list[tuple[Transaction, Verdict]] = []
+        deploys: list[DeployTx] = []
         for share in sorted(scenario.shares, key=lambda s: s.shared_id):
             try:
                 initial, other = (self.peers[p].install_share(share.shared_id) for p in share.lens_by_peer)
@@ -431,14 +472,13 @@ class World:
                 authority=share.authority,
                 content_digest=initial.digest(),
             )
-            try:
-                state = deploy(state, meta, share.deployer, 0)
-            except Exception as exc:
-                raise ValidationError(f"share {share.shared_id!r}: {exc}") from exc
-            genesis.append((DeployTx(meta, share.deployer), ACCEPT))
+            deploys.append(DeployTx(meta, share.deployer))
 
-        self.chain = Chain(genesis)
-        self.contract = state
+        self.contract, verdicts, _ = execute_block(ContractState.empty(), deploys, 0)
+        for tx, verdict in zip(deploys, verdicts):
+            if not verdict.ok:
+                raise ValidationError(f"share {tx.meta.shared_id!r}: {verdict.detail}")
+        self.chain = Chain(list(zip(deploys, verdicts)))
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -586,17 +626,7 @@ class World:
             self._trace(tx_submitter(tx), "verdict", _verdict_payload(tx, verdict))
         for note in notes:
             self._inflight.append(note)
-            self._trace(
-                "contract",
-                "notify",
-                {
-                    "shared_id": note.shared_id,
-                    "from": note.source_peer,
-                    "to": note.to,
-                    "new_version": note.new_version,
-                    "changed_attrs": sorted(note.changed_attrs),
-                },
-            )
+            self._trace("contract", "notify", _notify_payload(note))
         self._inflight.extend(receipts)
 
         self.clock = t + 1

@@ -127,7 +127,7 @@ def execute_block(
         elif isinstance(tx, DeployTx):
             verdict = validate_deploy(state, tx.meta, tx.deployer)
             if verdict.ok:
-                state = deploy(state, tx.meta, tx.deployer, tick)
+                state = deploy(state, tx.meta, tick)
         elif isinstance(tx, PermChangeTx):
             state, verdict = change_permission(state, tx, tick)
         else:
@@ -140,28 +140,24 @@ class Chain:
     """The ledger: an append-only block list plus a FIFO mempool.
 
     Owned by a single driver; block production is the system's serialization
-    point. The genesis block may carry the scenario's static deployments so a
-    replay from scratch reproduces the full contract state.
+    point. The genesis block may carry the scenario's deployments, with the
+    verdicts `execute_block` gave them, so a replay from scratch reproduces
+    the full contract state.
     """
 
     def __init__(self, genesis_txs: Sequence[tuple[Transaction, Verdict]] = ()) -> None:
         self.blocks: list[Block] = [Block.build(0, 0, tuple(genesis_txs), ZERO_DIGEST)]
-        self.mempool: list[tuple[int, Transaction]] = []
-        self._next_seq = 0
+        self.mempool: list[Transaction] = []  # in arrival order
 
-    def submit(self, tx: Transaction) -> int:
-        """Queue a transaction; returns its arrival sequence number."""
-        seq = self._next_seq
-        self._next_seq += 1
-        self.mempool.append((seq, tx))
-        return seq
+    def submit(self, tx: Transaction) -> None:
+        """Queue a transaction for the next block."""
+        self.mempool.append(tx)
 
     def produce_block(
         self, contract_state: ContractState, tick: int
     ) -> tuple[ContractState, list[Notification], list[Receipt]]:
         """Drain the mempool into one block, executed in arrival order."""
-        txs = [tx for _seq, tx in self.mempool]
-        self.mempool = []
+        txs, self.mempool = self.mempool, []
         state, verdicts, notes = execute_block(contract_state, txs, tick)
         recorded = list(zip(txs, verdicts))
         prev = self.blocks[-1]

@@ -8,18 +8,15 @@ import pytest
 
 from medsync.contract import (
     ContractState,
-    DuplicateSharedError,
-    NotAPeerError,
-    MalformedMetadata,
     PermChangeTx,
     RejectReason,
     SharedTableMetadata,
-    UnknownSharedError,
     UpdateTx,
     apply_update,
     change_permission,
     deploy,
     query_metadata,
+    validate_deploy,
     validate_update,
 )
 from medsync.relational import Schema
@@ -56,13 +53,17 @@ def d23_meta() -> SharedTableMetadata:
 
 @pytest.fixture
 def state() -> ContractState:
-    s = deploy(ContractState.empty(), d13_meta(), "Doctor", 0)
-    return deploy(s, d23_meta(), "Doctor", 0)
+    return deploy(deploy(ContractState.empty(), d13_meta(), 0), d23_meta(), 0)
+
+
+def with_perm(meta: SharedTableMetadata, perm) -> SharedTableMetadata:
+    return SharedTableMetadata(meta.shared_id, meta.view_schema, meta.peers, perm, meta.authority)
 
 
 class TestDeploy:
     def test_deploy_registers_entry(self):
-        s = deploy(ContractState.empty(), d13_meta(), "Doctor", 3)
+        assert validate_deploy(ContractState.empty(), d13_meta(), "Doctor").ok
+        s = deploy(ContractState.empty(), d13_meta(), 3)
         entry = query_metadata(s, "D13")
         assert entry.peers == {"Patient", "Doctor"}
         assert entry.perm["a2"] == {"Doctor", "Patient"}
@@ -72,36 +73,31 @@ class TestDeploy:
         assert entry.latest_update_time == 3
 
     def test_duplicate_shared_id(self, state):
-        with pytest.raises(DuplicateSharedError):
-            deploy(state, d13_meta(), "Doctor", 1)
+        verdict = validate_deploy(state, d13_meta(), "Doctor")
+        assert verdict.reason is RejectReason.DUPLICATE_SHARED
 
     def test_deployer_must_be_peer(self):
-        with pytest.raises(NotAPeerError):
-            deploy(ContractState.empty(), d13_meta(), "Researcher", 0)
+        verdict = validate_deploy(ContractState.empty(), d13_meta(), "Researcher")
+        assert verdict.reason is RejectReason.NOT_A_PEER
 
     def test_permitted_principals_must_be_peers(self):
         meta = d13_meta()
-        bad = SharedTableMetadata(
-            shared_id=meta.shared_id,
-            view_schema=meta.view_schema,
-            peers=meta.peers,
-            perm={**meta.perm, "a4": frozenset({"Researcher"})},
-            authority=meta.authority,
-        )
-        with pytest.raises(MalformedMetadata):
-            deploy(ContractState.empty(), bad, "Doctor", 0)
+        bad = with_perm(meta, {**meta.perm, "a4": frozenset({"Researcher"})})
+        verdict = validate_deploy(ContractState.empty(), bad, "Doctor")
+        assert verdict.reason is RejectReason.MALFORMED_METADATA
+        assert "Researcher" in verdict.detail
+
+    def test_authority_must_be_peer(self):
+        meta = d13_meta()
+        bad = SharedTableMetadata(meta.shared_id, meta.view_schema, meta.peers, meta.perm, "Researcher")
+        verdict = validate_deploy(ContractState.empty(), bad, "Doctor")
+        assert verdict.reason is RejectReason.MALFORMED_METADATA
+        assert "authority" in verdict.detail
 
     def test_perm_must_cover_view_attrs(self):
-        meta = d13_meta()
-        bad = SharedTableMetadata(
-            shared_id=meta.shared_id,
-            view_schema=meta.view_schema,
-            peers=meta.peers,
-            perm={"a0": frozenset({"Doctor"})},
-            authority=meta.authority,
-        )
-        with pytest.raises(MalformedMetadata):
-            deploy(ContractState.empty(), bad, "Doctor", 0)
+        bad = with_perm(d13_meta(), {"a0": frozenset({"Doctor"})})
+        verdict = validate_deploy(ContractState.empty(), bad, "Doctor")
+        assert verdict.reason is RejectReason.MALFORMED_METADATA
 
 
 class TestValidateUpdate:
@@ -142,7 +138,7 @@ class TestApplyUpdate:
         assert [n.to for n in notes] == ["Doctor"]
         assert notes[0].source_peer == "Researcher"
         assert notes[0].new_version == 1
-        assert notes[0].new_digest == "d" * 64
+        assert query_metadata(state2, "D23").content_digest == "d" * 64
 
     def test_version_counter_starts_at_one(self, state):
         state2, _ = apply_update(state, UpdateTx("D23", "Researcher", frozenset({"a5"}), 0, "d" * 64), 1)
@@ -164,13 +160,6 @@ class TestApplyUpdate:
         assert replayed.canonical_bytes() == live.canonical_bytes()
         assert query_metadata(live, "D23").version == 2
         assert query_metadata(live, "D23").content_digest == "2" * 64
-
-    def test_rejected_update_cannot_apply(self, state):
-        from medsync.contract import ContractError
-
-        with pytest.raises(ContractError):
-            apply_update(state, UpdateTx("D13", "Patient", frozenset({"a4"}), 0, "d" * 64), 1)
-
 
 class TestChangePermission:
     def test_authority_widens_dosage_permission(self, state):
@@ -216,8 +205,11 @@ class TestQueryMetadata:
         assert query_metadata(state, "D23").shared_id == "D23"
 
     def test_unknown_id(self, state):
-        with pytest.raises(UnknownSharedError):
+        # Callers query only deployed shares; requests naming others get verdicts.
+        with pytest.raises(KeyError):
             query_metadata(state, "D99")
+        tx = UpdateTx("D99", "Doctor", frozenset({"a5"}), 0, "d" * 64)
+        assert validate_update(state, tx).reason is RejectReason.UNKNOWN_SHARED
 
     def test_reflects_last_update(self, state):
         state2, _ = apply_update(state, UpdateTx("D23", "Doctor", frozenset({"a1"}), 0, "f" * 64), 9)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,11 +61,23 @@ def _propose(who, shared_id):
     return who, {"kind": "propose", "shared_id": shared_id}
 
 
-DUMP_FILES = ["chain.json", "contract.json", "tables/Doctor/D3.json", "world.json"]
+DUMP_FILES = ["chain.json", "contract.json", "tables/Doctor/D3.json", "trace.jsonl", "world.json"]
 
 SCENARIO_ERRORS = {
     # the peers' initial views of D23 disagree on MedX
     "initial views disagree": _set(("tables", "Researcher", 0, "rows", 0, 1), "MeA7"),
+    # deployment rules the contract decides at genesis
+    "perm names a non-peer": _set(("shares", 0, "perm", "a4"), ["Doctor", "Researcher"]),
+    "perm misses a view attribute": _set(
+        ("shares", 0, "perm"), {"a0": ["Doctor"], "a1": ["Doctor"], "a2": ["Doctor"]}
+    ),
+    "duplicate shared_id": lambda doc: doc["shares"].append(doc["shares"][0]),
+    "authority not a peer": _set(("shares", 0, "authority"), "Researcher"),
+    "authority a list": _set(("shares", 0, "authority"), ["Doctor"]),
+    "perm names a number": _set(("shares", 0, "perm", "a4"), ["Doctor", 1, "Researcher"]),
+    "shared_id a number": _set(("shares", 0, "shared_id"), 5),
+    # the Doctor's L32 derives (a1, a5), the Patient's L13 (a0, a1, a2, a4)
+    "lenses derive different view shapes": _set(("shares", 0, "peers", "Doctor"), "L32"),
     "edit of a missing row": _script(_edit("Researcher", "D2", op="update", key={"a1": "MedZ"}, changes={})),
     "key not binding the primary key": _script(_edit("Researcher", "D2", op="delete", key={"a5": "MeA1"})),
     "insert row a string": _script(_edit("Researcher", "D2", op="insert", row="MedZ")),
@@ -137,6 +150,27 @@ class TestRun:
         t1 = [e.to_json_dict() for e in run(update_flow).trace]
         t2 = [e.to_json_dict() for e in run(update_flow).trace]
         assert t1 == t2
+
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_replay_validates_each_transaction_once(self, monkeypatch, name):
+        import medsync.contract as contract
+        import medsync.ledger as ledger
+        from medsync.contract import DeployTx, RejectReason, UpdateTx
+
+        chain = run(load_scenario(scenario_path(name))).chain
+        calls = Counter()
+        for module in (contract, ledger):  # as defined, and as the executor calls them
+            for fn in ("validate_deploy", "validate_update"):
+                original = getattr(module, fn)
+                monkeypatch.setattr(module, fn, lambda *a, fn=fn, f=original: calls.update([fn]) or f(*a))
+        chain.replay()
+        txs = [(tx, v) for block in chain.blocks for tx, v in block.txs]
+        deploys = sum(isinstance(tx, DeployTx) for tx, _ in txs)
+        # an update the block already serializes behind another is not validated
+        updates = sum(
+            isinstance(tx, UpdateTx) and v.reason is not RejectReason.BLOCKED_BY_SERIALIZATION for tx, v in txs
+        )
+        assert updates and calls == Counter(validate_deploy=deploys, validate_update=updates)
 
     def test_max_ticks_exceeded(self, update_flow):
         with pytest.raises(MaxTicksExceeded):
@@ -360,7 +394,16 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "forgery",
-        ["rejected verdict flipped to ok", "last three events dropped", "seq skipped", "tick rewound"],
+        [
+            "rejected verdict flipped to ok",
+            "last three events dropped",
+            "seq skipped",
+            "tick rewound",
+            "data_resp digests zeroed",
+            "put_applied versions set to 99",
+            "notify sent to the requester",
+            "data_resp digest removed",
+        ],
     )
     def test_forged_trace_fails_verify(self, tmp_path, capsys, forgery):
         from medsync.cli import main
@@ -378,8 +421,21 @@ class TestCli:
         elif forgery == "seq skipped":
             for e in events[5:]:
                 e["seq"] += 1
-        else:
+        elif forgery == "tick rewound":
             events[-1]["tick"] = events[-2]["tick"] - 1
+        elif forgery == "data_resp digests zeroed":
+            for e in events:
+                if e["kind"] == "data_resp":
+                    e["payload"]["digest"] = "0" * 64
+        elif forgery == "put_applied versions set to 99":
+            for e in events:
+                if e["kind"] == "put_applied":
+                    e["payload"]["version"] = 99
+        elif forgery == "data_resp digest removed":
+            del next(e for e in events if e["kind"] == "data_resp")["payload"]["digest"]
+        else:
+            note = next(e for e in events if e["kind"] == "notify")
+            note["payload"]["to"] = note["payload"]["from"]
         path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
         capsys.readouterr()
         assert main(["verify", str(dump_dir)]) == 1
@@ -404,6 +460,14 @@ class TestCli:
         dump_dir = tmp_path / "dump"
         assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
         path = dump_dir / target
+        if target == "trace.jsonl":
+            # a top-level key, which no audit of the events' payloads would see
+            events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+            events[0][key] = "smuggled"
+            path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+            assert main(["verify", str(dump_dir)]) == 2
+            assert capsys.readouterr().err.startswith("dump error: ")
+            return
         doc = json.loads(path.read_text(encoding="utf-8"))
         if target == "chain.json":
             # Into the accepted update: the decoder would drop the key and the

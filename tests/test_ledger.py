@@ -5,15 +5,13 @@ from __future__ import annotations
 import pytest
 
 from medsync.contract import (
-    ACCEPT,
     ContractState,
     DeployTx,
     PermChangeTx,
     RejectReason,
     UpdateTx,
-    deploy,
 )
-from medsync.ledger import Block, Chain, ChainCorrupt
+from medsync.ledger import Block, Chain, ChainCorrupt, execute_block
 from medsync.relational import ZERO_DIGEST
 
 from test_contract import d13_meta, d23_meta
@@ -21,12 +19,10 @@ from test_contract import d13_meta, d23_meta
 
 @pytest.fixture
 def deployed() -> tuple[Chain, ContractState]:
-    state = deploy(ContractState.empty(), d13_meta(), "Doctor", 0)
-    state = deploy(state, d23_meta(), "Doctor", 0)
-    chain = Chain(
-        [(DeployTx(d13_meta(), "Doctor"), ACCEPT), (DeployTx(d23_meta(), "Doctor"), ACCEPT)]
-    )
-    return chain, state
+    genesis = [DeployTx(d13_meta(), "Doctor"), DeployTx(d23_meta(), "Doctor")]
+    state, verdicts, _ = execute_block(ContractState.empty(), genesis, 0)
+    assert all(v.ok for v in verdicts)
+    return Chain(list(zip(genesis, verdicts))), state
 
 
 def update(shared_id, requester, attrs, base, digest_char) -> UpdateTx:
@@ -40,18 +36,28 @@ class TestSubmit:
         assert len(chain.mempool) == 1
 
     def test_arrival_order_is_total(self, deployed):
-        chain, _ = deployed
-        s1 = chain.submit(update("D23", "Researcher", {"a5"}, 0, "1"))
-        s2 = chain.submit(update("D13", "Doctor", {"a4"}, 0, "2"))
-        assert s1 < s2
-
-    def test_resubmission_gets_fresh_seq(self, deployed):
+        # one arrival order across transaction types and shares
         chain, state = deployed
-        tx = update("D23", "Researcher", {"a5"}, 3, "1")  # stale, will be rejected
-        s1 = chain.submit(tx)
+        txs = [
+            update("D23", "Researcher", {"a5"}, 0, "1"),
+            PermChangeTx("D13", "Doctor", "a4", frozenset({"Doctor", "Patient"})),
+            update("D13", "Patient", {"a4"}, 0, "2"),
+        ]
+        for tx in txs:
+            chain.submit(tx)
         chain.produce_block(state, 1)
-        s2 = chain.submit(tx)
-        assert s2 > s1
+        assert [tx for tx, _ in chain.blocks[-1].txs] == txs
+
+    def test_resubmission_queues_at_arrival(self, deployed):
+        chain, state = deployed
+        stale = update("D23", "Researcher", {"a5"}, 3, "1")  # rejected
+        chain.submit(stale)
+        state, _, _ = chain.produce_block(state, 1)
+        other = update("D13", "Doctor", {"a4"}, 0, "2")
+        chain.submit(other)
+        chain.submit(stale)
+        chain.produce_block(state, 2)
+        assert [tx for tx, _ in chain.blocks[-1].txs] == [other, stale]
 
 
 class TestProduceBlock:
@@ -71,6 +77,14 @@ class TestProduceBlock:
         chain.submit(update("D23", "Doctor", {"a5"}, 1, "2"))
         _, _, receipts = chain.produce_block(state, 1)
         assert receipts[1].verdict.reason is RejectReason.BLOCKED_BY_SERIALIZATION
+
+    def test_denied_update_leaves_state_untouched(self, deployed):
+        chain, state = deployed
+        chain.submit(update("D13", "Patient", {"a4"}, 0, "1"))
+        state2, notes, receipts = chain.produce_block(state, 1)
+        assert receipts[0].verdict.reason is RejectReason.PERMISSION_DENIED
+        assert notes == []
+        assert state2.canonical_bytes() == state.canonical_bytes()
 
     def test_empty_mempool_heartbeat(self, deployed):
         chain, state = deployed

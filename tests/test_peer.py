@@ -195,7 +195,7 @@ class TestNotificationAndRequests:
     def test_notification_requests_data_from_source_peer(self):
         node = doctor()
         node.on_notification(
-            Notification("D23", 1, "d" * 64, frozenset({"a5"}), "Researcher", "Doctor")
+            Notification("D23", 1, frozenset({"a5"}), "Researcher", "Doctor")
         )
         (req,) = node.outbox
         assert (req.shared_id, req.requested_version, req.to) == ("D23", 1, "Researcher")
@@ -203,7 +203,7 @@ class TestNotificationAndRequests:
     def test_notification_for_unbound_share(self):
         node = researcher()
         with pytest.raises(UnknownShare):
-            node.on_notification(Notification("D13", 1, "d" * 64, frozenset(), "Doctor", "Researcher"))
+            node.on_notification(Notification("D13", 1, frozenset(), "Doctor", "Researcher"))
 
     def test_serves_current_copy(self):
         node = researcher()
