@@ -69,7 +69,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print("[FAIL] replay-matches-contract: replayed state differs from the dumped one")
         ok = False
-    mismatch = trace_mismatch(world.chain, world.trace)
+    mismatch = trace_mismatch(world)
     if mismatch is None:
         print("[PASS] trace-matches-chain")
     else:

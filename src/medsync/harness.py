@@ -159,7 +159,12 @@ def _parse_action(d: Mapping, where: str) -> Action:
         for k in ("shared_id", "attr", "principals"):
             if k not in d:
                 raise ValidationError(f"{where}: change_permission action needs {k!r}")
-        return PermChangeAction(d["shared_id"], d["attr"], frozenset(d["principals"]))
+        principals = d["principals"]
+        if not isinstance(d["attr"], str) or not isinstance(principals, list) or not all(
+            isinstance(p, str) for p in principals
+        ):
+            raise ValidationError(f"{where}: change_permission needs a string attr and a list of principal names")
+        return PermChangeAction(d["shared_id"], d["attr"], frozenset(principals))
     raise ValidationError(f"{where}: unknown action kind {kind!r}")
 
 
@@ -325,7 +330,19 @@ class TraceEvent:
     def from_json_dict(cls, d: Mapping) -> "TraceEvent":
         if len(d) != 5:  # the five keys below, each read, and nothing else
             raise ValueError("a trace event holds keys an event does not write")
-        return cls(d["tick"], d["seq"], d["actor"], d["kind"], dict(d["payload"]))
+        event = cls(d["tick"], d["seq"], d["actor"], d["kind"], d["payload"])
+        ints = type(event.tick) is type(event.seq) is int  # a bool is no tick
+        strs = isinstance(event.actor, str) and isinstance(event.kind, str)
+        if not (ints and strs and isinstance(event.payload, dict)):
+            raise ValueError("a trace event has integer tick and seq, string actor and kind, and an object payload")
+        return event
+
+
+def _propose_event(tx: Transaction) -> tuple[str, str, dict]:
+    """The `propose` event of a submitted transaction, as (actor, kind, payload)."""
+    # The requester is the event's actor, so the payload leaves it out.
+    payload = {k: v for k, v in tx_to_json_dict(tx).items() if k != "requester"}
+    return tx_submitter(tx), "propose", payload
 
 
 def _verdict_payload(tx: Transaction, verdict: Verdict) -> dict:
@@ -345,62 +362,78 @@ def _notify_payload(note: Notification) -> dict:
     }
 
 
-def trace_mismatch(chain: Chain, trace: Sequence[TraceEvent]) -> Optional[str]:
-    """How the trace disagrees with the chain, or None when it agrees.
+def _block_events(block: Block, notes: Sequence[Notification]) -> list[tuple[str, str, dict]]:
+    """The events of one sealed block, as (actor, kind, payload): the block, its verdicts, its notifications."""
+    return [
+        ("ledger", "block", {"index": block.index, "txs": len(block.txs)}),
+        *((tx_submitter(tx), "verdict", _verdict_payload(tx, v)) for tx, v in block.txs),
+        *(("contract", "notify", _notify_payload(note)) for note in notes),
+    ]
 
-    The `block` events must be the non-genesis blocks in order (index, tick,
-    transaction count). After each one come a `verdict` event per transaction
-    in order (submitter, share, type, outcome and reason), then a `notify`
-    event per accepted update (from the requester to the other sharing peer,
-    the new version and the changed attributes). Each `data_resp` must carry
-    the digest the chain registered for its share and version, and each
-    `put_applied` must follow a `data_resp` to its actor for the same share
-    and version. Event `seq` numbers must run 0..n-1 and ticks must never
-    decrease.
+
+def trace_mismatch(world: World) -> Optional[str]:
+    """How the world's trace disagrees with its chain, or None when it agrees.
+
+    The chain (which must replay) is executed again, block by block, through
+    `execute_block`. Each `block` event must open exactly the events the tick
+    loop emits for that block: the block itself (index, transaction count),
+    a `verdict` per transaction and a `notify` per notification the executor
+    derives. The `propose` events since the previous block must be that
+    block's transactions, in order. Each `data_req` goes from its actor to the
+    share's other peer and asks for a version the chain has registered; each
+    `data_resp` carries the digest the chain registered for its share and
+    version; each `put_applied` follows a `data_resp` to its actor for that
+    share and version; each `cascade` follows its actor's `put_applied` of
+    `after_merge_of` in the same tick and comes right before the actor's
+    `propose` of its share. An `edit` must name a table its actor holds; what
+    it changed is not checked, because the script is not in the dump. Event
+    `seq` numbers must run 0..n-1, ticks must never decrease, and no other
+    kind of event may occur.
     """
-    peers: dict[str, frozenset[str]] = {}
-    registered: dict[tuple[str, int], str] = {}  # (share, version) -> digest, in the blocks so far
-    responses: Counter = Counter()  # (to, share, version) of data_resp events not yet applied
-
-    def owed(block: Block) -> list[tuple[int, str, str, dict]]:
-        """Register the block's accepted transactions; its verdict and notify events, last first."""
-        events = [(block.tick, tx_submitter(tx), "verdict", _verdict_payload(tx, v)) for tx, v in block.txs]
-        for tx, verdict in block.txs:
-            if not verdict.ok:
-                continue
-            if isinstance(tx, DeployTx):
-                peers[tx.meta.shared_id] = tx.meta.peers
-                registered[tx.meta.shared_id, 0] = tx.meta.content_digest
-            elif isinstance(tx, UpdateTx):
-                registered[tx.shared_id, tx.base_version + 1] = tx.new_digest
-                for to in sorted(peers[tx.shared_id] - {tx.requester}):
-                    note = Notification(tx.shared_id, tx.base_version + 1, tx.changed_attrs, tx.requester, to)
-                    events.append((block.tick, "contract", "notify", _notify_payload(note)))
-        return events[::-1]
-
-    blocks = iter(chain.blocks)
-    block = next(blocks)
-    owed(block)  # registers the deployments; genesis verdicts are not traced
-    due: list[tuple[int, str, str, dict]] = []
+    trace = world.trace
     for seq, event in enumerate(trace):
         if event.seq != seq:
             return f"event {seq} carries seq {event.seq}"
         if seq and event.tick < trace[seq - 1].tick:
             return f"event {seq} goes back from tick {trace[seq - 1].tick} to {event.tick}"
+
+    blocks = iter(world.chain.blocks)
+    genesis = next(blocks)  # the deployments; genesis events are not traced
+    state, _, _ = execute_block(ContractState.empty(), [tx for tx, _ in genesis.txs], genesis.tick)
+    registered = {(sid, 0): e.content_digest for sid, e in state.entries.items()}  # (share, version) -> digest
+    responses: Counter = Counter()  # (to, share, version) of data_resp events not yet applied
+    merged: set[tuple[int, str, str]] = set()  # (tick, actor, share) of put_applied events
+    proposed: list[tuple] = []  # the propose events since the last block event
+    seq = 0
+    while seq < len(trace):
+        event = trace[seq]
         p = event.payload
         try:
             if event.kind == "block":
-                if due:
-                    return f"block {block.index} lacks {len(due)} verdict or notify events"
                 block = next(blocks, None)
                 if block is None:
                     return f"event {seq} records a block the chain does not hold"
-                if (event.tick, dict(p)) != (block.tick, {"index": block.index, "txs": len(block.txs)}):
-                    return f"event {seq} does not match block {block.index}"
-                due = owed(block)
+                if proposed != [(block.tick, *_propose_event(tx)) for tx, _ in block.txs]:
+                    return f"the propose events before event {seq} are not block {block.index}'s transactions"
+                proposed = []
+                state, _, notes = execute_block(state, [tx for tx, _ in block.txs], block.tick)
+                for note in notes:
+                    registered[note.shared_id, note.new_version] = state.entries[note.shared_id].content_digest
+                expected = [(block.tick, *e) for e in _block_events(block, notes)]
+                if [(e.tick, e.actor, e.kind, e.payload) for e in trace[seq : seq + len(expected)]] != expected:
+                    return f"the events from {seq} on do not match block {block.index}"
+                seq += len(expected)
+                continue
+            if event.kind == "propose":
+                proposed.append((event.tick, event.actor, event.kind, p))
             elif event.kind in ("verdict", "notify"):
-                if not due or (event.tick, event.actor, event.kind, dict(p)) != due.pop():
-                    return f"event {seq} matches no transaction of block {block.index}"
+                return f"event {seq} is a {event.kind} outside its block's events"
+            elif event.kind == "data_req":
+                sid = p["shared_id"]
+                if p["from"] != event.actor or {event.actor, p["to"]} != state.entries[sid].peers:
+                    return f"event {seq} requests data other than from the share's other peer"
+                if (sid, p["requested_version"]) not in registered:
+                    return f"event {seq} requests a version the chain has not registered"
             elif event.kind == "data_resp":
                 if registered.get((p["shared_id"], p["version"])) != p["digest"]:
                     return f"event {seq} carries a digest the chain does not register for its version"
@@ -410,10 +443,23 @@ def trace_mismatch(chain: Chain, trace: Sequence[TraceEvent]) -> Optional[str]:
                 if not responses[key]:
                     return f"event {seq} applies data no data_resp event carried"
                 responses[key] -= 1
+                merged.add((event.tick, event.actor, p["shared_id"]))
+            elif event.kind == "cascade":
+                if (event.tick, event.actor, p["after_merge_of"]) not in merged:
+                    return f"event {seq} cascades from no merge of its actor in its tick"
+                following = [(e.actor, e.kind, e.payload.get("shared_id")) for e in trace[seq + 1 : seq + 2]]
+                if following != [(event.actor, "propose", p["shared_id"])]:
+                    return f"event {seq} is not followed by its actor's propose of its share"
+            elif event.kind == "edit":
+                if event.actor not in world.peers or p["table"] not in world.peers[event.actor].tables:
+                    return f"event {seq} edits a table its actor does not hold"
+            else:
+                return f"event {seq} has an unknown kind {event.kind!r}"
         except (LookupError, TypeError):  # a payload of the wrong shape
             return f"event {seq} has a malformed payload"
-    if due:
-        return f"block {block.index} lacks {len(due)} verdict or notify events"
+        seq += 1
+    if proposed:
+        return "the trace proposes transactions no block holds"
     missing = next(blocks, None)
     return None if missing is None else f"the trace ends before block {missing.index}"
 
@@ -487,9 +533,7 @@ class World:
 
     def _submit(self, tx: Union[UpdateTx, PermChangeTx]) -> None:
         self.chain.submit(tx)
-        # The requester is the event's actor.
-        payload = {k: v for k, v in tx_to_json_dict(tx).items() if k != "requester"}
-        self._trace(tx.requester, "propose", payload)
+        self._trace(*_propose_event(tx))
 
     def quiescent(self) -> bool:
         """No messages in flight, empty mempool, nothing staged, script done."""
@@ -515,16 +559,9 @@ class World:
             meta = query_metadata(self.contract, message.shared_id)
             outcome = peer.on_data_response(message, meta)
             if outcome.applied:
-                lens = peer.lenses[peer.bindings[message.shared_id].lens_id]
-                self._trace(
-                    peer.principal,
-                    "put_applied",
-                    {
-                        "shared_id": message.shared_id,
-                        "source_table": lens.spec.source_table_id,
-                        "version": message.version,
-                    },
-                )
+                source = peer.source_of(message.shared_id)
+                payload = {"shared_id": message.shared_id, "source_table": source, "version": message.version}
+                self._trace(peer.principal, "put_applied", payload)
             # The digest check admits only the share's current version.
             hops = self._version_hops.get(message.shared_id, 0) + 1
             for tx in outcome.cascade_txs:
@@ -533,11 +570,8 @@ class World:
                         f"share {tx.shared_id!r} exceeded {self.config.max_cascade_hops} cascade hops"
                     )
                 self._tx_hops[tx] = hops
-                self._trace(
-                    peer.principal,
-                    "cascade",
-                    {"after_merge_of": message.shared_id, "shared_id": tx.shared_id},
-                )
+                payload = {"after_merge_of": message.shared_id, "shared_id": tx.shared_id}
+                self._trace(peer.principal, "cascade", payload)
                 self._submit(tx)
         else:
             raise TypeError(f"unroutable message {message!r}")
@@ -548,12 +582,9 @@ class World:
         if isinstance(action, EditAction):
             peer.local_edit(action.table_id, action.edit)
             payload: dict[str, object] = {"table": action.table_id, "op": action.edit.op}
-            if action.edit.key is not None:
-                payload["key"] = dict(action.edit.key)
-            if action.edit.changes is not None:
-                payload["changes"] = dict(action.edit.changes)
-            if action.edit.row is not None:
-                payload["row"] = dict(action.edit.row)
+            for name in ("key", "changes", "row"):
+                if getattr(action.edit, name) is not None:
+                    payload[name] = dict(getattr(action.edit, name))
             self._trace(peer.principal, "edit", payload)
         elif isinstance(action, ProposeAction):
             tx = peer.regenerate_and_propose(action.shared_id)
@@ -590,43 +621,24 @@ class World:
             peer = self.peers[principal]
             self._inflight.extend(peer.outbox)
             for msg in peer.outbox:
+                route = {"shared_id": msg.shared_id, "from": msg.sender, "to": msg.to}
                 if isinstance(msg, DataRequest):
-                    self._trace(
-                        principal,
-                        "data_req",
-                        {
-                            "shared_id": msg.shared_id,
-                            "from": msg.sender,
-                            "to": msg.to,
-                            "requested_version": msg.requested_version,
-                        },
-                    )
+                    self._trace(principal, "data_req", {**route, "requested_version": msg.requested_version})
                 elif isinstance(msg, DataResponse):
-                    self._trace(
-                        principal,
-                        "data_resp",
-                        {
-                            "shared_id": msg.shared_id,
-                            "from": msg.sender,
-                            "to": msg.to,
-                            "version": msg.version,
-                            "digest": msg.table.digest(),
-                        },
-                    )
+                    payload = {**route, "version": msg.version, "digest": msg.table.digest()}
+                    self._trace(principal, "data_resp", payload)
             peer.outbox.clear()
 
         self.contract, notes, receipts = self.chain.produce_block(self.contract, t)
         block = self.chain.blocks[-1]
-        self._trace("ledger", "block", {"index": block.index, "txs": len(block.txs)})
         for tx, verdict in block.txs:
             if isinstance(tx, UpdateTx):
                 hops = self._tx_hops.pop(tx, 0)
                 if verdict.ok:
                     self._version_hops[tx.shared_id] = hops
-            self._trace(tx_submitter(tx), "verdict", _verdict_payload(tx, verdict))
-        for note in notes:
-            self._inflight.append(note)
-            self._trace("contract", "notify", _notify_payload(note))
+        for event in _block_events(block, notes):
+            self._trace(*event)
+        self._inflight.extend(notes)
         self._inflight.extend(receipts)
 
         self.clock = t + 1
@@ -718,6 +730,8 @@ def load_dump(dump_dir: str | Path) -> World:
 
     try:
         manifest = read("world.json")
+        if not isinstance(manifest["name"], str) or type(manifest["clock"]) is not int:
+            raise ValidationError("world.json's name must be a string and its clock an integer")
         contract_doc = read("contract.json")
         contract = ContractState.from_json_dict(contract_doc)
         if contract_doc.keys() != {"entries"}:

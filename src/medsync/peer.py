@@ -128,6 +128,10 @@ class PeerNode:
         self.tables: dict[str, Table] = dict(tables)
         self.lenses: dict[str, Lens] = dict(lenses)
         self.bindings: dict[str, ShareBinding] = dict(bindings)
+        # The shares derived from each source table, in share-id order: the cascade's order.
+        self._shares_of: dict[str, list[str]] = {}
+        for shared_id in sorted(self.bindings):
+            self._shares_of.setdefault(self.source_of(shared_id), []).append(shared_id)
         self.shared_copies: dict[str, Table] = {}
         self.known_versions: dict[str, int] = {}
         self.pending: dict[str, PendingProposal] = {}
@@ -169,8 +173,14 @@ class PeerNode:
             raise UnknownShare(f"{self.principal!r} is not bound to share {shared_id!r}")
         return binding
 
-    def _source_id(self, shared_id: str) -> str:
+    def source_of(self, shared_id: str) -> str:
+        """The id of the local table the share's view is derived from."""
         return self.lenses[self._binding(shared_id).lens_id].spec.source_table_id
+
+    def _fetch(self, shared_id: str, version: int) -> None:
+        """Ask the share's counterpart for `version` of the share (or a later one)."""
+        counterpart = self._binding(shared_id).counterpart
+        self.outbox.append(DataRequest(shared_id, version, self.principal, counterpart))
 
     def regenerate_view(self, shared_id: str) -> Table:
         """Derive the current view for a share from the local source table."""
@@ -212,7 +222,7 @@ class PeerNode:
         The copy itself is replaced only once the ledger accepts the proposal.
         Returns None when nothing changed or a proposal is already in flight.
         """
-        source = self.tables[self._source_id(shared_id)]
+        source = self.tables[self.source_of(shared_id)]
         if shared_id in self.pending:
             return None
         new_view = self.regenerate_view(shared_id)
@@ -247,7 +257,7 @@ class PeerNode:
             if staged is not None:
                 self.shared_copies[shared_id] = staged.view
                 self.known_versions[shared_id] = staged.base_version + 1
-                if self.tables[self._source_id(shared_id)] is staged.source:
+                if self.tables[self.source_of(shared_id)] is staged.source:
                     return []  # the copy is the view of the current source
             # The source may have moved again while the proposal was in flight.
             follow_up = self.regenerate_and_propose(shared_id)
@@ -259,28 +269,16 @@ class PeerNode:
             # Refetch only if the winning version has not already been merged
             # through the notification path while this receipt was in flight.
             if self.known_versions[shared_id] <= tx.base_version:
-                binding = self._binding(shared_id)
-                self.outbox.append(
-                    DataRequest(
-                        shared_id=shared_id,
-                        requested_version=tx.base_version + 1,
-                        sender=self.principal,
-                        to=binding.counterpart,
-                    )
-                )
+                self._fetch(shared_id, tx.base_version + 1)
         return []
 
     def on_notification(self, note: Notification) -> None:
-        """A counterpart updated the share: ask them for the new data."""
-        self._binding(note.shared_id)
-        self.outbox.append(
-            DataRequest(
-                shared_id=note.shared_id,
-                requested_version=note.new_version,
-                sender=self.principal,
-                to=note.source_peer,
-            )
-        )
+        """A counterpart updated the share: ask them for the new data.
+
+        The contract notifies the peer that did not request the update, so the
+        notification's source is always this peer's counterpart on the share.
+        """
+        self._fetch(note.shared_id, note.new_version)
 
     def on_data_request(self, req: DataRequest) -> str:
         """Serve the current copy, or signal a retry if we don't hold it yet.
@@ -313,14 +311,7 @@ class PeerNode:
         """
         binding = self._binding(resp.shared_id)
         if resp.table.digest() != meta.content_digest or resp.version != meta.version:
-            self.outbox.append(
-                DataRequest(
-                    shared_id=resp.shared_id,
-                    requested_version=meta.version,
-                    sender=self.principal,
-                    to=binding.counterpart,
-                )
-            )
+            self._fetch(resp.shared_id, meta.version)
             return MergeOutcome(applied=False)
 
         # The digest covers the id, so the check above proved it is the share's.
@@ -331,14 +322,6 @@ class PeerNode:
         source_id = lens.spec.source_table_id
         self.tables[source_id] = lens_put(lens, self.tables[source_id], resp.table)
 
-        cascades: list[UpdateTx] = []
-        for other_id in sorted(self.bindings):
-            if other_id == resp.shared_id:
-                continue
-            other_lens = self.lenses[self.bindings[other_id].lens_id]
-            if other_lens.spec.source_table_id != source_id:
-                continue
-            tx = self.regenerate_and_propose(other_id)
-            if tx is not None:
-                cascades.append(tx)
-        return MergeOutcome(applied=True, cascade_txs=tuple(cascades))
+        others = [sid for sid in self._shares_of[source_id] if sid != resp.shared_id]
+        proposed = (self.regenerate_and_propose(sid) for sid in others)
+        return MergeOutcome(applied=True, cascade_txs=tuple(tx for tx in proposed if tx is not None))

@@ -61,6 +61,10 @@ def _propose(who, shared_id):
     return who, {"kind": "propose", "shared_id": shared_id}
 
 
+def _grant(who, shared_id, attr, principals):
+    return who, {"kind": "change_permission", "shared_id": shared_id, "attr": attr, "principals": principals}
+
+
 DUMP_FILES = ["chain.json", "contract.json", "tables/Doctor/D3.json", "trace.jsonl", "world.json"]
 
 SCENARIO_ERRORS = {
@@ -97,6 +101,8 @@ SCENARIO_ERRORS = {
         _edit("Researcher", "D2", op="insert", row={"a1": "MedZ", "a5": "MeA4", "a6": "MoA4"}),
         _propose("Researcher", "D23"),
     ),
+    "principals mix a number and a name": _script(_grant("Doctor", "D23", "a5", ["Doctor", 1])),
+    "principals a string": _script(_grant("Doctor", "D23", "a5", "Doctor")),
 }
 
 
@@ -403,13 +409,19 @@ class TestCli:
             "put_applied versions set to 99",
             "notify sent to the requester",
             "data_resp digest removed",
+            "propose new_digests zeroed",
+            "data_req versions set to 99",
+            "cascade after_merge_of renamed",
+            "edit tables renamed to forged",
         ],
     )
     def test_forged_trace_fails_verify(self, tmp_path, capsys, forgery):
         from medsync.cli import main
 
+        # permission_grant has no cascade; cascade_delete has one
+        name = "cascade_delete" if forgery.startswith("cascade") else "permission_grant"
         dump_dir = tmp_path / "dump"
-        assert main(["run", scenario_path("permission_grant"), "--dump", str(dump_dir)]) == 0
+        assert main(["run", scenario_path(name), "--dump", str(dump_dir)]) == 0
         path = dump_dir / "trace.jsonl"
         events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         if forgery == "rejected verdict flipped to ok":
@@ -433,6 +445,22 @@ class TestCli:
                     e["payload"]["version"] = 99
         elif forgery == "data_resp digest removed":
             del next(e for e in events if e["kind"] == "data_resp")["payload"]["digest"]
+        elif forgery == "propose new_digests zeroed":
+            for e in events:
+                if e["kind"] == "propose" and "new_digest" in e["payload"]:
+                    e["payload"]["new_digest"] = "0" * 64
+        elif forgery == "data_req versions set to 99":
+            for e in events:
+                if e["kind"] == "data_req":
+                    e["payload"]["requested_version"] = 99
+        elif forgery == "cascade after_merge_of renamed":
+            for e in events:
+                if e["kind"] == "cascade":
+                    e["payload"]["after_merge_of"] = "forged"
+        elif forgery == "edit tables renamed to forged":
+            for e in events:
+                if e["kind"] == "edit":
+                    e["payload"]["table"] = "forged"
         else:
             note = next(e for e in events if e["kind"] == "notify")
             note["payload"]["to"] = note["payload"]["from"]
@@ -440,6 +468,29 @@ class TestCli:
         capsys.readouterr()
         assert main(["verify", str(dump_dir)]) == 1
         assert "[FAIL] trace-matches-chain" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["string tick", "list payload", "string clock"])
+    def test_dump_values_of_the_wrong_type_exit_2(self, tmp_path, capsys, target):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
+        if target == "string clock":
+            path = dump_dir / "world.json"
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc["clock"] = str(doc["clock"])
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            path = dump_dir / "trace.jsonl"
+            events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+            if target == "string tick":
+                events[-1]["tick"] = str(events[-1]["tick"])
+            else:
+                events[0]["payload"] = list(events[0]["payload"].items())
+            path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == 2
+        assert capsys.readouterr().err.startswith("dump error: ")
 
     def test_corrupt_chain_exits_1(self, tmp_path, capsys):
         from medsync.cli import main
