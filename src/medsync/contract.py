@@ -4,11 +4,10 @@ One metadata entry per shared table records the two sharing peers, which peer
 may update each attribute, the single authority allowed to rewrite those
 permissions, a monotonically increasing version, and the digest of the current
 shared content. Updates are validated against the entry and, when applied,
-notify the peers that did not request them. All operations are pure functions
-from (state, input) to (state, outputs). Rules are decided once: the
-validators return verdicts, and `deploy` and `apply_update` apply only what
-their validator accepted (`ledger.execute_block` runs each pair); rejected
-inputs leave state untouched.
+notify the peers that did not request them. Each transaction kind has a pure
+validator `(state, tx) -> Verdict`, which decides every rule, and a pure apply
+step from one registry entry to the next, which re-checks nothing;
+`ledger.execute_block` runs each pair and alone writes the registry.
 """
 
 from __future__ import annotations
@@ -78,10 +77,6 @@ class SharedTableMetadata:
     version: int = 0
     content_digest: str = ZERO_DIGEST
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "peers", frozenset(self.peers))
-        object.__setattr__(self, "perm", {a: frozenset(p) for a, p in self.perm.items()})
-
     def to_json_dict(self) -> dict:
         return {
             "shared_id": self.shared_id,
@@ -110,7 +105,7 @@ class SharedTableMetadata:
 
 @dataclass(frozen=True)
 class ContractState:
-    """All registry entries, keyed by shared id. Value object; never mutated."""
+    """All registry entries, keyed by shared id. Never mutated once `execute_block` returns it."""
 
     entries: Mapping[str, SharedTableMetadata] = field(default_factory=dict)
 
@@ -146,9 +141,6 @@ class UpdateTx:
     base_version: int
     new_digest: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "changed_attrs", frozenset(self.changed_attrs))
-
 
 @dataclass(frozen=True)
 class PermChangeTx:
@@ -156,9 +148,6 @@ class PermChangeTx:
     requester: Principal
     attr: str
     new_principals: frozenset[Principal]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "new_principals", frozenset(self.new_principals))
 
 
 Transaction = Union[DeployTx, UpdateTx, PermChangeTx]
@@ -225,13 +214,13 @@ def _malformed(detail: str) -> Verdict:
     return Verdict.reject(RejectReason.MALFORMED_METADATA, detail)
 
 
-def validate_deploy(state: ContractState, meta: SharedTableMetadata, deployer: Principal) -> Verdict:
+def validate_deploy(state: ContractState, tx: DeployTx) -> Verdict:
     """Check a deployment: a new id, a deploying peer, and well-formed metadata at version 0."""
-    sid = meta.shared_id
+    meta, sid = tx.meta, tx.meta.shared_id
     if sid in state.entries:
         return Verdict.reject(RejectReason.DUPLICATE_SHARED, f"{sid!r} already deployed")
-    if deployer not in meta.peers:
-        return Verdict.reject(RejectReason.NOT_A_PEER, f"deployer {deployer!r} is not a sharing peer")
+    if tx.deployer not in meta.peers:
+        return Verdict.reject(RejectReason.NOT_A_PEER, f"deployer {tx.deployer!r} is not a sharing peer")
     if len(meta.peers) != 2:
         return _malformed(f"{sid!r}: a shared table has exactly two peers")
     if meta.authority not in meta.peers:
@@ -247,9 +236,9 @@ def validate_deploy(state: ContractState, meta: SharedTableMetadata, deployer: P
     return ACCEPT
 
 
-def deploy(state: ContractState, meta: SharedTableMetadata, tick: int) -> ContractState:
-    """Register a shared table whose deployment `validate_deploy` accepted."""
-    return ContractState({**state.entries, meta.shared_id: replace(meta, latest_update_time=tick)})
+def deploy(meta: SharedTableMetadata, tick: int) -> SharedTableMetadata:
+    """The registry entry of a deployment `validate_deploy` accepted."""
+    return replace(meta, latest_update_time=tick)
 
 
 def validate_update(state: ContractState, tx: UpdateTx) -> Verdict:
@@ -274,10 +263,9 @@ def validate_update(state: ContractState, tx: UpdateTx) -> Verdict:
 
 
 def apply_update(
-    state: ContractState, tx: UpdateTx, tick: int
-) -> tuple[ContractState, list[Notification]]:
+    entry: SharedTableMetadata, tx: UpdateTx, tick: int
+) -> tuple[SharedTableMetadata, list[Notification]]:
     """Apply an update `validate_update` accepted: bump the version, record the digest, notify."""
-    entry = state.entries[tx.shared_id]
     new_entry = replace(
         entry,
         version=entry.version + 1,
@@ -294,36 +282,32 @@ def apply_update(
         )
         for peer in sorted(entry.peers - {tx.requester})
     ]
-    return ContractState({**state.entries, tx.shared_id: new_entry}), notes
+    return new_entry, notes
 
 
-def change_permission(
-    state: ContractState, tx: PermChangeTx, tick: int
-) -> tuple[ContractState, Verdict]:
-    """Overwrite one attribute's permitted set; only the entry's authority may."""
+def validate_perm_change(state: ContractState, tx: PermChangeTx) -> Verdict:
+    """Check a permission change: only the entry's authority may name an attribute's sharing peers."""
     entry = state.entries.get(tx.shared_id)
     if entry is None:
-        return state, Verdict.reject(RejectReason.UNKNOWN_SHARED, f"no shared table {tx.shared_id!r}")
+        return Verdict.reject(RejectReason.UNKNOWN_SHARED, f"no shared table {tx.shared_id!r}")
     if tx.requester != entry.authority:
-        return state, Verdict.reject(
+        return Verdict.reject(
             RejectReason.NOT_AUTHORITY,
             f"{tx.requester!r} is not the authority for {tx.shared_id!r}",
         )
     if tx.attr not in entry.view_schema.attrs:
-        return state, Verdict.reject(
+        return Verdict.reject(
             RejectReason.UNKNOWN_ATTRIBUTE, f"{tx.attr!r} is not an attribute of {tx.shared_id!r}"
         )
     outside = tx.new_principals - entry.peers
     if outside:
-        return state, Verdict.reject(
-            RejectReason.NOT_A_PEER, f"{sorted(outside)} do not share {tx.shared_id!r}"
-        )
-    new_entry = replace(
-        entry,
-        perm={**entry.perm, tx.attr: tx.new_principals},
-        latest_update_time=tick,
-    )
-    return ContractState({**state.entries, tx.shared_id: new_entry}), ACCEPT
+        return Verdict.reject(RejectReason.NOT_A_PEER, f"{sorted(outside)} do not share {tx.shared_id!r}")
+    return ACCEPT
+
+
+def change_permission(entry: SharedTableMetadata, tx: PermChangeTx, tick: int) -> SharedTableMetadata:
+    """Apply a permission change `validate_perm_change` accepted: overwrite one attribute's permitted set."""
+    return replace(entry, perm={**entry.perm, tx.attr: tx.new_principals}, latest_update_time=tick)
 
 
 def query_metadata(state: ContractState, shared_id: str) -> SharedTableMetadata:

@@ -44,6 +44,7 @@ from .peer import (
     Message,
     PeerNode,
     ShareBinding,
+    UnknownShare,
 )
 from .relational import RelationalError, Table, canonical_json
 
@@ -79,10 +80,12 @@ class CascadeOverflow(SimulationError):
 # --- scenario model ----------------------------------------------------------
 
 
+MAX_CASCADE_HOPS = 16  # cascades allowed along one causal chain
+
+
 @dataclass(frozen=True)
 class SimConfig:
     max_ticks: int = 100
-    max_cascade_hops: int = 16
 
 
 @dataclass(frozen=True)
@@ -249,13 +252,13 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
     for i, ad in enumerate(doc.get("script", ())):
         where = f"script[{i}]"
         try:
-            tick = int(ad["tick"])
+            tick = ad["tick"]
             principal = ad["principal"]
             action = _parse_action(ad["action"], where)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
-        if tick < 0 or tick < last_tick:
-            raise ValidationError(f"{where}: script ticks must be non-negative and non-decreasing")
+        if type(tick) is not int or tick < last_tick:  # a bool is no tick; last_tick >= 0
+            raise ValidationError(f"{where}: script ticks must be non-negative and non-decreasing integers")
         last_tick = tick
         if principal not in principals:
             raise ValidationError(f"{where}: unknown principal {principal!r}")
@@ -271,7 +274,9 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
                     raise ValidationError(f"{where}: {principal!r} does not share {action.shared_id!r}")
         script.append(ScheduledAction(tick, principal, action))
 
-    cfg = doc.get("config", {})
+    max_ticks = doc.get("config", {}).get("max_ticks", SimConfig.max_ticks)
+    if type(max_ticks) is not int:
+        raise ValidationError(f"config: max_ticks must be an integer, got {max_ticks!r}")
     return Scenario(
         name=doc.get("name", name),
         principals=principals,
@@ -279,10 +284,7 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
         lens_specs=lens_specs,
         shares=tuple(shares),
         script=tuple(script),
-        config=SimConfig(
-            max_ticks=int(cfg.get("max_ticks", SimConfig.max_ticks)),
-            max_cascade_hops=int(cfg.get("max_cascade_hops", SimConfig.max_cascade_hops)),
-        ),
+        config=SimConfig(max_ticks),
     )
 
 
@@ -379,16 +381,17 @@ def trace_mismatch(world: World) -> Optional[str]:
     loop emits for that block: the block itself (index, transaction count),
     a `verdict` per transaction and a `notify` per notification the executor
     derives. The `propose` events since the previous block must be that
-    block's transactions, in order. Each `data_req` goes from its actor to the
-    share's other peer and asks for a version the chain has registered; each
-    `data_resp` carries the digest the chain registered for its share and
-    version; each `put_applied` follows a `data_resp` to its actor for that
-    share and version; each `cascade` follows its actor's `put_applied` of
-    `after_merge_of` in the same tick and comes right before the actor's
-    `propose` of its share. An `edit` must name a table its actor holds; what
-    it changed is not checked, because the script is not in the dump. Event
-    `seq` numbers must run 0..n-1, ticks must never decrease, and no other
-    kind of event may occur.
+    block's transactions, in order. Each `data_req` and `data_resp` goes from
+    its actor to the share's other peer; a `data_req` asks for a version the
+    chain has registered, and a `data_resp` carries the digest the chain
+    registered for its share and version. Each `put_applied` follows a
+    `data_resp` to its actor for that share and version, and names the
+    actor's source table of the share. Each `cascade` follows its actor's
+    `put_applied` of `after_merge_of` in the same tick and comes right before
+    the actor's `propose` of its share. An `edit` must name a table its actor
+    holds; what it changed is not checked, because the script is not in the
+    dump. Event `seq` numbers must run 0..n-1, ticks must never decrease, and
+    no other kind of event may occur.
     """
     trace = world.trace
     for seq, event in enumerate(trace):
@@ -428,20 +431,22 @@ def trace_mismatch(world: World) -> Optional[str]:
                 proposed.append((event.tick, event.actor, event.kind, p))
             elif event.kind in ("verdict", "notify"):
                 return f"event {seq} is a {event.kind} outside its block's events"
-            elif event.kind == "data_req":
+            elif event.kind in ("data_req", "data_resp"):
                 sid = p["shared_id"]
                 if p["from"] != event.actor or {event.actor, p["to"]} != state.entries[sid].peers:
-                    return f"event {seq} requests data other than from the share's other peer"
-                if (sid, p["requested_version"]) not in registered:
+                    return f"event {seq} is not sent from its actor to the share's other peer"
+                if event.kind == "data_resp":
+                    if registered.get((sid, p["version"])) != p["digest"]:
+                        return f"event {seq} carries a digest the chain does not register for its version"
+                    responses[p["to"], sid, p["version"]] += 1
+                elif (sid, p["requested_version"]) not in registered:
                     return f"event {seq} requests a version the chain has not registered"
-            elif event.kind == "data_resp":
-                if registered.get((p["shared_id"], p["version"])) != p["digest"]:
-                    return f"event {seq} carries a digest the chain does not register for its version"
-                responses[p["to"], p["shared_id"], p["version"]] += 1
             elif event.kind == "put_applied":
                 key = (event.actor, p["shared_id"], p["version"])
                 if not responses[key]:
                     return f"event {seq} applies data no data_resp event carried"
+                if p["source_table"] != world.peers[event.actor].source_of(p["shared_id"]):
+                    return f"event {seq} names a table other than the share's source at its actor"
                 responses[key] -= 1
                 merged.add((event.tick, event.actor, p["shared_id"]))
             elif event.kind == "cascade":
@@ -455,7 +460,7 @@ def trace_mismatch(world: World) -> Optional[str]:
                     return f"event {seq} edits a table its actor does not hold"
             else:
                 return f"event {seq} has an unknown kind {event.kind!r}"
-        except (LookupError, TypeError):  # a payload of the wrong shape
+        except (LookupError, TypeError, UnknownShare):  # a payload of the wrong shape, or naming another's share
             return f"event {seq} has a malformed payload"
         seq += 1
     if proposed:
@@ -565,10 +570,8 @@ class World:
             # The digest check admits only the share's current version.
             hops = self._version_hops.get(message.shared_id, 0) + 1
             for tx in outcome.cascade_txs:
-                if hops > self.config.max_cascade_hops:
-                    raise CascadeOverflow(
-                        f"share {tx.shared_id!r} exceeded {self.config.max_cascade_hops} cascade hops"
-                    )
+                if hops > MAX_CASCADE_HOPS:
+                    raise CascadeOverflow(f"share {tx.shared_id!r} exceeded {MAX_CASCADE_HOPS} cascade hops")
                 self._tx_hops[tx] = hops
                 payload = {"after_merge_of": message.shared_id, "shared_id": tx.shared_id}
                 self._trace(peer.principal, "cascade", payload)

@@ -34,6 +34,7 @@ from .contract import (
     tx_submitter,
     tx_to_json_dict,
     validate_deploy,
+    validate_perm_change,
     validate_update,
 )
 from .relational import ZERO_DIGEST, canonical_json, sha256_hex
@@ -103,11 +104,15 @@ def execute_block(
     """Run one block's transactions in order against the evolving contract state.
 
     Returns the new state, one verdict per transaction, and the notifications
-    of the accepted updates. Block production and replay both go through here.
+    of the accepted updates. Block production and replay both go through here,
+    and nothing else writes the registry: it copies the entries once, then
+    each accepted transaction's apply step replaces one entry of the copy.
     An update whose shared table already saw an accepted update in this block
     is rejected with BlockedBySerialization regardless of its own merits; the
     submitter must refetch and resubmit.
     """
+    entries = dict(state.entries)
+    state = ContractState(entries)
     verdicts: list[Verdict] = []
     notes: list[Notification] = []
     updated: set[str] = set()
@@ -121,15 +126,17 @@ def execute_block(
             else:
                 verdict = validate_update(state, tx)
                 if verdict.ok:
-                    state, new_notes = apply_update(state, tx, tick)
+                    entries[tx.shared_id], new_notes = apply_update(entries[tx.shared_id], tx, tick)
                     notes.extend(new_notes)
                     updated.add(tx.shared_id)
         elif isinstance(tx, DeployTx):
-            verdict = validate_deploy(state, tx.meta, tx.deployer)
+            verdict = validate_deploy(state, tx)
             if verdict.ok:
-                state = deploy(state, tx.meta, tick)
+                entries[tx.meta.shared_id] = deploy(tx.meta, tick)
         elif isinstance(tx, PermChangeTx):
-            state, verdict = change_permission(state, tx, tick)
+            verdict = validate_perm_change(state, tx)
+            if verdict.ok:
+                entries[tx.shared_id] = change_permission(entries[tx.shared_id], tx, tick)
         else:
             raise TypeError(f"unknown transaction {tx!r}")
         verdicts.append(verdict)

@@ -267,7 +267,11 @@ class Table:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Table":
         schema = Schema.from_json_dict(d["schema"])
-        rows = [dict(zip(schema.attrs, cells)) for cells in d["rows"]]
+        attrs, width = schema.attrs, len(schema.attrs)
+        # zip would drop extra cells and split a string row into characters
+        rows = [dict(zip(attrs, cells)) for cells in d["rows"] if type(cells) is list and len(cells) == width]
+        if len(rows) != len(d["rows"]):
+            raise SchemaMismatch(f"every row must be a list of {width} cells, one per schema attribute")
         return cls(d["id"], schema, tuple(rows))
 
     def canonical_bytes(self) -> bytes:

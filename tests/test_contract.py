@@ -8,17 +8,16 @@ import pytest
 
 from medsync.contract import (
     ContractState,
+    DeployTx,
     PermChangeTx,
     RejectReason,
     SharedTableMetadata,
     UpdateTx,
-    apply_update,
-    change_permission,
-    deploy,
     query_metadata,
     validate_deploy,
     validate_update,
 )
+from medsync.ledger import execute_block
 from medsync.relational import Schema
 
 D13_SCHEMA = Schema(("a0", "a1", "a2", "a4"), ("a0", "a1"))
@@ -53,7 +52,10 @@ def d23_meta() -> SharedTableMetadata:
 
 @pytest.fixture
 def state() -> ContractState:
-    return deploy(deploy(ContractState.empty(), d13_meta(), 0), d23_meta(), 0)
+    deployed, _, _ = execute_block(
+        ContractState.empty(), [DeployTx(d13_meta(), "Doctor"), DeployTx(d23_meta(), "Doctor")], 0
+    )
+    return deployed
 
 
 def with_perm(meta: SharedTableMetadata, perm) -> SharedTableMetadata:
@@ -62,8 +64,8 @@ def with_perm(meta: SharedTableMetadata, perm) -> SharedTableMetadata:
 
 class TestDeploy:
     def test_deploy_registers_entry(self):
-        assert validate_deploy(ContractState.empty(), d13_meta(), "Doctor").ok
-        s = deploy(ContractState.empty(), d13_meta(), 3)
+        assert validate_deploy(ContractState.empty(), DeployTx(d13_meta(), "Doctor")).ok
+        s, _, _ = execute_block(ContractState.empty(), [DeployTx(d13_meta(), "Doctor")], 3)
         entry = query_metadata(s, "D13")
         assert entry.peers == {"Patient", "Doctor"}
         assert entry.perm["a2"] == {"Doctor", "Patient"}
@@ -73,30 +75,30 @@ class TestDeploy:
         assert entry.latest_update_time == 3
 
     def test_duplicate_shared_id(self, state):
-        verdict = validate_deploy(state, d13_meta(), "Doctor")
+        verdict = validate_deploy(state, DeployTx(d13_meta(), "Doctor"))
         assert verdict.reason is RejectReason.DUPLICATE_SHARED
 
     def test_deployer_must_be_peer(self):
-        verdict = validate_deploy(ContractState.empty(), d13_meta(), "Researcher")
+        verdict = validate_deploy(ContractState.empty(), DeployTx(d13_meta(), "Researcher"))
         assert verdict.reason is RejectReason.NOT_A_PEER
 
     def test_permitted_principals_must_be_peers(self):
         meta = d13_meta()
         bad = with_perm(meta, {**meta.perm, "a4": frozenset({"Researcher"})})
-        verdict = validate_deploy(ContractState.empty(), bad, "Doctor")
+        verdict = validate_deploy(ContractState.empty(), DeployTx(bad, "Doctor"))
         assert verdict.reason is RejectReason.MALFORMED_METADATA
         assert "Researcher" in verdict.detail
 
     def test_authority_must_be_peer(self):
         meta = d13_meta()
         bad = SharedTableMetadata(meta.shared_id, meta.view_schema, meta.peers, meta.perm, "Researcher")
-        verdict = validate_deploy(ContractState.empty(), bad, "Doctor")
+        verdict = validate_deploy(ContractState.empty(), DeployTx(bad, "Doctor"))
         assert verdict.reason is RejectReason.MALFORMED_METADATA
         assert "authority" in verdict.detail
 
     def test_perm_must_cover_view_attrs(self):
         bad = with_perm(d13_meta(), {"a0": frozenset({"Doctor"})})
-        verdict = validate_deploy(ContractState.empty(), bad, "Doctor")
+        verdict = validate_deploy(ContractState.empty(), DeployTx(bad, "Doctor"))
         assert verdict.reason is RejectReason.MALFORMED_METADATA
 
 
@@ -113,7 +115,7 @@ class TestValidateUpdate:
         assert "a4" in verdict.detail
 
     def test_stale_version_fenced(self, state):
-        state2, _ = apply_update(state, UpdateTx("D23", "Researcher", frozenset({"a5"}), 0, "d" * 64), 1)
+        state2, _, _ = execute_block(state, [UpdateTx("D23", "Researcher", frozenset({"a5"}), 0, "d" * 64)], 1)
         stale = UpdateTx("D23", "Researcher", frozenset({"a5"}), 0, "e" * 64)
         assert validate_update(state2, stale).reason is RejectReason.STALE_VERSION
 
@@ -134,14 +136,14 @@ class TestValidateUpdate:
 class TestApplyUpdate:
     def test_notifies_exactly_the_counterpart(self, state):
         tx = UpdateTx("D23", "Researcher", frozenset({"a5"}), 0, "d" * 64)
-        state2, notes = apply_update(state, tx, 4)
+        state2, _, notes = execute_block(state, [tx], 4)
         assert [n.to for n in notes] == ["Doctor"]
         assert notes[0].source_peer == "Researcher"
         assert notes[0].new_version == 1
         assert query_metadata(state2, "D23").content_digest == "d" * 64
 
     def test_version_counter_starts_at_one(self, state):
-        state2, _ = apply_update(state, UpdateTx("D23", "Researcher", frozenset({"a5"}), 0, "d" * 64), 1)
+        state2, _, _ = execute_block(state, [UpdateTx("D23", "Researcher", frozenset({"a5"}), 0, "d" * 64)], 1)
         assert query_metadata(state2, "D23").version == 1
 
     def test_sequential_updates_replay(self, state):
@@ -152,11 +154,11 @@ class TestApplyUpdate:
         live = state
         for tick, tx in enumerate(txs, start=1):
             assert validate_update(live, tx).ok
-            live, _ = apply_update(live, tx, tick)
+            live, _, _ = execute_block(live, [tx], tick)
         # replay the same transactions from the deployed base: states agree
         replayed = state
         for tick, tx in enumerate(txs, start=1):
-            replayed, _ = apply_update(replayed, tx, tick)
+            replayed, _, _ = execute_block(replayed, [tx], tick)
         assert replayed.canonical_bytes() == live.canonical_bytes()
         assert query_metadata(live, "D23").version == 2
         assert query_metadata(live, "D23").content_digest == "2" * 64
@@ -166,8 +168,8 @@ class TestChangePermission:
         # denied first, allowed after the authority grants the attribute
         dosage = UpdateTx("D13", "Patient", frozenset({"a4"}), 0, "d" * 64)
         assert validate_update(state, dosage).reason is RejectReason.PERMISSION_DENIED
-        state2, verdict = change_permission(
-            state, PermChangeTx("D13", "Doctor", "a4", frozenset({"Doctor", "Patient"})), 2
+        state2, (verdict,), _ = execute_block(
+            state, [PermChangeTx("D13", "Doctor", "a4", frozenset({"Doctor", "Patient"}))], 2
         )
         assert verdict.ok
         assert validate_update(state2, dosage).ok
@@ -175,27 +177,27 @@ class TestChangePermission:
         assert query_metadata(state2, "D13").latest_update_time == 2
 
     def test_non_authority_rejected(self, state):
-        state2, verdict = change_permission(
-            state, PermChangeTx("D13", "Patient", "a4", frozenset({"Doctor", "Patient"})), 2
+        state2, (verdict,), _ = execute_block(
+            state, [PermChangeTx("D13", "Patient", "a4", frozenset({"Doctor", "Patient"}))], 2
         )
         assert verdict.reason is RejectReason.NOT_AUTHORITY
-        assert state2 is state
+        assert state2 == state
 
     def test_non_peer_principals_rejected(self, state):
-        _, verdict = change_permission(
-            state, PermChangeTx("D13", "Doctor", "a4", frozenset({"Researcher"})), 2
+        _, (verdict,), _ = execute_block(
+            state, [PermChangeTx("D13", "Doctor", "a4", frozenset({"Researcher"}))], 2
         )
         assert verdict.reason is RejectReason.NOT_A_PEER
 
     def test_unknown_attribute(self, state):
-        _, verdict = change_permission(
-            state, PermChangeTx("D13", "Doctor", "a9", frozenset({"Doctor"})), 2
+        _, (verdict,), _ = execute_block(
+            state, [PermChangeTx("D13", "Doctor", "a9", frozenset({"Doctor"}))], 2
         )
         assert verdict.reason is RejectReason.UNKNOWN_ATTRIBUTE
 
     def test_unknown_shared(self, state):
-        _, verdict = change_permission(
-            state, PermChangeTx("D99", "Doctor", "a4", frozenset({"Doctor"})), 2
+        _, (verdict,), _ = execute_block(
+            state, [PermChangeTx("D99", "Doctor", "a4", frozenset({"Doctor"}))], 2
         )
         assert verdict.reason is RejectReason.UNKNOWN_SHARED
 
@@ -212,7 +214,7 @@ class TestQueryMetadata:
         assert validate_update(state, tx).reason is RejectReason.UNKNOWN_SHARED
 
     def test_reflects_last_update(self, state):
-        state2, _ = apply_update(state, UpdateTx("D23", "Doctor", frozenset({"a1"}), 0, "f" * 64), 9)
+        state2, _, _ = execute_block(state, [UpdateTx("D23", "Doctor", frozenset({"a1"}), 0, "f" * 64)], 9)
         entry = query_metadata(state2, "D23")
         assert (entry.version, entry.content_digest, entry.latest_update_time) == (1, "f" * 64, 9)
 
@@ -238,12 +240,12 @@ def test_permission_soundness_under_random_transactions(state):
                 rng.randint(0, 3),
                 f"{step:064x}",
             )
-            verdict = validate_update(current, tx)
+            before = current
+            current, (verdict,), _ = execute_block(current, [tx], step)
             if verdict.ok:
-                entry = query_metadata(current, tx.shared_id)
+                entry = query_metadata(before, tx.shared_id)
                 assert tx.requester in entry.peers
                 assert all(tx.requester in entry.perm[a] for a in tx.changed_attrs)
-                current, _ = apply_update(current, tx, step)
         else:
             tx = PermChangeTx(
                 rng.choice(shared_ids),
@@ -251,7 +253,7 @@ def test_permission_soundness_under_random_transactions(state):
                 rng.choice(attrs),
                 frozenset(rng.sample(principals, rng.randint(0, 2))),
             )
-            current, _ = change_permission(current, tx, step)
+            current, _, _ = execute_block(current, [tx], step)
         for entry in current.entries.values():
             for permitted in entry.perm.values():
                 assert permitted <= entry.peers

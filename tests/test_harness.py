@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import medsync.harness
 from conftest import BUNDLED_SCENARIOS, scenario_path
 from medsync.harness import (
     CascadeOverflow,
@@ -65,6 +66,16 @@ def _grant(who, shared_id, attr, principals):
     return who, {"kind": "change_permission", "shared_id": shared_id, "attr": attr, "principals": principals}
 
 
+def _append_rows(**rows):
+    """A scenario rewrite that appends each principal's row to its first table."""
+
+    def rewrite(doc):
+        for principal, row in rows.items():
+            doc["tables"][principal][0]["rows"].append(row)
+
+    return rewrite
+
+
 DUMP_FILES = ["chain.json", "contract.json", "tables/Doctor/D3.json", "trace.jsonl", "world.json"]
 
 SCENARIO_ERRORS = {
@@ -88,6 +99,14 @@ SCENARIO_ERRORS = {
     "key cell a list": _script(_edit("Researcher", "D2", op="delete", key={"a1": ["MedX"]})),
     "changes a number": _script(_edit("Researcher", "D2", op="update", key={"a1": "MedX"}, changes=0)),
     "max_ticks not a number": _set(("config", "max_ticks"), "abc"),
+    # JSON values int() would coerce to 1
+    "max_ticks true": _set(("config", "max_ticks"), True),
+    "tick a fraction": _set(("script", 0, "tick"), 1.9),
+    "tick a string": _set(("script", 0, "tick"), "1"),
+    "tick true": _set(("script", 0, "tick"), True),
+    # zip would drop the cell, or split the strings into rows the peers' views agree on
+    "row with an extra cell": lambda doc: doc["tables"]["Doctor"][0]["rows"][0].append("EXTRA"),
+    "rows strings": _append_rows(Patient="P1Med", Doctor="P1Mdx", Researcher="1xy"),
     "principals a number": _set(("principals",), 5),
     "tables a list": _set(("tables",), []),
     # D3 breaks a1 -> a5, which the Doctor's lens L32 needs
@@ -161,12 +180,12 @@ class TestRun:
     def test_replay_validates_each_transaction_once(self, monkeypatch, name):
         import medsync.contract as contract
         import medsync.ledger as ledger
-        from medsync.contract import DeployTx, RejectReason, UpdateTx
+        from medsync.contract import DeployTx, PermChangeTx, RejectReason, UpdateTx
 
         chain = run(load_scenario(scenario_path(name))).chain
         calls = Counter()
         for module in (contract, ledger):  # as defined, and as the executor calls them
-            for fn in ("validate_deploy", "validate_update"):
+            for fn in ("validate_deploy", "validate_update", "validate_perm_change"):
                 original = getattr(module, fn)
                 monkeypatch.setattr(module, fn, lambda *a, fn=fn, f=original: calls.update([fn]) or f(*a))
         chain.replay()
@@ -176,16 +195,18 @@ class TestRun:
         updates = sum(
             isinstance(tx, UpdateTx) and v.reason is not RejectReason.BLOCKED_BY_SERIALIZATION for tx, v in txs
         )
-        assert updates and calls == Counter(validate_deploy=deploys, validate_update=updates)
+        perm_changes = sum(isinstance(tx, PermChangeTx) for tx, _ in txs)
+        expected = Counter(validate_deploy=deploys, validate_update=updates, validate_perm_change=perm_changes)
+        assert updates and calls == expected
 
     def test_max_ticks_exceeded(self, update_flow):
         with pytest.raises(MaxTicksExceeded):
             run(replace(update_flow, config=replace(update_flow.config, max_ticks=2)))
 
-    def test_cascade_hop_budget(self, cascade_delete):
-        scenario = replace(cascade_delete, config=replace(cascade_delete.config, max_cascade_hops=0))
+    def test_cascade_hop_budget(self, cascade_delete, monkeypatch):
+        monkeypatch.setattr(medsync.harness, "MAX_CASCADE_HOPS", 0)
         with pytest.raises(CascadeOverflow):
-            run(scenario)
+            run(cascade_delete)
 
     def test_cascade_budget_counts_hops_per_causal_chain(self):
         # 17 unrelated deletes each cascade once into D13: 17 cascades on one
@@ -210,7 +231,7 @@ class TestRun:
         ]
         doc["config"]["max_ticks"] = 250
         world = run(scenario_from_json_dict(doc))
-        assert world.config.max_cascade_hops == 16
+        assert medsync.harness.MAX_CASCADE_HOPS == 16
         assert [e.payload["shared_id"] for e in world.trace if e.kind == "cascade"] == ["D13"] * 17
         assert verify_convergence(world).ok
         assert len(world.peers["Patient"].tables["D1"].rows) == 3
@@ -409,6 +430,8 @@ class TestCli:
             "put_applied versions set to 99",
             "notify sent to the requester",
             "data_resp digest removed",
+            "data_resp senders set to Researcher",
+            "put_applied source_tables set to forged",
             "propose new_digests zeroed",
             "data_req versions set to 99",
             "cascade after_merge_of renamed",
@@ -443,6 +466,14 @@ class TestCli:
             for e in events:
                 if e["kind"] == "put_applied":
                     e["payload"]["version"] = 99
+        elif forgery == "data_resp senders set to Researcher":
+            for e in events:
+                if e["kind"] == "data_resp":
+                    e["payload"]["from"] = "Researcher"
+        elif forgery == "put_applied source_tables set to forged":
+            for e in events:
+                if e["kind"] == "put_applied":
+                    e["payload"]["source_table"] = "forged"
         elif forgery == "data_resp digest removed":
             del next(e for e in events if e["kind"] == "data_resp")["payload"]["digest"]
         elif forgery == "propose new_digests zeroed":

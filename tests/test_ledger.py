@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+import medsync.contract as contract
+import medsync.ledger as ledger
 from medsync.contract import (
     ContractState,
     DeployTx,
@@ -127,6 +131,21 @@ class TestProduceBlock:
         state, _, receipts = chain.produce_block(ContractState.empty(), 0)
         assert receipts[0].verdict.ok
         assert "D13" in state.entries
+
+    def test_block_copies_the_registry_once(self, monkeypatch):
+        metas = [replace(d23_meta(), shared_id=f"S{i}") for i in range(10)]
+        state, verdicts, _ = execute_block(ContractState.empty(), [DeployTx(m, "Doctor") for m in metas], 0)
+        assert all(v.ok for v in verdicts)
+        before = state.canonical_bytes()
+        built = []
+        for module in (contract, ledger):  # as defined, and as the executor calls it
+            monkeypatch.setattr(module, "ContractState", lambda *a: built.append(a) or ContractState(*a))
+        updates = [update(m.shared_id, "Researcher", {"a5"}, 0, "1") for m in metas]
+        after, verdicts, notes = execute_block(state, updates, 1)
+        assert all(v.ok for v in verdicts) and len(notes) == 10
+        assert [after.entries[m.shared_id].version for m in metas] == [1] * 10
+        assert len(built) == 1
+        assert state.canonical_bytes() == before  # the input state is not mutated
 
     def test_append_only(self, deployed):
         chain, state = deployed
