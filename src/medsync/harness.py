@@ -275,8 +275,8 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
         script.append(ScheduledAction(tick, principal, action))
 
     max_ticks = doc.get("config", {}).get("max_ticks", SimConfig.max_ticks)
-    if type(max_ticks) is not int:
-        raise ValidationError(f"config: max_ticks must be an integer, got {max_ticks!r}")
+    if type(max_ticks) is not int or max_ticks < 0:
+        raise ValidationError(f"config: max_ticks must be a non-negative integer, got {max_ticks!r}")
     return Scenario(
         name=doc.get("name", name),
         principals=principals,
@@ -790,7 +790,8 @@ class Report:
 
 def verify_convergence(world: World) -> Report:
     """Check that every share's two copies agree, match the contract digest,
-    and equal the view regenerated from each holder's source."""
+    and equal the view derived from each holder's whole source (the peers'
+    lens caches are not consulted)."""
     if not world.quiescent():
         raise NotQuiescent("verify_convergence requires a quiescent world")
     checks: list[CheckResult] = []
@@ -819,7 +820,7 @@ def verify_convergence(world: World) -> Report:
                     "" if ok else f"copy digest {copy.digest()[:12]} != contract digest",
                 )
             )
-            regenerated = world.peers[p].regenerate_view(sid)
+            regenerated = world.peers[p].derive_view(sid)
             ok = regenerated == copy
             checks.append(
                 CheckResult(

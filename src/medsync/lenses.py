@@ -13,14 +13,25 @@ hold on the source; under it the pair is well-behaved:
 
     get(put(source, view)) == view        (PutGet)
     put(source, get(source)) == source    (GetPut)
+
+Both directions are incremental (Horn, Perera & Cheney, "Incremental
+relational lenses", ICFP 2018). A `LensCache` holds the source a lens last
+saw, the view it derived, and, when several source rows can stand behind one
+view row, the source keys behind each view key. `get` re-derives the view rows
+only at the view keys of source rows that differ, by identity, from the cached
+source, and checks the dependency and the view-key cells only there; `put`
+visits only the source rows behind the view keys whose rows differ from the
+cached view. Without a cache both start from the empty table: a full `get` is
+the same computation with every source row new.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import itemgetter, ne
-from typing import Mapping, Optional
+from operator import is_not, itemgetter, ne
+from typing import Iterable, Mapping, Optional
 
 from .relational import (
     KeyConflict,
@@ -29,12 +40,12 @@ from .relational import (
     SchemaMismatch,
     Table,
     UnknownAttribute,
+    Value,
     _normalize_row,
-    tuple_getter,
 )
 
 
-_GONE = object()  # a cell no source row holds
+_ABSENT = object()  # a cell no row holds
 
 
 class LensError(Exception):
@@ -81,12 +92,15 @@ class LensSpec:
 
 @dataclass(frozen=True)
 class Lens:
-    """A compiled lens: spec plus derived view schema and insert capability."""
+    """A compiled lens: spec plus derived view schema, insert capability, and
+    whether a view row can stand for several source rows (the view key does
+    not cover the source key)."""
 
     spec: LensSpec
     source_schema: Schema
     view_schema: Schema
     inserts_allowed: bool
+    fans_out: bool
 
 
 def compile_lens(spec: LensSpec, source_schema: Schema) -> Lens:
@@ -107,39 +121,169 @@ def compile_lens(spec: LensSpec, source_schema: Schema) -> Lens:
         raise UnknownAttribute(f"lens {spec.lens_id!r} view key {outside} outside view attributes")
     view_schema = Schema(spec.view_attrs, spec.view_key)
     inserts_allowed = set(source_schema.key) <= set(spec.view_attrs)
-    return Lens(spec, source_schema, view_schema, inserts_allowed)
+    fans_out = not set(source_schema.key) <= set(spec.view_key)
+    return Lens(spec, source_schema, view_schema, inserts_allowed, fans_out)
 
 
-def _require_fd(lens: Lens, source: Table) -> None:
-    if source.schema != lens.source_schema:
+class LensCache:
+    """What one lens derived last: a source, its view, and the support index.
+
+    The support index maps each view key to the keys of the source rows that
+    carry it; it is kept only for a lens that fans out, since otherwise the
+    source key is part of the view key. `get` and `put` advance the cache to
+    the source they are given. A new cache holds the empty source and view.
+    """
+
+    __slots__ = ("source", "view", "support")
+
+    def __init__(self, lens: Lens, view_id: Optional[str] = None) -> None:
+        self.source = Table._derived(lens.spec.source_table_id, lens.source_schema, (), {})
+        self.view = Table._derived(view_id or lens.spec.lens_id, lens.view_schema, (), {})
+        self.support: Optional[defaultdict[tuple[Value, ...], list[tuple[Value, ...]]]] = (
+            defaultdict(list) if lens.fans_out else None
+        )
+
+
+def _view_rows(attrs: tuple[str, ...], cells: Iterable[tuple[Value, ...]]) -> list[Row]:
+    """View rows from their cells in `attrs` order."""
+    return list(map(dict, map(zip, repeat(attrs), cells)))
+
+
+def _fd_violation(lens: Lens, source: Table) -> FdViolation:
+    return FdViolation(
+        f"source {source.id!r} violates {lens.spec.view_key} -> {lens.spec.view_attrs} "
+        f"required by lens {lens.spec.lens_id!r}"
+    )
+
+
+def _at(attrs: tuple[str, ...], rows: Iterable[Mapping[str, Value]]) -> list[tuple[Value, ...]]:
+    """Each row's cells at `attrs` as a tuple, computed without a Python call per row."""
+    if len(attrs) == 1:
+        return list(zip(map(itemgetter(attrs[0]), rows)))
+    return list(map(itemgetter(*attrs), rows))
+
+
+def _touched(old: Table, new: Table) -> tuple[list, list[Row], list, list[Row]]:
+    """The keys and rows of the rows that left or changed, and of those that
+    arrived or changed, between two versions of a table.
+
+    A row that is the same object in both is unchanged; only the others are
+    looked at. Tables of equal length usually hold the same keys, so row i of
+    one is paired with row i of the other; the key index serves otherwise.
+    """
+    key_of = new.schema.key_of
+    if len(old.rows) == len(new.rows):
+        differs = list(map(is_not, old.rows, new.rows))
+        gone_rows, came_rows = list(compress(old.rows, differs)), list(compress(new.rows, differs))
+        gone_keys, came_keys = list(map(key_of, gone_rows)), list(map(key_of, came_rows))
+        if gone_keys == came_keys:
+            return gone_keys, gone_rows, came_keys, came_rows
+    old_rows, new_rows = old._by_key, new._by_key
+    if not old_rows:
+        return [], [], list(new_rows), list(new_rows.values())
+    left = list(map(is_not, map(new_rows.get, old_rows), old_rows.values()))
+    arrived = list(map(is_not, map(old_rows.get, new_rows), new_rows.values()))
+    return (
+        list(compress(old_rows, left)),
+        list(compress(old_rows.values(), left)),
+        list(compress(new_rows, arrived)),
+        list(compress(new_rows.values(), arrived)),
+    )
+
+
+def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
+    """Bring `cache` to `source`, re-deriving the view rows at the view keys of
+    the source rows that differ from the cached source.
+
+    Source rows that are the same object in both sources are unchanged, and so
+    is the view row they support. The dependency and the view-key cells are
+    checked on the view keys touched; the rest held when the cache derived them.
+    The cache changes only once every check has passed.
+    """
+    if source.schema is not lens.source_schema and source.schema != lens.source_schema:
         raise SchemaMismatch(
             f"table {source.id!r} does not match the source schema of lens {lens.spec.lens_id!r}"
         )
-    if not source.check_fd(lens.spec.view_key, lens.spec.view_attrs):
-        raise FdViolation(
-            f"source {source.id!r} violates {lens.spec.view_key} -> {lens.spec.view_attrs} "
-            f"required by lens {lens.spec.lens_id!r}"
-        )
+    if source is cache.source:
+        return
+    vattrs, support, new_rows = lens.spec.view_attrs, cache.support, source._by_key
+    gone_skeys, gone_rows, came_skeys, came_rows = _touched(cache.source, source)
+    if lens.spec.view_key == lens.source_schema.key:  # the view key is the source key
+        gone_keys, came_keys = gone_skeys, came_skeys
+    else:
+        gone_keys, came_keys = _at(lens.spec.view_key, gone_rows), _at(lens.spec.view_key, came_rows)
+    came_cells = _at(vattrs, came_rows)
+    if support is None:
+        # Each view row stands for one source row, so the dependency holds, and
+        # a view key no arriving row carries is no longer carried at all.
+        keys, cells = came_keys, came_cells
+        dropped = set(gone_keys).difference(came_keys) if gone_keys else ()
+    else:
+        # A view key keeps the cells its arriving rows agree on, or those of the
+        # rows that stay, which agreed when the cache was derived. The cells
+        # include the view key, so distinct cells mean distinct view rows.
+        arriving = dict(zip(came_keys, came_cells))
+        if len(arriving) != len(set(came_cells)):
+            raise _fd_violation(lens, source)
+        leaving: dict[tuple[Value, ...], set[tuple[Value, ...]]] = {}
+        for view_key, skey in zip(gone_keys, gone_skeys):
+            leaving.setdefault(view_key, set()).add(skey)
+        dropped = set()
+        for view_key, skeys in leaving.items():
+            staying = [skey for skey in support[view_key] if skey not in skeys]
+            if staying:
+                kept = _at(vattrs, [new_rows[staying[0]]])[0]
+                if arriving.setdefault(view_key, kept) != kept:
+                    raise _fd_violation(lens, source)
+            elif view_key not in arriving:
+                dropped.add(view_key)
+        for view_key in arriving.keys() - leaving.keys():
+            skeys = support.get(view_key)
+            if skeys and arriving[view_key] != _at(vattrs, [new_rows[skeys[0]]])[0]:
+                raise _fd_violation(lens, source)
+        keys, cells = list(arriving), list(arriving.values())
+    for attr in lens.spec.view_key:
+        if attr not in lens.source_schema.key and None in map(itemgetter(attr), came_rows):
+            raise SchemaMismatch(f"primary-key cell {attr!r} must not be null")
+
+    view = cache.view
+    at = view._by_key
+    if at:  # rebuild a view row only where its cells differ from the cached row's
+        absent = dict.fromkeys(vattrs, _ABSENT)
+        differs = list(map(ne, _at(vattrs, map(at.get, keys, repeat(absent))), cells))
+        keys, cells = compress(keys, differs), compress(cells, differs)
+    changes: dict[tuple[Value, ...], Optional[Row]] = dict(zip(keys, _view_rows(vattrs, cells)))
+    changes.update((k, None) for k in dropped if k in at)
+    if support is not None:
+        for view_key, skey in zip(gone_keys, gone_skeys):
+            skeys = support[view_key]
+            skeys.remove(skey)
+            if not skeys:
+                del support[view_key]
+        # support is a defaultdict(list): one C-level pass files every arriving key.
+        any(map(list.append, map(support.__getitem__, came_keys), came_skeys))
+    cache.source = source
+    if changes:
+        cache.view = view._spliced(view.id, changes)
 
 
-def get(lens: Lens, source: Table) -> Table:
+def get(lens: Lens, source: Table, cache: Optional[LensCache] = None) -> Table:
     """Project the source onto the view attributes, collapsing duplicates.
 
     The view is keyed by the lens view key; the functional-dependency
     precondition guarantees key uniqueness in the result. A view-key cell
     can be null only where the view key reaches outside the source key; such
-    a view is refused.
+    a view is refused. With a cache, only the view rows at the view keys of
+    source rows that differ from the cached source are derived again, and the
+    cache moves to `source`; the result carries the cache's view id.
     """
-    _require_fd(lens, source)
-    vattrs = lens.spec.view_attrs
-    rows = list(map(dict, map(zip, repeat(vattrs), source.project(vattrs))))
-    for a in lens.spec.view_key:
-        if a not in source.schema.key and any(r[a] is None for r in rows):
-            raise SchemaMismatch(f"primary-key cell {a!r} must not be null")
-    return Table._sorted(lens.spec.lens_id, lens.view_schema, rows)
+    if cache is None:
+        cache = LensCache(lens)
+    _advance(lens, cache, source)
+    return cache.view
 
 
-def put(lens: Lens, source: Table, view: Table) -> Table:
+def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = None) -> Table:
     """Embed an edited view back into the source.
 
     Destructive by design: a view row's cells overwrite every matching source
@@ -147,48 +291,55 @@ def put(lens: Lens, source: Table, view: Table) -> Table:
     rows whose view cells did not change are carried over as they are. Only
     inserted rows and rows whose source key was rewritten can break the source
     schema or its key, so only they are checked.
+
+    The view rows that differ are found against the cache's view of `source`,
+    by identity first, so only the source rows behind them are visited. The
+    cache then holds the result and `view` itself, which derived views share
+    rows with from then on.
     """
     if view.schema != lens.view_schema:
         raise SchemaMismatch(
             f"table {view.id!r} does not match the view schema of lens {lens.spec.lens_id!r}"
         )
-    _require_fd(lens, source)
+    if cache is None:
+        cache = LensCache(lens)
+    _advance(lens, cache, source)
 
     vattrs = lens.spec.view_attrs
     schema = source.schema
     key_of = schema.key_of
-    view_key_of = tuple_getter(lens.spec.view_key)
-    view_cells = itemgetter(*vattrs)
-    view_by_key = view._by_key
     rekeys = any(a in schema.key for a in vattrs if a not in lens.spec.view_key)
+    current, incoming = cache.view._by_key, view._by_key
+    # View rows that differ from the current view's: identity first, then value.
+    differ = [
+        (k, row)
+        for k, row in compress(incoming.items(), map(is_not, map(current.get, incoming), incoming.values()))
+        if row != current.get(k)
+    ]
+    added = [(k, row) for k, row in differ if k not in current]
+    removed = current.keys() - incoming.keys() if len(current) - len(incoming) + len(added) else ()
 
-    srows = source.rows
-    keys = list(map(view_key_of, srows))
-    gone = dict.fromkeys(vattrs, _GONE)  # stands for a view row that was dropped
-    vrows = list(map(view_by_key.get, keys, repeat(gone)))
-    slots: list[Optional[Row]] = list(srows)  # None where a source row leaves its place
-    by_key = dict(source._by_key)
-    moved: list[Row] = []  # rewritten source key or inserted: checked below
-    # Visit only the source rows whose view cells changed or whose view row is gone.
-    for i in compress(range(len(srows)), map(ne, map(view_cells, srows), map(view_cells, vrows))):
-        skey = key_of(srows[i])
-        if vrows[i] is gone:  # the view dropped this key: delete all source rows carrying it
-            slots[i] = None
-            del by_key[skey]
-            continue
-        merged = {**srows[i], **{a: vrows[i][a] for a in vattrs}}
-        if rekeys and key_of(merged) != skey:
-            slots[i] = None
-            del by_key[skey]
-            moved.append(merged)
-        else:
-            slots[i] = by_key[skey] = merged
-    rows = list(filter(None, slots))
+    def carriers(k: tuple[Value, ...]) -> list[tuple[Value, ...]]:
+        """The keys of the source rows carrying view key `k`, in key order."""
+        return sorted(cache.support[k]) if cache.support is not None else [key_of(current[k])]
 
-    matched = set(keys)
-    for k, vrow in view_by_key.items():
-        if k in matched:
+    changes: dict[tuple[Value, ...], Optional[Row]] = {}
+    rekeyed: list[tuple[tuple[Value, ...], Row]] = []  # (old source key, row): checked below
+    for k, vrow in differ:
+        if k not in current:
             continue
+        cells = {a: vrow[a] for a in vattrs}
+        for skey in carriers(k):
+            merged = {**source._by_key[skey], **cells}
+            if rekeys and key_of(merged) != skey:
+                changes[skey] = None
+                rekeyed.append((skey, merged))
+            else:
+                changes[skey] = merged
+    for k in removed:
+        changes.update(dict.fromkeys(carriers(k)))
+    moved = [row for _, row in sorted(rekeyed, key=itemgetter(0))]
+    for k, vrow in added:
         if not lens.inserts_allowed:
             raise InsertNotSupported(
                 f"lens {lens.spec.lens_id!r} cannot insert view row {k} into {source.id!r}: "
@@ -198,12 +349,15 @@ def put(lens: Lens, source: Table, view: Table) -> Table:
         padded.update({a: vrow[a] for a in vattrs})
         moved.append(padded)
 
-    if not moved:
-        return Table._derived(source.id, schema, tuple(rows), by_key)
-    moved = [_normalize_row(schema, r) for r in moved]
-    for row in moved:
+    for row in [_normalize_row(schema, row) for row in moved]:
         k = key_of(row)
-        if k in by_key:
+        if changes.get(k) is not None or (k not in changes and k in source._by_key):
             raise KeyConflict(f"duplicate primary key {k} in table {source.id!r}")
-        by_key[k] = row
-    return Table._sorted(source.id, schema, rows + moved)
+        changes[k] = row
+    result = source._spliced(source.id, changes) if changes else source
+    cache.view = view
+    if cache.support is None:  # one source row per view row: by PutGet, `view` is the view of `result`
+        cache.source = result
+    else:  # file the source rows put added, removed or re-keyed in the support index
+        _advance(lens, cache, result)
+    return result

@@ -7,16 +7,24 @@ an accepted receipt or on data fetched from the counterpart and verified
 against the contract digest. After merging a counterpart's update into a
 source table, the peer re-derives its other views over that source and
 proposes any that changed (the cascade).
+
+Each share keeps a lens cache: the source its view was last derived from, that
+view, and the lens's support index. Regenerating a view and merging fetched
+data advance the cache, so they cost what the edit touched, not the table
+size. The cache is working state only: it is not dumped, and verification
+derives every view from its whole source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import is_not
 from typing import Mapping, Optional, Union
 
 from .contract import Notification, Principal, RejectReason, SharedTableMetadata, UpdateTx
 from .ledger import Receipt
-from .lenses import Lens, LensSpec, compile_lens, get as lens_get, put as lens_put
+from .lenses import Lens, LensCache, LensSpec, compile_lens, get as lens_get, put as lens_put
 from .relational import Table, Value
 
 
@@ -102,15 +110,20 @@ class MergeOutcome:
 def changed_view_attrs(old: Table, new: Table) -> frozenset[str]:
     """Attributes that differ between two versions of a view, aligned on the key.
 
-    Rows present on only one side count as a change to every attribute.
+    Rows present on only one side count as a change to every attribute. Views
+    derived from one another share their unchanged row objects, so only the
+    rows that are not the same object are compared.
     """
     attrs = new.schema.attrs
-    if old._by_key.keys() != new._by_key.keys():
+    if len(old.rows) != len(new.rows):
         return frozenset(attrs)
+    key_of = new.schema.key_of
     changed: set[str] = set()
-    for orow, nrow in zip(old.rows, new.rows):  # same keys, so aligned
-        if orow != nrow:
-            changed.update(a for a in attrs if orow[a] != nrow[a])
+    # Both are sorted by key: with equal key sets, row i of one pairs with row i of the other.
+    for orow, nrow in compress(zip(old.rows, new.rows), map(is_not, old.rows, new.rows)):
+        if key_of(orow) != key_of(nrow):
+            return frozenset(attrs)
+        changed.update(a for a in attrs if orow[a] != nrow[a])
     return frozenset(changed)
 
 
@@ -133,6 +146,7 @@ class PeerNode:
         for shared_id in sorted(self.bindings):
             self._shares_of.setdefault(self.source_of(shared_id), []).append(shared_id)
         self.shared_copies: dict[str, Table] = {}
+        self._caches: dict[str, LensCache] = {}  # per share: what its lens last derived
         self.known_versions: dict[str, int] = {}
         self.pending: dict[str, PendingProposal] = {}
         self.outbox: list[Message] = []
@@ -182,10 +196,26 @@ class PeerNode:
         counterpart = self._binding(shared_id).counterpart
         self.outbox.append(DataRequest(shared_id, version, self.principal, counterpart))
 
-    def regenerate_view(self, shared_id: str) -> Table:
-        """Derive the current view for a share from the local source table."""
+    def _lens_cache(self, shared_id: str) -> tuple[Lens, LensCache]:
         lens = self.lenses[self._binding(shared_id).lens_id]
-        return lens_get(lens, self.tables[lens.spec.source_table_id]).with_id(shared_id)
+        cache = self._caches.get(shared_id)
+        if cache is None:
+            cache = self._caches[shared_id] = LensCache(lens, shared_id)
+        return lens, cache
+
+    def regenerate_view(self, shared_id: str) -> Table:
+        """Derive the current view for a share from the local source table.
+
+        Only the view rows the source edits since the last derivation touched
+        are derived again; the first call derives them all.
+        """
+        lens, cache = self._lens_cache(shared_id)
+        return lens_get(lens, self.tables[lens.spec.source_table_id], cache)
+
+    def derive_view(self, shared_id: str) -> Table:
+        """The share's view derived from the whole source table: a new cache, not the share's."""
+        lens = self.lenses[self._binding(shared_id).lens_id]
+        return lens_get(lens, self.tables[lens.spec.source_table_id], LensCache(lens, shared_id))
 
     def install_share(self, shared_id: str) -> Table:
         """Initialize the local copy of a share from the current source; version 0."""
@@ -309,7 +339,7 @@ class PeerNode:
         request is sent. After a merge, every other share derived from the same
         source is regenerated; views that changed become cascade proposals.
         """
-        binding = self._binding(resp.shared_id)
+        lens, cache = self._lens_cache(resp.shared_id)
         if resp.table.digest() != meta.content_digest or resp.version != meta.version:
             self._fetch(resp.shared_id, meta.version)
             return MergeOutcome(applied=False)
@@ -318,9 +348,8 @@ class PeerNode:
         self.shared_copies[resp.shared_id] = resp.table
         self.known_versions[resp.shared_id] = resp.version
 
-        lens = self.lenses[binding.lens_id]
         source_id = lens.spec.source_table_id
-        self.tables[source_id] = lens_put(lens, self.tables[source_id], resp.table)
+        self.tables[source_id] = lens_put(lens, self.tables[source_id], resp.table, cache)
 
         others = [sid for sid in self._shares_of[source_id] if sid != resp.shared_id]
         proposed = (self.regenerate_and_propose(sid) for sid in others)

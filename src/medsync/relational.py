@@ -9,9 +9,15 @@ bytes, and share one SHA-256 digest.
 Rows from outside the program (scenario files, dumps, a caller's rows and
 changes) are validated once, by the `Table(...)` constructor or by the CRUD
 operation that receives them. Tables the program derives from valid tables
-(CRUD results, `with_id`, lens `get` and `put`) skip that check: CRUD splices
-the one row it touches into the sorted rows and shares every other row with
-its input, so an edit costs one validated row plus two C-level copies.
+(CRUD results, `with_id`, lens `get` and `put`) skip that check: they splice
+the rows they change into the sorted rows (`_spliced`) and share every other
+row with their input, so an edit costs its validated rows plus C-level copies.
+
+A table's canonical JSON is a fixed prefix, its row fragments (each row's
+cells, encoded without brackets) joined by `],[`, and a fixed suffix. The
+first `digest()` of a table encodes all its rows in one encoder call and keeps
+one fragment per row; a table spliced from it shares the fragments of the rows
+it keeps and encodes only its new rows, so its digest joins and hashes.
 """
 
 from __future__ import annotations
@@ -27,15 +33,35 @@ Value = Optional[str]  # a cell: text, or None for null
 Row = dict[str, Value]
 
 ZERO_DIGEST = "0" * 64
+_ROW_SEP = b"],["  # between two row fragments in a table's canonical JSON
+
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 
 
 def canonical_json(obj: object) -> bytes:
     """Compact UTF-8 JSON with sorted keys; stable across runs and platforms."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return _encode(obj).encode("utf-8")
 
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _fragments(rows_json: bytes, rows: Sequence[Row], cells_of: Callable[[Row], tuple[Value, ...]]) -> list[bytes]:
+    """Each row's fragment in `rows_json`, the canonical JSON of `rows` as cell lists.
+
+    A fragment is a row's encoding without its brackets, so the list encodes as
+    `[[`, the fragments joined by `],[`, and `]]`. Splitting at `],[` yields
+    one piece per row unless a cell holds `],[` itself; then each row is
+    encoded on its own.
+    """
+    if not rows:
+        return []
+    fragments = rows_json[2:-2].split(_ROW_SEP)
+    if len(fragments) != len(rows):
+        fragments = [canonical_json(list(cells_of(row)))[1:-1] for row in rows]
+    return fragments
 
 
 def tuple_getter(attrs: Sequence[str]) -> Callable[[Mapping[str, Value]], tuple[Value, ...]]:
@@ -76,8 +102,10 @@ class Schema:
 
     attrs: tuple[str, ...]
     key: tuple[str, ...]
-    # Derived from `key`: maps a row to its primary-key tuple.
+    # Derived: maps a row to its primary-key tuple, and to its cells in `attrs` order.
     key_of: Callable[[Mapping[str, Value]], tuple[Value, ...]] = field(init=False, repr=False, compare=False)
+    cells_of: Callable[[Mapping[str, Value]], tuple[Value, ...]] = field(init=False, repr=False, compare=False)
+    _json: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         attrs = tuple(self.attrs)
@@ -99,9 +127,16 @@ class Schema:
         if missing:
             raise UnknownAttribute(f"key attributes not in schema: {missing}")
         object.__setattr__(self, "key_of", tuple_getter(key))
+        object.__setattr__(self, "cells_of", tuple_getter(attrs))
 
     def to_json_dict(self) -> dict:
         return {"attrs": list(self.attrs), "key": list(self.key)}
+
+    def canonical_bytes(self) -> bytes:
+        """`canonical_json(self.to_json_dict())`, encoded on first use and kept."""
+        if self._json is None:
+            object.__setattr__(self, "_json", canonical_json(self.to_json_dict()))
+        return self._json  # type: ignore[return-value]
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Schema":
@@ -135,15 +170,18 @@ class Table:
     it (`_derived`), and the operations below share unchanged row dicts with
     their input. Row dicts are owned by the table after construction; callers
     must not mutate them. All editing goes through the operations below, each
-    of which returns a new table. The digest is computed once per table.
+    of which returns a new table. The digest is computed once per table, and
+    with it the row fragments that tables spliced from this one share.
     """
 
     id: str
     schema: Schema
     rows: tuple[Row, ...] = ()
-    # Derived from `rows`: the rows by primary-key tuple, and the digest once computed.
+    # Derived from `rows`: the rows by primary-key tuple, the digest once computed,
+    # and each row's canonical JSON fragment, aligned with `rows`, once encoded.
     _by_key: dict[tuple[Value, ...], Row] = field(init=False, repr=False, compare=False)
     _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _frags: Optional[tuple[bytes, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         normalized = [_normalize_row(self.schema, r) for r in self.rows]
@@ -159,22 +197,64 @@ class Table:
 
     @classmethod
     def _derived(
-        cls, id: str, schema: Schema, rows: tuple[Row, ...], by_key: dict[tuple[Value, ...], Row]
+        cls,
+        id: str,
+        schema: Schema,
+        rows: tuple[Row, ...],
+        by_key: dict[tuple[Value, ...], Row],
+        frags: Optional[tuple[bytes, ...]] = None,
     ) -> "Table":
         """A table from rows already valid for `schema`, in key order, with `by_key` their index.
 
         Nothing is checked: the caller guarantees what `__post_init__` would.
-        The index may list its keys in any order.
+        The index may list its keys in any order; `frags`, if given, holds the
+        rows' fragments in row order.
         """
         table = object.__new__(cls)
-        table.__dict__.update(id=id, schema=schema, rows=rows, _by_key=by_key)
+        table.__dict__.update(id=id, schema=schema, rows=rows, _by_key=by_key, _frags=frags)
         return table
 
-    @classmethod
-    def _sorted(cls, id: str, schema: Schema, rows: Sequence[Row]) -> "Table":
-        """A table from valid rows with distinct keys, in any order; sorted and indexed only."""
-        by_key = dict(sorted(zip(map(schema.key_of, rows), rows), key=itemgetter(0)))
-        return cls._derived(id, schema, tuple(by_key.values()), by_key)
+    def _spliced(self, id: str, changes: Mapping[tuple[Value, ...], Optional[Row]]) -> "Table":
+        """This table under `id`, with the row at each key of `changes` replaced or
+        inserted, or deleted where the change is None.
+
+        The new rows must be valid for the schema, and every deleted key present.
+        The rows this keeps, and their fragments if this table holds them, are
+        shared; only the new rows are encoded.
+        """
+        if not self.rows:  # nothing to splice into: the new rows, sorted (keys are distinct)
+            by_key = dict(sorted(filter(itemgetter(1), changes.items())))
+            return Table._derived(id, self.schema, tuple(by_key.values()), by_key)
+        key_of, old, frags = self.schema.key_of, self._by_key, self._frags
+        by_key = dict(old)
+        rows: list[Row] = []
+        kept: list[Optional[bytes]] = []  # the fragments in row order, None for a new row
+        fresh: list[int] = []  # where the new rows land
+        pos = 0  # the old rows before `pos` are placed
+        for k in sorted(changes):
+            i = bisect_left(self.rows, k, lo=pos, key=key_of)
+            rows += self.rows[pos:i]
+            if frags is not None:
+                kept += frags[pos:i]
+            row = changes[k]
+            if row is None:
+                del by_key[k]
+            else:
+                by_key[k] = row
+                fresh.append(len(rows))
+                rows.append(row)
+                kept.append(None)
+            pos = i + 1 if k in old else i
+        rows += self.rows[pos:]
+        if frags is None:
+            return Table._derived(id, self.schema, tuple(rows), by_key)
+        kept += frags[pos:]
+        cells_of = self.schema.cells_of
+        new_rows = [rows[i] for i in fresh]
+        encoded = _fragments(canonical_json([list(cells_of(row)) for row in new_rows]), new_rows, cells_of)
+        for i, fragment in zip(fresh, encoded):
+            kept[i] = fragment
+        return Table._derived(id, self.schema, tuple(rows), by_key, tuple(kept))
 
     def _bind_key(self, key: Mapping[str, Value]) -> tuple[str, ...]:
         if set(key) != set(self.schema.key) or not all(isinstance(v, str) for v in key.values()):
@@ -182,10 +262,6 @@ class Table:
                 f"key must bind the primary-key attributes {self.schema.key} to strings, got {dict(key)}"
             )
         return tuple(key[k] for k in self.schema.key)  # type: ignore[return-value]
-
-    def _position(self, k: tuple[str, ...]) -> int:
-        """Where a row keyed `k` sits, or would sit, in the sorted rows."""
-        return bisect_left(self.rows, k, key=self.schema.key_of)
 
     def get_row(self, key: Mapping[str, Value]) -> Optional[Row]:
         """The row matching the key, or None. The result must not be mutated."""
@@ -197,9 +273,7 @@ class Table:
         k = self.schema.key_of(normalized)
         if k in self._by_key:
             raise KeyConflict(f"row with key {k} already in table {self.id!r}")
-        i = self._position(k)
-        by_key = {**self._by_key, k: normalized}
-        return Table._derived(self.id, self.schema, self.rows[:i] + (normalized,) + self.rows[i:], by_key)
+        return self._spliced(self.id, {k: normalized})
 
     def update_row(self, key: Mapping[str, Value], changes: Mapping[str, Value]) -> "Table":
         """Overwrite cells of the row matching `key`; key attributes are immutable."""
@@ -216,20 +290,14 @@ class Table:
             raise NotFound(f"no row with key {k} in table {self.id!r}")
         if not changes:
             return self
-        new_row = {**old, **changes}
-        i = self._position(k)
-        by_key = {**self._by_key, k: new_row}
-        return Table._derived(self.id, self.schema, self.rows[:i] + (new_row,) + self.rows[i + 1 :], by_key)
+        return self._spliced(self.id, {k: {**old, **changes}})
 
     def delete_row(self, key: Mapping[str, Value]) -> "Table":
         """Remove the row matching `key`."""
         k = self._bind_key(key)
         if k not in self._by_key:
             raise NotFound(f"no row with key {k} in table {self.id!r}")
-        i = self._position(k)
-        by_key = dict(self._by_key)
-        del by_key[k]
-        return Table._derived(self.id, self.schema, self.rows[:i] + self.rows[i + 1 :], by_key)
+        return self._spliced(self.id, {k: None})
 
     def project(self, attrs: Sequence[str]) -> frozenset[tuple[Value, ...]]:
         """Project onto `attrs` with set semantics: duplicate rows collapse."""
@@ -253,15 +321,15 @@ class Table:
         return len(set(map(tuple_getter(both), self.rows))) == len(set(map(tuple_getter(det), self.rows)))
 
     def with_id(self, new_id: str) -> "Table":
-        """The same table value under a different id; rows and index are shared."""
-        return Table._derived(new_id, self.schema, self.rows, self._by_key)
+        """The same table value under a different id; rows, index and fragments are shared."""
+        return Table._derived(new_id, self.schema, self.rows, self._by_key, self._frags)
 
     def to_json_dict(self) -> dict:
         """The persistence form: rows as value arrays in schema order, canonical row order."""
         return {
             "id": self.id,
             "schema": self.schema.to_json_dict(),
-            "rows": list(map(list, map(tuple_getter(self.schema.attrs), self.rows))),
+            "rows": list(map(list, map(self.schema.cells_of, self.rows))),
         }
 
     @classmethod
@@ -275,16 +343,33 @@ class Table:
         return cls(d["id"], schema, tuple(rows))
 
     def canonical_bytes(self) -> bytes:
-        """Deterministic serialization; equal tables yield identical bytes."""
-        return canonical_json(self.to_json_dict())
+        """Deterministic serialization; equal tables yield identical bytes.
+
+        Joins the row fragments where the table holds them, else encodes the table.
+        """
+        frags = self._frags
+        if frags is None:
+            return canonical_json(self.to_json_dict())
+        rows_json = b"[[" + _ROW_SEP.join(frags) + b"]]" if frags else b"[]"
+        schema_json = self.schema.canonical_bytes()
+        return b"".join((b'{"id":', canonical_json(self.id), b',"rows":', rows_json, b',"schema":', schema_json, b"}"))
 
     def digest(self) -> str:
         """SHA-256 over the canonical bytes; equal digests iff equal tables.
 
-        Computed on first use and kept on the table (the bytes are not kept).
+        Computed on first use and kept on the table, together with the row
+        fragments of a table that held none (the bytes themselves are not kept).
         """
         digest = self._digest
         if digest is None:
-            digest = sha256_hex(self.canonical_bytes())
+            data = self.canonical_bytes()
+            if self._frags is None:
+                # The rows sit between `{"id":<id>,"rows":` and the last `,"schema":`
+                # (a quote inside a string is escaped, so that key is not in one).
+                start = len(b'{"id":,"rows":') + len(canonical_json(self.id))
+                rows_json = data[start : data.rindex(b',"schema":')]
+                frags = _fragments(rows_json, self.rows, self.schema.cells_of)
+                object.__setattr__(self, "_frags", tuple(frags))
+            digest = sha256_hex(data)
             object.__setattr__(self, "_digest", digest)
         return digest

@@ -1,6 +1,7 @@
 """Tables the program derives (CRUD, `with_id`, lens `get` and `put`) skip the
 constructor's checks; these tests hold each of them to the table the checking
-constructor builds from the same rows, and count the work an edit does."""
+constructor builds from the same rows, hold the lens caches' delta `get` and
+`put` to a full recompute, and count the work an edit does."""
 
 from __future__ import annotations
 
@@ -10,14 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import medsync.lenses as lenses
 import medsync.peer as peer_module
 import medsync.relational as relational
 from conftest import iter_law_cases, make_edited_view, make_lens_case
-from medsync.contract import Verdict
+from medsync.contract import SharedTableMetadata, Verdict
 from medsync.ledger import Receipt
-from medsync.lenses import LensSpec, compile_lens, get, put
-from medsync.peer import Edit, PeerNode, ShareBinding
-from medsync.relational import KeyConflict, NotFound, Schema, SchemaMismatch, Table
+from medsync.lenses import FdViolation, LensCache, LensSpec, compile_lens, get, put
+from medsync.peer import DataResponse, Edit, PeerNode, ShareBinding
+from medsync.relational import (
+    KeyConflict,
+    NotFound,
+    Schema,
+    SchemaMismatch,
+    Table,
+    canonical_json,
+    sha256_hex,
+)
 
 
 def key_of(table: Table, row) -> tuple:
@@ -125,6 +135,117 @@ def test_lens_cases_cover_fan_out_deletes_inserts_and_rewritten_source_keys():
     assert seen >= {"update", "delete", "insert", "fan-out", "rewritten source key"}
 
 
+# --- delta get and put against a full recompute ------------------------------------
+#
+# A LensCache re-derives only the view rows at the view keys of the source rows
+# that changed. Random schemas and lenses (view keys inside and outside the
+# source key), random CRUD and put steps; after each step the cached view must
+# be what a get from the empty table derives, or both must refuse the source.
+
+DELTA_CELLS = ["a", "b", "x],[y", None]  # "],[" in a cell defeats the one-call fragment split
+DELTA_KEYS = ["p", "q", "r"]
+
+
+def make_delta_case(rng: random.Random):
+    n_attrs = rng.randint(2, 4)
+    attrs = tuple(f"c{i}" for i in range(n_attrs))
+    key = attrs[: rng.randint(1, n_attrs - 1)]
+    schema = Schema(attrs, key)
+    view_attrs = tuple(a for a in attrs if rng.random() < 0.6) or attrs[-1:]
+    view_key = tuple(a for a in view_attrs if rng.random() < 0.5) or view_attrs[:1]
+    lens = compile_lens(LensSpec("L", "s", view_attrs, view_key), schema)
+
+    def row():
+        return {a: rng.choice(DELTA_KEYS) if a in key else rng.choice(DELTA_CELLS) for a in attrs}
+
+    start = {tuple(r[k] for k in key): r for r in (row() for _ in range(rng.randint(0, 8)))}
+    steps = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.choice(["insert", "update", "update", "delete", "put", "put"])
+        changes = {a: rng.choice(DELTA_CELLS) for a in attrs if a not in key and rng.random() < 0.5}
+        steps.append((kind, row(), changes))
+    return lens, Table("s", schema, tuple(start.values())), steps
+
+
+def _outcome(fn):
+    """What a lens call returns, or the type of the lens or table error it raises."""
+    try:
+        return fn()
+    except (relational.RelationalError, lenses.LensError) as exc:
+        return type(exc)
+
+
+def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
+    """Apply `steps`, checking the cache against a full recompute after each; return what was seen."""
+    seen: set[str] = set()
+    view_key_of = relational.tuple_getter(lens.spec.view_key)
+    cache = LensCache(lens)
+    for kind, row, changes in [("start", None, None), *steps]:
+        key = {a: row[a] for a in source.schema.key} if row else None
+        before = source
+        if kind == "put":
+            try:
+                edited, _ = make_edited_view(rng, lens, cache.view)
+            except KeyConflict:  # the edit script reuses an inserted key across steps
+                continue
+            expected = _outcome(lambda: put(lens, source, edited))
+            result = _outcome(lambda: put(lens, source, edited, cache))
+            assert result == expected
+            if isinstance(result, type):
+                assert cache.source is source  # a refused put leaves the cache where it was
+                seen.add("refused put")
+                continue
+            source = result
+            seen.add("put")
+        elif kind != "start":
+            try:
+                if kind == "insert":
+                    source = source.insert_row(row)
+                elif kind == "update":
+                    source = source.update_row(key, changes)
+                else:
+                    source = source.delete_row(key)
+            except (KeyConflict, NotFound):
+                continue
+        full = _outcome(lambda: get(lens, source))
+        held = cache.source
+        delta = _outcome(lambda: get(lens, source, cache))
+        if isinstance(full, type):
+            # The touched rows break the dependency or null a view-key cell:
+            # the delta path refuses them too, and the cache stays as it was.
+            assert delta is full
+            assert cache.source is held
+            seen.add({FdViolation: "fd violation", SchemaMismatch: "null view key"}[full])
+            source = held  # carry on from the last source the lens accepted
+            continue
+        assert delta == full
+        assert delta.digest() == sha256_hex(canonical_json(delta.to_json_dict()))
+        assert_matches_reference(delta)
+        if len(source.rows) > len(delta.rows):
+            seen.add("fan-out")
+        if kind == "delete":
+            gone = view_key_of(before.get_row(key))
+            if not any(view_key_of(r) == gone for r in source.rows):
+                assert gone not in delta._by_key  # the group emptied: its view row is gone
+                seen.add("emptied group")
+    return seen
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_delta_get_and_put_match_a_full_recompute(seed):
+    rng = random.Random(seed)
+    run_delta_case(*make_delta_case(rng), rng)
+
+
+def test_delta_cases_cover_refusals_emptied_groups_puts_and_fan_out():
+    rng = random.Random(11)
+    seen: set[str] = set()
+    for _ in range(400):
+        seen |= run_delta_case(*make_delta_case(rng), rng)
+    assert seen >= {"fd violation", "null view key", "emptied group", "put", "refused put", "fan-out"}
+
+
 # Source keyed on `id`; the view is keyed on `tag` and carries `id`, so a view
 # edit can rewrite a source key, and inserts are allowed.
 TAGGED = Schema(("id", "tag", "note"), ("id",))
@@ -139,6 +260,16 @@ def test_get_refuses_a_null_view_key_cell():
     lens = compile_lens(LensSpec("L", "s", ("v",), ("v",)), schema)
     with pytest.raises(SchemaMismatch):
         get(lens, Table("s", schema, ({"k": "1", "v": None},)))
+
+
+def test_put_refuses_a_source_whose_view_get_refuses():
+    # put derives the source's current view first, so it no longer drops the
+    # rows whose view-key cell is null as if the incoming view had deleted them.
+    schema = Schema(("k", "v"), ("k",))
+    lens = compile_lens(LensSpec("L", "s", ("v",), ("v",)), schema)
+    source = Table("s", schema, ({"k": "1", "v": None}, {"k": "2", "v": "x"}))
+    with pytest.raises(SchemaMismatch):
+        put(lens, source, Table("L", lens.view_schema, ({"v": "x"},)))
 
 
 def test_put_refuses_a_rewritten_source_key_that_collides():
@@ -236,3 +367,116 @@ def test_an_accepted_receipt_on_an_unmoved_source_derives_no_view(monkeypatch):
     (follow_up,) = node.on_receipt(Receipt(tx, Verdict.accept(), "A"))
     assert len(calls) == 1
     assert follow_up.base_version == 2
+
+
+# --- cost shape: counted work of one edit on a 10,000-row table ----------------------
+
+# D3-like source keyed on (p, m); L31-like view keyed on the source key, and an
+# L32-like view keyed on m alone, so each of its rows stands for ten source rows.
+WIDE = Schema(("p", "m", "note", "dose", "mech"), ("p", "m"))
+BY_ROW = LensSpec("BY_ROW", "wide", ("p", "m", "note", "dose"), ("p", "m"))
+BY_MED = LensSpec("BY_MED", "wide", ("m", "mech"), ("m",))
+
+
+def wide_table() -> Table:
+    rows = (
+        {"p": f"P{i // 10:04d}", "m": f"M{i % 1000:03d}", "note": f"n{i}", "dose": f"d{i}", "mech": f"e{i % 1000}"}
+        for i in range(10_000)
+    )
+    return Table("wide", WIDE, tuple(rows))
+
+
+def wide_peer(name: str, counterpart: str) -> PeerNode:
+    lenses_ = {"BY_ROW": compile_lens(BY_ROW, WIDE), "BY_MED": compile_lens(BY_MED, WIDE)}
+    bindings = {"S": ShareBinding("S", "BY_ROW", counterpart), "T": ShareBinding("T", "BY_MED", counterpart)}
+    node = PeerNode(name, {"wide": wide_table()}, lenses_, bindings)
+    for sid in ("S", "T"):
+        node.install_share(sid).digest()  # as at genesis, where the contract records each digest
+    return node
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the view rows the lenses build, the row fragments encoded, and the rows spliced, per table."""
+    counts = {"view_rows": 0, "fragments": 0, "spliced": {}}
+    view_rows, fragments, spliced = lenses._view_rows, relational._fragments, relational.Table._spliced
+
+    def count_view_rows(attrs, cells):
+        rows = view_rows(attrs, cells)
+        counts["view_rows"] += len(rows)
+        return rows
+
+    def count_fragments(rows_json, rows, cells_of):
+        counts["fragments"] += len(rows)
+        return fragments(rows_json, rows, cells_of)
+
+    def count_spliced(table, id, changes):
+        counts["spliced"][id] = counts["spliced"].get(id, 0) + len(changes)
+        return spliced(table, id, changes)
+
+    monkeypatch.setattr(lenses, "_view_rows", count_view_rows)
+    monkeypatch.setattr(relational, "_fragments", count_fragments)
+    monkeypatch.setattr(relational.Table, "_spliced", count_spliced)
+    return counts
+
+
+def test_a_one_row_edit_and_proposal_build_and_encode_one_row(counted):
+    node = wide_peer("A", "B")
+    counted.update(view_rows=0, fragments=0, spliced={})
+    node.local_edit("wide", Edit("update", key={"p": "P0500", "m": "M000"}, changes={"note": "changed"}))
+    tx = node.regenerate_and_propose("S")
+    assert tx is not None and tx.changed_attrs == {"note"}
+    assert tx.new_digest == sha256_hex(canonical_json(node.pending["S"].view.to_json_dict()))
+    assert counted["view_rows"] <= 1
+    assert counted["fragments"] <= 1
+    assert counted["spliced"] == {"wide": 1, "S": 1}
+
+
+def test_a_merge_visits_the_rows_it_changes_and_a_quiet_cascade_builds_nothing(counted):
+    a, b = wide_peer("A", "B"), wide_peer("B", "A")
+    a.local_edit("wide", Edit("update", key={"p": "P0500", "m": "M000"}, changes={"dose": "changed"}))
+    tx = a.regenerate_and_propose("S")
+    a.on_receipt(Receipt(tx, Verdict.accept(), "A"))
+    view = a.read_shared("S")
+    meta = SharedTableMetadata(
+        shared_id="S",
+        view_schema=view.schema,
+        peers=frozenset({"A", "B"}),
+        perm={attr: frozenset({"A"}) for attr in view.schema.attrs},
+        authority="A",
+        version=1,
+        content_digest=view.digest(),
+    )
+    counted.update(view_rows=0, fragments=0, spliced={})
+    outcome = b.on_data_response(DataResponse("S", 1, view, "A", "B"), meta)
+    assert outcome.applied and outcome.cascade_txs == ()  # BY_MED does not carry `dose`
+    assert counted["spliced"] == {"wide": 1}  # put changed one source row; neither view was rebuilt
+    assert counted["view_rows"] == 0 and counted["fragments"] == 0
+    assert b.tables["wide"].get_row({"p": "P0500", "m": "M000"})["dose"] == "changed"
+    assert b.regenerate_view("S") is view  # the merged copy is the lens's view of the new source
+    assert b.regenerate_view("T") == get(compile_lens(BY_MED, WIDE), b.tables["wide"]).with_id("T")
+
+
+def test_a_fan_out_edit_checks_its_group_and_a_fan_out_merge_visits_one_group(counted):
+    a, b = wide_peer("A", "B"), wide_peer("B", "A")
+    a.local_edit("wide", Edit("update", key={"p": "P0000", "m": "M007"}, changes={"mech": "new"}))
+    counted.update(view_rows=0)
+    with pytest.raises(FdViolation):  # the other nine rows of M007 still say e7
+        a.regenerate_view("T")
+    assert counted["view_rows"] == 0
+    incoming = b.read_shared("T").update_row({"m": "M007"}, {"mech": "new"})
+    meta = SharedTableMetadata(
+        shared_id="T",
+        view_schema=incoming.schema,
+        peers=frozenset({"A", "B"}),
+        perm={attr: frozenset({"A"}) for attr in incoming.schema.attrs},
+        authority="A",
+        version=1,
+        content_digest=incoming.digest(),
+    )
+    counted.update(view_rows=0, fragments=0, spliced={})
+    outcome = b.on_data_response(DataResponse("T", 1, incoming, "A", "B"), meta)
+    assert outcome.applied and outcome.cascade_txs == ()  # BY_ROW does not carry `mech`
+    assert counted["spliced"] == {"wide": 10}  # the ten source rows behind M007
+    assert counted["view_rows"] == 0 and counted["fragments"] == 0
+    assert {r["mech"] for r in b.tables["wide"].rows if r["m"] == "M007"} == {"new"}

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import medsync.harness
+import medsync.lenses
 from conftest import BUNDLED_SCENARIOS, scenario_path
 from medsync.harness import (
     CascadeOverflow,
@@ -101,6 +102,8 @@ SCENARIO_ERRORS = {
     "max_ticks not a number": _set(("config", "max_ticks"), "abc"),
     # JSON values int() would coerce to 1
     "max_ticks true": _set(("config", "max_ticks"), True),
+    # a negative budget is a scenario error, not a run that fails at tick 0
+    "max_ticks negative": _set(("config", "max_ticks"), -5),
     "tick a fraction": _set(("script", 0, "tick"), 1.9),
     "tick a string": _set(("script", 0, "tick"), "1"),
     "tick true": _set(("script", 0, "tick"), True),
@@ -359,6 +362,49 @@ class TestVerifyConvergence:
         world = World(update_flow)  # script not yet executed
         with pytest.raises(NotQuiescent):
             verify_convergence(world)
+
+    # The peers' lens caches are working state. Verification derives every view
+    # from its whole source, so a cache that went wrong cannot vouch for itself.
+
+    def test_a_corrupt_cached_view_fails_copy_matches_source(self, update_flow):
+        world = run(update_flow)
+        doctor = world.peers["Doctor"]
+        copy = doctor.read_shared("D13")
+        assert doctor.regenerate_view("D13") is copy  # the held copy is the lens's cached view
+        row = copy.rows[0]
+        forged = copy.update_row({a: row[a] for a in copy.schema.key}, {"a4": "forged"})
+        doctor._caches["D13"].view = doctor.shared_copies["D13"] = forged
+        assert doctor.regenerate_view("D13") is forged  # the cache now agrees with the forged copy
+        failed = {c.check for c in verify_convergence(world).checks if not c.ok}
+        assert "copy-matches-source[Doctor]" in failed
+
+    def test_a_corrupt_support_index_fails_copy_matches_source(self, cascade_delete):
+        # The Researcher deletes MedX. The Doctor's support index for L32 is made
+        # to forget one of the two D3 rows behind MedX before the run, so its
+        # merge deletes only the other one.
+        world = World(cascade_delete)
+        support = world.peers["Doctor"]._caches["D23"].support
+        support[("MedX",)].remove(("P2", "MedX"))
+        world.run_to_quiescence()
+        assert world.peers["Doctor"].tables["D3"].get_row({"a0": "P2", "a1": "MedX"}) is not None
+        failed = {c.check for c in verify_convergence(world).checks if not c.ok}
+        assert "copy-matches-source[Doctor]" in failed
+
+    def test_a_reloaded_peer_derives_its_views_from_the_whole_source(self, tmp_path, update_flow, monkeypatch):
+        reloaded = load_dump(dump(run(update_flow), tmp_path / "d"))
+        built = []
+        view_rows = medsync.lenses._view_rows
+
+        def counted(attrs, cells):
+            rows = view_rows(attrs, cells)
+            built.extend(rows)
+            return rows
+
+        monkeypatch.setattr(medsync.lenses, "_view_rows", counted)
+        doctor = reloaded.peers["Doctor"]
+        view = doctor.regenerate_view("D13")
+        assert view == doctor.read_shared("D13")
+        assert len(built) == len(view.rows)  # nothing of the dumped copy was taken on trust
 
 
 class TestCli:
