@@ -171,11 +171,22 @@ def _parse_action(d: Mapping, where: str) -> Action:
     raise ValidationError(f"{where}: unknown action kind {kind!r}")
 
 
+_PLAIN = "a plain name (a non-empty string without / or \\, not . or ..)"
+
+
+def _plain(name: object) -> bool:
+    """True iff `name` is a string a dump can use as one path component."""
+    return isinstance(name, str) and name not in ("", ".", "..") and "/" not in name and "\\" not in name
+
+
 def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
     """Build and cross-validate a scenario from its parsed JSON form."""
+    name = doc.get("name", name)
+    if not isinstance(name, str):
+        raise ValidationError(f"name must be a string, got {name!r}")
     principals = tuple(doc.get("principals", ()))
-    if not principals or len({p for p in principals if isinstance(p, str)}) != len(principals):
-        raise ValidationError("principals must be a non-empty list of unique names")
+    if not principals or not all(map(_plain, principals)) or len(set(principals)) != len(principals):
+        raise ValidationError(f"principals must be a non-empty list of unique names, each {_PLAIN}")
 
     tables: dict[str, tuple[Table, ...]] = {}
     for p, docs in doc.get("tables", {}).items():
@@ -187,6 +198,8 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
                 built.append(Table.from_json_dict(td))
             except (RelationalError, KeyError, TypeError) as exc:
                 raise ValidationError(f"tables[{p}][{i}]: {exc}") from exc
+            if not _plain(built[-1].id):
+                raise ValidationError(f"tables[{p}][{i}]: the table id must be {_PLAIN}, got {built[-1].id!r}")
         ids = [t.id for t in built]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"tables[{p}]: duplicate table ids")
@@ -201,8 +214,10 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
         for i, ld in enumerate(docs):
             try:
                 spec = LensSpec.from_json_dict(ld)
-            except (KeyError, TypeError) as exc:
+            except (RelationalError, KeyError, TypeError) as exc:
                 raise ValidationError(f"lenses[{p}][{i}]: {exc}") from exc
+            if not (isinstance(spec.lens_id, str) and isinstance(spec.source_table_id, str)):
+                raise ValidationError(f"lenses[{p}][{i}]: lens_id and source must be strings")
             source = own_tables.get(spec.source_table_id)
             if source is None:
                 raise ValidationError(
@@ -236,6 +251,8 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
         names = [share.shared_id, share.deployer, share.authority, *(p for w in share.perm.values() for p in w)]
         if not all(isinstance(n, str) for n in names):
             raise ValidationError(f"{where}: shared_id, deployer, authority and perm entries must be strings")
+        if not _plain(share.shared_id):
+            raise ValidationError(f"{where}: the shared_id must be {_PLAIN}, got {share.shared_id!r}")
         for peer, lens_id in share.lens_by_peer.items():
             if peer not in principals:
                 raise ValidationError(f"{where}: unknown principal {peer!r}")
@@ -278,7 +295,7 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
     if type(max_ticks) is not int or max_ticks < 0:
         raise ValidationError(f"config: max_ticks must be a non-negative integer, got {max_ticks!r}")
     return Scenario(
-        name=doc.get("name", name),
+        name=name,
         principals=principals,
         tables=tables,
         lens_specs=lens_specs,
@@ -748,6 +765,8 @@ def load_dump(dump_dir: str | Path) -> World:
         world.clock, world.trace, world.chain, world.contract = manifest["clock"], trace, chain, contract
         for principal in manifest["principals"]:
             info = manifest["peers"][principal]
+            if not all(map(_plain, [principal, *info["tables"], *info["versions"]])):
+                raise ValidationError(f"world.json's principal, table and share names must each be {_PLAIN}")
             tables = {tid: read_table("tables", principal, f"{tid}.json") for tid in info["tables"]}
             copies = {sid: read_table("shared", principal, f"{sid}.json") for sid in info["versions"]}
             peer = PeerNode.from_json_dict(principal, info, tables, copies)

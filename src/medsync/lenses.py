@@ -18,11 +18,12 @@ Both directions are incremental (Horn, Perera & Cheney, "Incremental
 relational lenses", ICFP 2018). A `LensCache` holds the source a lens last
 saw, the view it derived, and, when several source rows can stand behind one
 view row, the source keys behind each view key. `get` re-derives the view rows
-only at the view keys of source rows that differ, by identity, from the cached
-source, and checks the dependency and the view-key cells only there; `put`
-visits only the source rows behind the view keys whose rows differ from the
-cached view. Without a cache both start from the empty table: a full `get` is
-the same computation with every source row new.
+only at the view keys of the source rows `Table.changes_since` reports against
+the cached source, and checks the dependency and the view-key cells only there;
+`put` takes the same diff of the incoming view against the cached view and
+visits only the source rows behind the view keys it reports. Without a cache
+both start from the empty table: a full `get` is the same computation with
+every source row new.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import is_not, itemgetter, ne
+from operator import itemgetter, ne
 from typing import Iterable, Mapping, Optional
 
 from .relational import (
@@ -42,6 +43,7 @@ from .relational import (
     UnknownAttribute,
     Value,
     _normalize_row,
+    names_of,
 )
 
 
@@ -87,7 +89,8 @@ class LensSpec:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "LensSpec":
-        return cls(d["lens_id"], d["source"], tuple(d["view_attrs"]), tuple(d["view_key"]))
+        view_attrs, view_key = names_of(d["view_attrs"], "view_attrs"), names_of(d["view_key"], "view_key")
+        return cls(d["lens_id"], d["source"], view_attrs, view_key)
 
 
 @dataclass(frozen=True)
@@ -163,34 +166,6 @@ def _at(attrs: tuple[str, ...], rows: Iterable[Mapping[str, Value]]) -> list[tup
     return list(map(itemgetter(*attrs), rows))
 
 
-def _touched(old: Table, new: Table) -> tuple[list, list[Row], list, list[Row]]:
-    """The keys and rows of the rows that left or changed, and of those that
-    arrived or changed, between two versions of a table.
-
-    A row that is the same object in both is unchanged; only the others are
-    looked at. Tables of equal length usually hold the same keys, so row i of
-    one is paired with row i of the other; the key index serves otherwise.
-    """
-    key_of = new.schema.key_of
-    if len(old.rows) == len(new.rows):
-        differs = list(map(is_not, old.rows, new.rows))
-        gone_rows, came_rows = list(compress(old.rows, differs)), list(compress(new.rows, differs))
-        gone_keys, came_keys = list(map(key_of, gone_rows)), list(map(key_of, came_rows))
-        if gone_keys == came_keys:
-            return gone_keys, gone_rows, came_keys, came_rows
-    old_rows, new_rows = old._by_key, new._by_key
-    if not old_rows:
-        return [], [], list(new_rows), list(new_rows.values())
-    left = list(map(is_not, map(new_rows.get, old_rows), old_rows.values()))
-    arrived = list(map(is_not, map(old_rows.get, new_rows), new_rows.values()))
-    return (
-        list(compress(old_rows, left)),
-        list(compress(old_rows.values(), left)),
-        list(compress(new_rows, arrived)),
-        list(compress(new_rows.values(), arrived)),
-    )
-
-
 def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
     """Bring `cache` to `source`, re-deriving the view rows at the view keys of
     the source rows that differ from the cached source.
@@ -207,7 +182,7 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
     if source is cache.source:
         return
     vattrs, support, new_rows = lens.spec.view_attrs, cache.support, source._by_key
-    gone_skeys, gone_rows, came_skeys, came_rows = _touched(cache.source, source)
+    gone_skeys, gone_rows, came_skeys, came_rows = source.changes_since(cache.source)
     if lens.spec.view_key == lens.source_schema.key:  # the view key is the source key
         gone_keys, came_keys = gone_skeys, came_skeys
     else:
@@ -292,8 +267,8 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
     inserted rows and rows whose source key was rewritten can break the source
     schema or its key, so only they are checked.
 
-    The view rows that differ are found against the cache's view of `source`,
-    by identity first, so only the source rows behind them are visited. The
+    The view rows that differ are found by `Table.changes_since` against the
+    cache's view of `source`, so only the source rows behind them are visited. The
     cache then holds the result and `view` itself, which derived views share
     rows with from then on.
     """
@@ -310,14 +285,10 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
     key_of = schema.key_of
     rekeys = any(a in schema.key for a in vattrs if a not in lens.spec.view_key)
     current, incoming = cache.view._by_key, view._by_key
-    # View rows that differ from the current view's: identity first, then value.
-    differ = [
-        (k, row)
-        for k, row in compress(incoming.items(), map(is_not, map(current.get, incoming), incoming.values()))
-        if row != current.get(k)
-    ]
-    added = [(k, row) for k, row in differ if k not in current]
-    removed = current.keys() - incoming.keys() if len(current) - len(incoming) + len(added) else ()
+    gone_keys, _, came_keys, came_rows = view.changes_since(cache.view)
+    edited = [(k, row) for k, row in zip(came_keys, came_rows) if row != current.get(k)]
+    added = [(k, row) for k, row in edited if k not in current]
+    removed = [k for k in gone_keys if k not in incoming]
 
     def carriers(k: tuple[Value, ...]) -> list[tuple[Value, ...]]:
         """The keys of the source rows carrying view key `k`, in key order."""
@@ -325,7 +296,7 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
 
     changes: dict[tuple[Value, ...], Optional[Row]] = {}
     rekeyed: list[tuple[tuple[Value, ...], Row]] = []  # (old source key, row): checked below
-    for k, vrow in differ:
+    for k, vrow in edited:
         if k not in current:
             continue
         cells = {a: vrow[a] for a in vattrs}

@@ -12,14 +12,13 @@ Each share keeps a lens cache: the source its view was last derived from, that
 view, and the lens's support index. Regenerating a view and merging fetched
 data advance the cache, so they cost what the edit touched, not the table
 size. The cache is working state only: it is not dumped, and verification
-derives every view from its whole source.
+derives every view from its whole source. A proposal's changed attributes come
+from the same diff of two table versions, `Table.changes_since`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import is_not
 from typing import Mapping, Optional, Union
 
 from .contract import Notification, Principal, RejectReason, SharedTableMetadata, UpdateTx
@@ -110,21 +109,16 @@ class MergeOutcome:
 def changed_view_attrs(old: Table, new: Table) -> frozenset[str]:
     """Attributes that differ between two versions of a view, aligned on the key.
 
-    Rows present on only one side count as a change to every attribute. Views
-    derived from one another share their unchanged row objects, so only the
-    rows that are not the same object are compared.
+    Rows present on only one side count as a change to every attribute; the
+    rows that changed in place are those `Table.changes_since` pairs up.
     """
     attrs = new.schema.attrs
     if len(old.rows) != len(new.rows):
         return frozenset(attrs)
-    key_of = new.schema.key_of
-    changed: set[str] = set()
-    # Both are sorted by key: with equal key sets, row i of one pairs with row i of the other.
-    for orow, nrow in compress(zip(old.rows, new.rows), map(is_not, old.rows, new.rows)):
-        if key_of(orow) != key_of(nrow):
-            return frozenset(attrs)
-        changed.update(a for a in attrs if orow[a] != nrow[a])
-    return frozenset(changed)
+    gone_keys, gone_rows, came_keys, came_rows = new.changes_since(old)
+    if gone_keys != came_keys:
+        return frozenset(attrs)
+    return frozenset(a for orow, nrow in zip(gone_rows, came_rows) for a in attrs if orow[a] != nrow[a])
 
 
 class PeerNode:

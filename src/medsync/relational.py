@@ -18,6 +18,10 @@ cells, encoded without brackets) joined by `],[`, and a fixed suffix. The
 first `digest()` of a table encodes all its rows in one encoder call and keeps
 one fragment per row; a table spliced from it shares the fragments of the rows
 it keeps and encodes only its new rows, so its digest joins and hashes.
+
+Because derived tables share their unchanged rows, two versions of a table
+differ only in the rows that are not the same object in both:
+`Table.changes_since` is the one diff the lenses and peers use.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ import hashlib
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import compress
+from operator import is_not, itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 Value = Optional[str]  # a cell: text, or None for null
@@ -140,7 +145,14 @@ class Schema:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Schema":
-        return cls(tuple(d["attrs"]), tuple(d["key"]))
+        return cls(names_of(d["attrs"], "schema attrs"), names_of(d["key"], "schema key"))
+
+
+def names_of(doc: object, what: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; a string would otherwise split into characters."""
+    if type(doc) is not list or not all(isinstance(name, str) for name in doc):
+        raise SchemaMismatch(f"{what} must be a list of strings, got {doc!r}")
+    return tuple(doc)
 
 
 def _normalize_row(schema: Schema, row: Mapping[str, Value]) -> Row:
@@ -255,6 +267,33 @@ class Table:
         for i, fragment in zip(fresh, encoded):
             kept[i] = fragment
         return Table._derived(id, self.schema, tuple(rows), by_key, tuple(kept))
+
+    def changes_since(self, old: "Table") -> tuple[list, list[Row], list, list[Row]]:
+        """Between `old` and this version of the table: the keys and rows of the
+        rows that left or changed, and the keys and rows of those that arrived
+        or changed.
+
+        A row that is the same object in both is unchanged; only the others are
+        looked at. Tables of equal length usually hold the same keys, so row i of
+        one is paired with row i of the other; the key index serves otherwise,
+        and walks the old rows only if the row counts show that a key vanished.
+        """
+        key_of = self.schema.key_of
+        if len(old.rows) == len(self.rows):
+            differs = list(map(is_not, old.rows, self.rows))
+            gone_rows, came_rows = list(compress(old.rows, differs)), list(compress(self.rows, differs))
+            gone_keys, came_keys = list(map(key_of, gone_rows)), list(map(key_of, came_rows))
+            if gone_keys == came_keys:
+                return gone_keys, gone_rows, came_keys, came_rows
+        old_rows, new_rows = old._by_key, self._by_key
+        if not old_rows:
+            return [], [], list(new_rows), list(new_rows.values())
+        came = list(compress(new_rows.items(), map(is_not, map(old_rows.get, new_rows), new_rows.values())))
+        came_keys, came_rows = [k for k, _ in came], [row for _, row in came]
+        gone_keys = [k for k in came_keys if k in old_rows]  # the rows replaced in place
+        if len(old_rows) - len(gone_keys) + len(came_keys) != len(new_rows):
+            gone_keys += old_rows.keys() - new_rows.keys()
+        return gone_keys, list(map(old_rows.__getitem__, gone_keys)), came_keys, came_rows
 
     def _bind_key(self, key: Mapping[str, Value]) -> tuple[str, ...]:
         if set(key) != set(self.schema.key) or not all(isinstance(v, str) for v in key.values()):

@@ -139,8 +139,10 @@ def test_lens_cases_cover_fan_out_deletes_inserts_and_rewritten_source_keys():
 #
 # A LensCache re-derives only the view rows at the view keys of the source rows
 # that changed. Random schemas and lenses (view keys inside and outside the
-# source key), random CRUD and put steps; after each step the cached view must
-# be what a get from the empty table derives, or both must refuse the source.
+# source key), random CRUD, replace (a delete and an insert) and put steps;
+# after each step the cached view must be what a get from the empty table
+# derives, or both must refuse the source. Each pair of table versions a step
+# diffs is also held to a reference diff by key and row identity.
 
 DELTA_CELLS = ["a", "b", "x],[y", None]  # "],[" in a cell defeats the one-call fragment split
 DELTA_KEYS = ["p", "q", "r"]
@@ -164,6 +166,7 @@ def make_delta_case(rng: random.Random):
         kind = rng.choice(["insert", "update", "update", "delete", "put", "put"])
         changes = {a: rng.choice(DELTA_CELLS) for a in attrs if a not in key and rng.random() < 0.5}
         steps.append((kind, row(), changes))
+    steps.append(("replace", steps[-1][1], {}))  # draws nothing, so the cases before it stay as they were
     return lens, Table("s", schema, tuple(start.values())), steps
 
 
@@ -173,6 +176,27 @@ def _outcome(fn):
         return fn()
     except (relational.RelationalError, lenses.LensError) as exc:
         return type(exc)
+
+
+def check_diff(old: Table, new: Table, seen: set[str]) -> None:
+    """`new.changes_since(old)` and `changed_view_attrs` against references built by key."""
+    gone_keys, gone_rows, came_keys, came_rows = new.changes_since(old)
+    old_items = {(k, id(row)) for k, row in old._by_key.items()}
+    new_items = {(k, id(row)) for k, row in new._by_key.items()}
+    assert len(gone_keys) == len(gone_rows) == len(set(gone_keys))
+    assert len(came_keys) == len(came_rows) == len(set(came_keys))
+    assert {(k, id(row)) for k, row in zip(gone_keys, gone_rows)} == old_items - new_items
+    assert {(k, id(row)) for k, row in zip(came_keys, came_rows)} == new_items - old_items
+    attrs = new.schema.attrs
+    if old._by_key.keys() != new._by_key.keys():
+        expected = frozenset(attrs)
+    else:
+        expected = frozenset(a for k, row in new._by_key.items() for a in attrs if old._by_key[k][a] != row[a])
+    assert peer_module.changed_view_attrs(old, new) == expected
+    if not old.rows and new.rows:
+        seen.add("empty old table")
+    if len(old.rows) == len(new.rows) and old._by_key.keys() != new._by_key.keys():
+        seen.add("equal-length insert and delete")
 
 
 def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
@@ -188,6 +212,7 @@ def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
                 edited, _ = make_edited_view(rng, lens, cache.view)
             except KeyConflict:  # the edit script reuses an inserted key across steps
                 continue
+            check_diff(cache.view, edited, seen)
             expected = _outcome(lambda: put(lens, source, edited))
             result = _outcome(lambda: put(lens, source, edited, cache))
             assert result == expected
@@ -203,12 +228,18 @@ def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
                     source = source.insert_row(row)
                 elif kind == "update":
                     source = source.update_row(key, changes)
+                elif kind == "replace":
+                    if not source.rows:
+                        continue
+                    first = {a: source.rows[0][a] for a in source.schema.key}
+                    source = source.delete_row(first).insert_row(row)
                 else:
                     source = source.delete_row(key)
             except (KeyConflict, NotFound):
                 continue
         full = _outcome(lambda: get(lens, source))
-        held = cache.source
+        held, held_view = cache.source, cache.view
+        check_diff(held, source, seen)
         delta = _outcome(lambda: get(lens, source, cache))
         if isinstance(full, type):
             # The touched rows break the dependency or null a view-key cell:
@@ -219,6 +250,7 @@ def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
             source = held  # carry on from the last source the lens accepted
             continue
         assert delta == full
+        check_diff(held_view, delta, seen)
         assert delta.digest() == sha256_hex(canonical_json(delta.to_json_dict()))
         assert_matches_reference(delta)
         if len(source.rows) > len(delta.rows):
@@ -243,7 +275,16 @@ def test_delta_cases_cover_refusals_emptied_groups_puts_and_fan_out():
     seen: set[str] = set()
     for _ in range(400):
         seen |= run_delta_case(*make_delta_case(rng), rng)
-    assert seen >= {"fd violation", "null view key", "emptied group", "put", "refused put", "fan-out"}
+    assert seen >= {
+        "fd violation",
+        "null view key",
+        "emptied group",
+        "put",
+        "refused put",
+        "fan-out",
+        "empty old table",
+        "equal-length insert and delete",
+    }
 
 
 # Source keyed on `id`; the view is keyed on `tag` and carries `id`, so a view

@@ -77,6 +77,18 @@ def _append_rows(**rows):
     return rewrite
 
 
+def _rename(old, new):
+    """A scenario rewrite that renames the principal `old` to `new` everywhere."""
+
+    def rewrite(doc):
+        doc.update(json.loads(json.dumps(doc).replace(json.dumps(old), json.dumps(new))))
+
+    return rewrite
+
+
+KV_TABLE = {"id": "KV", "schema": {"attrs": ["k", "v"], "key": ["k"]}, "rows": [["1", "x"]]}
+
+
 DUMP_FILES = ["chain.json", "contract.json", "tables/Doctor/D3.json", "trace.jsonl", "world.json"]
 
 SCENARIO_ERRORS = {
@@ -125,6 +137,19 @@ SCENARIO_ERRORS = {
     ),
     "principals mix a number and a name": _script(_grant("Doctor", "D23", "a5", ["Doctor", 1])),
     "principals a string": _script(_grant("Doctor", "D23", "a5", "Doctor")),
+    # names a dump turns into paths: one would write outside the dump directory,
+    # the other would not sort next to D1 when the peer is dumped
+    "principal a path": _rename("Researcher", "../../escaped_peer"),
+    "table id a number": lambda doc: doc["tables"]["Patient"].append({**doc["tables"]["Patient"][0], "id": 5}),
+    "name a number": _set(("name",), 5),
+    # a string where a list belongs would split into one-character attributes
+    "schema attrs a string": lambda doc: doc["tables"]["Patient"].append(
+        {**KV_TABLE, "schema": {"attrs": "kv", "key": "k"}}
+    ),
+    "lens view_attrs a string": lambda doc: (
+        doc["tables"]["Patient"].append(KV_TABLE),
+        doc["lenses"]["Patient"].append({"lens_id": "LKV", "source": "KV", "view_attrs": "kv", "view_key": ["k"]}),
+    ),
 }
 
 
@@ -546,16 +571,20 @@ class TestCli:
         assert main(["verify", str(dump_dir)]) == 1
         assert "[FAIL] trace-matches-chain" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("target", ["string tick", "list payload", "string clock"])
+    @pytest.mark.parametrize("target", ["string tick", "list payload", "string clock", "share name a path"])
     def test_dump_values_of_the_wrong_type_exit_2(self, tmp_path, capsys, target):
         from medsync.cli import main
 
         dump_dir = tmp_path / "dump"
         assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
-        if target == "string clock":
+        if target in ("string clock", "share name a path"):
             path = dump_dir / "world.json"
             doc = json.loads(path.read_text(encoding="utf-8"))
-            doc["clock"] = str(doc["clock"])
+            if target == "string clock":
+                doc["clock"] = str(doc["clock"])
+            else:  # the Doctor's copy would be read from the Researcher's directory
+                versions = doc["peers"]["Doctor"]["versions"]
+                versions["../Researcher/D23"] = versions.pop("D23")
             path.write_text(json.dumps(doc), encoding="utf-8")
         else:
             path = dump_dir / "trace.jsonl"
@@ -626,5 +655,6 @@ class TestCli:
         rewrite(doc)
         path = tmp_path / "broken.scenario.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["run", str(path)]) == 2
+        assert main(["run", str(path), "--dump", str(tmp_path / "out" / "d")]) == 2
         assert capsys.readouterr().err.startswith("scenario error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["broken.scenario.json"]  # nothing dumped
