@@ -246,6 +246,8 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
             )
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
+        if not isinstance(sd["peers"], dict):  # dict() would also take a list of pairs
+            raise ValidationError(f"{where}: peers must be an object from each peer to its lens")
         if len(share.lens_by_peer) != 2:
             raise ValidationError(f"{where}: a share has exactly two peers")
         names = [share.shared_id, share.deployer, share.authority, *(p for w in share.perm.values() for p in w)]

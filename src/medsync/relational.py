@@ -21,7 +21,16 @@ it keeps and encodes only its new rows, so its digest joins and hashes.
 
 Because derived tables share their unchanged rows, two versions of a table
 differ only in the rows that are not the same object in both:
-`Table.changes_since` is the one diff the lenses and peers use.
+`Table.changes_since` is the one diff the lenses and peers use. A splice also
+knows which keys it changed, so it logs them: the tables spliced one from the
+next share one change log (a line), each holding its position in it. Between
+two tables of one line, rows can differ only at the keys logged in between,
+and the diff looks up only those, so it costs the rows an edit touched. A
+branch (a splice from a table that is no longer the newest of its line) starts
+a new line, and so does a splice once its line has logged as many keys as the
+table has rows, which keeps a log O(rows). Any other pair of tables, such as a
+table from `Table(...)` or `with_id` against its successors, is diffed by
+scanning its rows. A log is bookkeeping, not part of any table's value.
 """
 
 from __future__ import annotations
@@ -194,6 +203,10 @@ class Table:
     _by_key: dict[tuple[Value, ...], Row] = field(init=False, repr=False, compare=False)
     _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     _frags: Optional[tuple[bytes, ...]] = field(default=None, init=False, repr=False, compare=False)
+    # The change log of the line of splices this table is on (None if it was not
+    # spliced), and how many of its keys were logged when this table was made.
+    _line: Optional[list[tuple[Value, ...]]] = field(default=None, init=False, repr=False, compare=False)
+    _at: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         normalized = [_normalize_row(self.schema, r) for r in self.rows]
@@ -215,15 +228,17 @@ class Table:
         rows: tuple[Row, ...],
         by_key: dict[tuple[Value, ...], Row],
         frags: Optional[tuple[bytes, ...]] = None,
+        line: Optional[list[tuple[Value, ...]]] = None,
+        at: int = 0,
     ) -> "Table":
         """A table from rows already valid for `schema`, in key order, with `by_key` their index.
 
         Nothing is checked: the caller guarantees what `__post_init__` would.
         The index may list its keys in any order; `frags`, if given, holds the
-        rows' fragments in row order.
+        rows' fragments in row order; `line` and `at` place it in a change log.
         """
         table = object.__new__(cls)
-        table.__dict__.update(id=id, schema=schema, rows=rows, _by_key=by_key, _frags=frags)
+        table.__dict__.update(id=id, schema=schema, rows=rows, _by_key=by_key, _frags=frags, _line=line, _at=at)
         return table
 
     def _spliced(self, id: str, changes: Mapping[tuple[Value, ...], Optional[Row]]) -> "Table":
@@ -233,10 +248,21 @@ class Table:
         The new rows must be valid for the schema, and every deleted key present.
         The rows this keeps, and their fragments if this table holds them, are
         shared; only the new rows are encoded.
+
+        This is the only code that writes a change log. A splice from the newest
+        table of a line logs the keys of `changes` and places the result after
+        them. A splice from an older table (a branch), from a table on no line,
+        or from a line that has logged as many keys as this table has rows
+        starts a new line at the result, so a log holds O(rows) keys.
         """
+        line = self._line
+        if line is not None and self._at == len(line) < len(self.rows):  # the newest, with room left
+            line += changes  # the keys of `changes`
+        else:
+            line = []
         if not self.rows:  # nothing to splice into: the new rows, sorted (keys are distinct)
             by_key = dict(sorted(filter(itemgetter(1), changes.items())))
-            return Table._derived(id, self.schema, tuple(by_key.values()), by_key)
+            return Table._derived(id, self.schema, tuple(by_key.values()), by_key, None, line, len(line))
         key_of, old, frags = self.schema.key_of, self._by_key, self._frags
         by_key = dict(old)
         rows: list[Row] = []
@@ -259,14 +285,14 @@ class Table:
             pos = i + 1 if k in old else i
         rows += self.rows[pos:]
         if frags is None:
-            return Table._derived(id, self.schema, tuple(rows), by_key)
+            return Table._derived(id, self.schema, tuple(rows), by_key, None, line, len(line))
         kept += frags[pos:]
         cells_of = self.schema.cells_of
         new_rows = [rows[i] for i in fresh]
         encoded = _fragments(canonical_json([list(cells_of(row)) for row in new_rows]), new_rows, cells_of)
         for i, fragment in zip(fresh, encoded):
             kept[i] = fragment
-        return Table._derived(id, self.schema, tuple(rows), by_key, tuple(kept))
+        return Table._derived(id, self.schema, tuple(rows), by_key, tuple(kept), line, len(line))
 
     def changes_since(self, old: "Table") -> tuple[list, list[Row], list, list[Row]]:
         """Between `old` and this version of the table: the keys and rows of the
@@ -274,10 +300,27 @@ class Table:
         or changed.
 
         A row that is the same object in both is unchanged; only the others are
-        looked at. Tables of equal length usually hold the same keys, so row i of
-        one is paired with row i of the other; the key index serves otherwise,
-        and walks the old rows only if the row counts show that a key vanished.
+        looked at. When `old` is on this table's line and not newer, the rows can
+        differ only at the keys logged since `old`, and only those are looked up,
+        in key order. Otherwise the rows are scanned: tables of equal length
+        usually hold the same keys, so row i of one is paired with row i of the
+        other; the key index serves otherwise, and walks the old rows only if the
+        row counts show that a key vanished.
         """
+        line, since = self._line, old._at
+        if line is not None and line is old._line and since <= self._at:
+            old_rows, new_rows = old._by_key, self._by_key
+            gone_keys, gone_rows, came_keys, came_rows = [], [], [], []
+            for k in sorted(set(line[since : self._at])):
+                gone, came = old_rows.get(k), new_rows.get(k)
+                if gone is not came:
+                    if gone is not None:
+                        gone_keys.append(k)
+                        gone_rows.append(gone)
+                    if came is not None:
+                        came_keys.append(k)
+                        came_rows.append(came)
+            return gone_keys, gone_rows, came_keys, came_rows
         key_of = self.schema.key_of
         if len(old.rows) == len(self.rows):
             differs = list(map(is_not, old.rows, self.rows))

@@ -142,7 +142,10 @@ def test_lens_cases_cover_fan_out_deletes_inserts_and_rewritten_source_keys():
 # source key), random CRUD, replace (a delete and an insert) and put steps;
 # after each step the cached view must be what a get from the empty table
 # derives, or both must refuse the source. Each pair of table versions a step
-# diffs is also held to a reference diff by key and row identity.
+# diffs is also held to a reference diff by key and row identity, and so is
+# the source against every earlier source of the case: along one line of
+# splices the diff reads the keys logged since the older version, across
+# lines (branches, restarts, `with_id` copies, `Table(...)` roots) it scans.
 
 DELTA_CELLS = ["a", "b", "x],[y", None]  # "],[" in a cell defeats the one-call fragment split
 DELTA_KEYS = ["p", "q", "r"]
@@ -193,6 +196,13 @@ def check_diff(old: Table, new: Table, seen: set[str]) -> None:
     else:
         expected = frozenset(a for k, row in new._by_key.items() for a in attrs if old._by_key[k][a] != row[a])
     assert peer_module.changed_view_attrs(old, new) == expected
+    if new._line is not None and new._line is old._line and old._at <= new._at:
+        assert gone_keys == sorted(gone_keys) and came_keys == sorted(came_keys)
+        seen.add("logged diff")
+    else:
+        seen.add("scanned diff")
+    if old._line is None:
+        seen.add("diff from a table on no line")
     if not old.rows and new.rows:
         seen.add("empty old table")
     if len(old.rows) == len(new.rows) and old._by_key.keys() != new._by_key.keys():
@@ -204,9 +214,12 @@ def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
     seen: set[str] = set()
     view_key_of = relational.tuple_getter(lens.spec.view_key)
     cache = LensCache(lens)
+    history = [source]  # every source the lens accepted, oldest first; a `Table(...)` root
+    adopted = False  # the cached view is the one the last put adopted
     for kind, row, changes in [("start", None, None), *steps]:
         key = {a: row[a] for a in source.schema.key} if row else None
         before = source
+        logged_keys = len(before._line) if before._line is not None and before._at == len(before._line) else None
         if kind == "put":
             try:
                 edited, _ = make_edited_view(rng, lens, cache.view)
@@ -220,7 +233,13 @@ def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
                 assert cache.source is source  # a refused put leaves the cache where it was
                 seen.add("refused put")
                 continue
+            if expected is not source and result is not source:  # two splices of one parent
+                check_diff(source, expected, seen)
+                check_diff(expected, result, seen)
+                check_diff(result, expected, seen)
+                seen.add("sibling diff")
             source = result
+            adopted = True
             seen.add("put")
         elif kind != "start":
             try:
@@ -237,9 +256,25 @@ def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
                     source = source.delete_row(key)
             except (KeyConflict, NotFound):
                 continue
+            if logged_keys is not None and logged_keys >= len(before.rows) and source is not before:
+                assert source._line is not before._line  # the log reached the row count
+                seen.add("restarted line")
+            if before.rows and source is not before:  # a second child of `before`, spliced after `source`
+                sibling = before.delete_row({a: before.rows[0][a] for a in before.schema.key})
+                check_diff(before, sibling, seen)
+                check_diff(source, sibling, seen)
+                check_diff(sibling, source, seen)
+                seen.add("sibling diff")
         full = _outcome(lambda: get(lens, source))
         held, held_view = cache.source, cache.view
         check_diff(held, source, seen)
+        for older in history:
+            check_diff(older, source, seen)
+            if older is not history[-1] and older._line is source._line is not None:
+                seen.add("logged diff across splices")
+        check_diff(source, history[-1], seen)  # backwards: the log serves forward diffs only
+        check_diff(history[-1], source.with_id("copy"), seen)
+        check_diff(source.with_id("copy"), source, seen)
         delta = _outcome(lambda: get(lens, source, cache))
         if isinstance(full, type):
             # The touched rows break the dependency or null a view-key cell:
@@ -251,6 +286,10 @@ def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
             continue
         assert delta == full
         check_diff(held_view, delta, seen)
+        if adopted:
+            seen.add("diff from an adopted view")
+            adopted = False
+        history.append(source)
         assert delta.digest() == sha256_hex(canonical_json(delta.to_json_dict()))
         assert_matches_reference(delta)
         if len(source.rows) > len(delta.rows):
@@ -284,6 +323,13 @@ def test_delta_cases_cover_refusals_emptied_groups_puts_and_fan_out():
         "fan-out",
         "empty old table",
         "equal-length insert and delete",
+        "logged diff",
+        "logged diff across splices",
+        "scanned diff",
+        "diff from a table on no line",
+        "restarted line",
+        "sibling diff",
+        "diff from an adopted view",
     }
 
 
@@ -438,8 +484,9 @@ def wide_peer(name: str, counterpart: str) -> PeerNode:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the view rows the lenses build, the row fragments encoded, and the rows spliced, per table."""
-    counts = {"view_rows": 0, "fragments": 0, "spliced": {}}
+    """Counts of the view rows the lenses build, the row fragments encoded, the
+    rows spliced, per table, and the row pairs a scanning diff compares."""
+    counts = {"view_rows": 0, "fragments": 0, "spliced": {}, "compared": 0}
     view_rows, fragments, spliced = lenses._view_rows, relational._fragments, relational.Table._spliced
 
     def count_view_rows(attrs, cells):
@@ -455,9 +502,14 @@ def counted(monkeypatch):
         counts["spliced"][id] = counts["spliced"].get(id, 0) + len(changes)
         return spliced(table, id, changes)
 
+    def count_compared(old_row, new_row):
+        counts["compared"] += 1
+        return old_row is not new_row
+
     monkeypatch.setattr(lenses, "_view_rows", count_view_rows)
     monkeypatch.setattr(relational, "_fragments", count_fragments)
     monkeypatch.setattr(relational.Table, "_spliced", count_spliced)
+    monkeypatch.setattr(relational, "is_not", count_compared)
     return counts
 
 
@@ -471,6 +523,48 @@ def test_a_one_row_edit_and_proposal_build_and_encode_one_row(counted):
     assert counted["view_rows"] <= 1
     assert counted["fragments"] <= 1
     assert counted["spliced"] == {"wide": 1, "S": 1}
+
+
+@pytest.mark.parametrize(
+    "edit, attrs",
+    [
+        (Edit("update", key={"p": "P0501", "m": "M010"}, changes={"dose": "again"}), {"dose"}),
+        (Edit("delete", key={"p": "P0501", "m": "M010"}), set(BY_ROW.view_attrs)),
+    ],
+    ids=["update", "delete"],
+)
+def test_a_one_row_edit_is_diffed_without_walking_the_table(counted, edit, attrs):
+    node = wide_peer("A", "B")
+    counted.update(compared=0)
+    # A table built by `Table(...)` is on no line of splices, so the first
+    # edit's source diff compares all 10,000 rows.
+    node.local_edit("wide", Edit("update", key={"p": "P0500", "m": "M000"}, changes={"note": "changed"}))
+    tx = node.regenerate_and_propose("S")
+    assert counted["compared"] >= 10_000
+    assert node.on_receipt(Receipt(tx, Verdict.accept(), "A")) == []
+    counted.update(compared=0)
+    node.local_edit("wide", edit)
+    tx = node.regenerate_and_propose("S")
+    assert tx is not None and tx.changed_attrs == attrs
+    assert counted["compared"] == 0  # the source and view diffs read the logged keys
+    assert node.pending["S"].view == get(compile_lens(BY_ROW, WIDE), node.tables["wide"]).with_id("S")
+
+
+def test_a_change_log_holds_at_most_a_table_of_keys():
+    table = Table("t", BIG, tuple({"k": f"r{i}", "v": "0", "w": None} for i in range(4)))
+    versions = [table]
+    for i in range(1000):
+        versions.append(versions[-1].update_row({"k": f"r{i % 4}"}, {"v": str(i)}))
+    lines = {id(t._line): t._line for t in versions[1:]}
+    assert max(map(len, lines.values())) <= len(table.rows)
+    assert len(lines) == 1000 // (len(table.rows) + 1)  # a line: its root and four logged splices
+    # across a restart the diff scans; along a line it reads the log
+    for old, new in [(versions[1], versions[-1]), (versions[-5], versions[-1]), (table, versions[2])]:
+        gone_keys, gone_rows, came_keys, came_rows = new.changes_since(old)
+        changed = sorted(k for k, row in new._by_key.items() if row is not old._by_key[k])
+        assert sorted(gone_keys) == sorted(came_keys) == changed
+        assert gone_rows == [old._by_key[k] for k in gone_keys]
+        assert came_rows == [new._by_key[k] for k in came_keys]
 
 
 def test_a_merge_visits_the_rows_it_changes_and_a_quiet_cascade_builds_nothing(counted):

@@ -106,6 +106,8 @@ SCENARIO_ERRORS = {
     "shared_id a number": _set(("shares", 0, "shared_id"), 5),
     # the Doctor's L32 derives (a1, a5), the Patient's L13 (a0, a1, a2, a4)
     "lenses derive different view shapes": _set(("shares", 0, "peers", "Doctor"), "L32"),
+    # dict() would read a list of [peer, lens] pairs as the object
+    "peers a list of pairs": _set(("shares", 0, "peers"), [["Patient", "L13"], ["Doctor", "L31"]]),
     "edit of a missing row": _script(_edit("Researcher", "D2", op="update", key={"a1": "MedZ"}, changes={})),
     "key not binding the primary key": _script(_edit("Researcher", "D2", op="delete", key={"a5": "MeA1"})),
     "insert row a string": _script(_edit("Researcher", "D2", op="insert", row="MedZ")),
