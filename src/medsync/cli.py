@@ -39,12 +39,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(line)
     print(f"quiescent after {world.clock} ticks, {len(world.chain.blocks)} blocks")
 
-    if args.dump:
-        dump(world, args.dump)
-        print(f"state dumped to {args.dump}")
-    if args.trace:
-        write_trace(world.trace, args.trace)
-        print(f"trace written to {args.trace}")
+    try:
+        if args.dump:
+            dump(world, args.dump)
+            print(f"state dumped to {args.dump}")
+        if args.trace:
+            write_trace(world.trace, args.trace)
+            print(f"trace written to {args.trace}")
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0 if report.ok else 1
 
 

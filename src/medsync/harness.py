@@ -403,7 +403,9 @@ def trace_mismatch(world: World) -> Optional[str]:
     block's transactions, in order. Each `data_req` and `data_resp` goes from
     its actor to the share's other peer; a `data_req` asks for a version the
     chain has registered, and a `data_resp` carries the digest the chain
-    registered for its share and version. Each `put_applied` follows a
+    registered for its share and version and answers an earlier `data_req`
+    of its recipient on that share that no other `data_resp` answered; no
+    `data_req` is left unanswered at the end. Each `put_applied` follows a
     `data_resp` to its actor for that share and version, and names the
     actor's source table of the share. Each `cascade` follows its actor's
     `put_applied` of `after_merge_of` in the same tick and comes right before
@@ -423,6 +425,7 @@ def trace_mismatch(world: World) -> Optional[str]:
     genesis = next(blocks)  # the deployments; genesis events are not traced
     state, _, _ = execute_block(ContractState.empty(), [tx for tx, _ in genesis.txs], genesis.tick)
     registered = {(sid, 0): e.content_digest for sid, e in state.entries.items()}  # (share, version) -> digest
+    requests: Counter = Counter()  # (requester, share) of data_req events not yet answered
     responses: Counter = Counter()  # (to, share, version) of data_resp events not yet applied
     merged: set[tuple[int, str, str]] = set()  # (tick, actor, share) of put_applied events
     proposed: list[tuple] = []  # the propose events since the last block event
@@ -457,9 +460,14 @@ def trace_mismatch(world: World) -> Optional[str]:
                 if event.kind == "data_resp":
                     if registered.get((sid, p["version"])) != p["digest"]:
                         return f"event {seq} carries a digest the chain does not register for its version"
+                    if not requests[p["to"], sid]:
+                        return f"event {seq} answers no unanswered data_req"
+                    requests[p["to"], sid] -= 1
                     responses[p["to"], sid, p["version"]] += 1
                 elif (sid, p["requested_version"]) not in registered:
                     return f"event {seq} requests a version the chain has not registered"
+                else:
+                    requests[event.actor, sid] += 1
             elif event.kind == "put_applied":
                 key = (event.actor, p["shared_id"], p["version"])
                 if not responses[key]:
@@ -484,6 +492,8 @@ def trace_mismatch(world: World) -> Optional[str]:
         seq += 1
     if proposed:
         return "the trace proposes transactions no block holds"
+    if any(requests.values()):
+        return "the trace leaves a data_req unanswered"
     missing = next(blocks, None)
     return None if missing is None else f"the trace ends before block {missing.index}"
 
@@ -747,7 +757,9 @@ def load_dump(dump_dir: str | Path) -> World:
     def read_trace() -> list[TraceEvent]:
         # A function of its own, so the text lines are freed before the tables load.
         path = root / "trace.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+        # Lines end at "\n" only: canonical JSON leaves U+2028, U+2029 and U+0085
+        # unescaped, and str.splitlines would split inside a string there.
+        lines = path.read_text(encoding="utf-8").split("\n") if path.exists() else []
         return [TraceEvent.from_json_dict(json.loads(line)) for line in lines if line.strip()]
 
     try:

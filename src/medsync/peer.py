@@ -14,10 +14,16 @@ data advance the cache, so they cost what the edit touched, not the table
 size. The cache is working state only: it is not dumped, and verification
 derives every view from its whole source. A proposal's changed attributes come
 from the same diff of two table versions, `Table.changes_since`.
+
+Each share also counts the data requests it has out, so that a stale response
+refetches only when it was the last one unanswered (`on_data_response`). Like
+the caches, the count is working state: not dumped, and zero in a reloaded,
+quiescent peer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -141,6 +147,7 @@ class PeerNode:
             self._shares_of.setdefault(self.source_of(shared_id), []).append(shared_id)
         self.shared_copies: dict[str, Table] = {}
         self._caches: dict[str, LensCache] = {}  # per share: what its lens last derived
+        self._unanswered: Counter[str] = Counter()  # per share: data requests sent and not yet answered
         self.known_versions: dict[str, int] = {}
         self.pending: dict[str, PendingProposal] = {}
         self.outbox: list[Message] = []
@@ -189,6 +196,7 @@ class PeerNode:
         """Ask the share's counterpart for `version` of the share (or a later one)."""
         counterpart = self._binding(shared_id).counterpart
         self.outbox.append(DataRequest(shared_id, version, self.principal, counterpart))
+        self._unanswered[shared_id] += 1
 
     def _lens_cache(self, shared_id: str) -> tuple[Lens, LensCache]:
         lens = self.lenses[self._binding(shared_id).lens_id]
@@ -329,13 +337,19 @@ class PeerNode:
     def on_data_response(self, resp: DataResponse, meta: SharedTableMetadata) -> MergeOutcome:
         """Verify fetched data against the contract entry and merge it into the source.
 
-        On a digest or version mismatch the response is discarded and a fresh
-        request is sent. After a merge, every other share derived from the same
-        source is regenerated; views that changed become cascade proposals.
+        On a digest or version mismatch the response is discarded. A fresh
+        request for the registered version is sent only if no other request
+        for the share is still unanswered; otherwise that request's answer is
+        awaited, and the last stale answer refetches, so a run cannot stall.
+        After a merge, every other share derived from the same source is
+        regenerated; views that changed become cascade proposals.
         """
+        # The count stays at zero for a response to no counted request.
+        unanswered = self._unanswered[resp.shared_id] = max(self._unanswered[resp.shared_id] - 1, 0)
         lens, cache = self._lens_cache(resp.shared_id)
         if resp.table.digest() != meta.content_digest or resp.version != meta.version:
-            self._fetch(resp.shared_id, meta.version)
+            if not unanswered:
+                self._fetch(resp.shared_id, meta.version)
             return MergeOutcome(applied=False)
 
         # The digest covers the id, so the check above proved it is the share's.

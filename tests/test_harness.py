@@ -89,6 +89,43 @@ def _rename(old, new):
 KV_TABLE = {"id": "KV", "schema": {"attrs": ["k", "v"], "key": ["k"]}, "rows": [["1", "x"]]}
 
 
+def _burst_scenario(burst_ticks):
+    """Doctor and Patient both update `a2` of one share every other tick, alternating who goes first."""
+    schema = {"attrs": ["a0", "a2"], "key": ["a0"]}
+    rows = [["P1", "note0"], ["P2", "note0"]]
+    script = []
+    for j in range(0, burst_ticks, 2):
+        for who in ("Doctor", "Patient") if j // 2 % 2 else ("Patient", "Doctor"):
+            table = {"Doctor": "D3", "Patient": "D1"}[who]
+            edit = {"kind": "edit", "table": table, "op": "update", "key": {"a0": "P1"}, "changes": {"a2": f"{who}{j}"}}
+            script.append({"tick": 1 + j, "principal": who, "action": edit})
+            script.append({"tick": 1 + j, "principal": who, "action": {"kind": "propose", "shared_id": "D13"}})
+    doc = {
+        "name": "burst",
+        "principals": ["Doctor", "Patient"],
+        "tables": {
+            "Patient": [{"id": "D1", "schema": schema, "rows": rows}],
+            "Doctor": [{"id": "D3", "schema": schema, "rows": rows}],
+        },
+        "lenses": {
+            "Patient": [{"lens_id": "L13", "source": "D1", "view_attrs": ["a0", "a2"], "view_key": ["a0"]}],
+            "Doctor": [{"lens_id": "L31", "source": "D3", "view_attrs": ["a0", "a2"], "view_key": ["a0"]}],
+        },
+        "shares": [
+            {
+                "shared_id": "D13",
+                "deployer": "Doctor",
+                "authority": "Doctor",
+                "peers": {"Patient": "L13", "Doctor": "L31"},
+                "perm": {"a0": ["Doctor"], "a2": ["Doctor", "Patient"]},
+            }
+        ],
+        "script": script,
+        "config": {"max_ticks": 4 * burst_ticks},
+    }
+    return scenario_from_json_dict(doc, "burst")
+
+
 DUMP_FILES = ["chain.json", "contract.json", "tables/Doctor/D3.json", "trace.jsonl", "world.json"]
 
 SCENARIO_ERRORS = {
@@ -343,6 +380,25 @@ class TestRun:
         with pytest.raises(MaxTicksExceeded, match="messages in flight"):
             world.run_to_quiescence()
 
+    def test_stale_refetches_stay_bounded_through_a_burst(self):
+        # A data_req opens a request for its actor; a data_resp closes one for its recipient.
+        data_reqs = {}
+        for burst_ticks in (10, 20):
+            world = run(_burst_scenario(burst_ticks))
+            assert verify_convergence(world).ok
+            assert medsync.harness.trace_mismatch(world) is None
+            unanswered, peak = Counter(), 0
+            for e in world.trace:
+                if e.kind == "data_req":
+                    unanswered[e.actor, e.payload["shared_id"]] += 1
+                    peak = max(peak, unanswered[e.actor, e.payload["shared_id"]])
+                elif e.kind == "data_resp":
+                    unanswered[e.payload["to"], e.payload["shared_id"]] -= 1
+            assert peak <= 3, f"{peak} data requests in flight for one share in a {burst_ticks}-tick burst"
+            data_reqs[burst_ticks] = sum(e.kind == "data_req" for e in world.trace)
+        # Twice the burst, about twice the requests; one refetch per stale answer would give four times.
+        assert data_reqs[20] <= 2.5 * data_reqs[10], data_reqs
+
 
 class TestDump:
     def test_dump_reload_dump_is_byte_identical(self, tmp_path, update_flow):
@@ -509,6 +565,9 @@ class TestCli:
             "data_req versions set to 99",
             "cascade after_merge_of renamed",
             "edit tables renamed to forged",
+            "data_req dropped",
+            "data_req duplicated",
+            "data_resp duplicated",
         ],
     )
     def test_forged_trace_fails_verify(self, tmp_path, capsys, forgery):
@@ -565,6 +624,12 @@ class TestCli:
             for e in events:
                 if e["kind"] == "edit":
                     e["payload"]["table"] = "forged"
+        elif forgery in ("data_req dropped", "data_req duplicated", "data_resp duplicated"):
+            kind, change = forgery.split()
+            at = next(i for i, e in enumerate(events) if e["kind"] == kind)
+            events[at : at + 1] = [] if change == "dropped" else [events[at], dict(events[at])]
+            for seq, e in enumerate(events):
+                e["seq"] = seq
         else:
             note = next(e for e in events if e["kind"] == "notify")
             note["payload"]["to"] = note["payload"]["from"]
@@ -572,6 +637,30 @@ class TestCli:
         capsys.readouterr()
         assert main(["verify", str(dump_dir)]) == 1
         assert "[FAIL] trace-matches-chain" in capsys.readouterr().out
+
+    def test_line_separators_in_cells_survive_a_dump(self, tmp_path, capsys):
+        from medsync.cli import main
+
+        # canonical JSON writes U+2028 unescaped; the trace reader must not split there
+        text = Path(scenario_path("update_flow")).read_text(encoding="utf-8")
+        assert text.count('"MeA2"') == 1
+        path = tmp_path / "separated.scenario.json"
+        path.write_text(text.replace('"MeA2"', '"Me\\u2028A2"'), encoding="utf-8")
+        dump_dir = str(tmp_path / "dump")
+        assert main(["run", str(path), "--dump", dump_dir]) == 0
+        assert "\u2028" in (tmp_path / "dump" / "trace.jsonl").read_text(encoding="utf-8")
+        assert main(["verify", dump_dir]) == 0
+
+    @pytest.mark.parametrize("option", ["--dump", "--trace"])
+    def test_unwritable_output_exits_2_without_traceback(self, tmp_path, capsys, option):
+        from medsync.cli import main
+
+        regular = tmp_path / "regular"
+        regular.write_text("", encoding="utf-8")
+        # a dump directory inside a regular file; a trace file that is a directory
+        target = regular / "x" if option == "--dump" else tmp_path
+        assert main(["run", scenario_path("update_flow"), option, str(target)]) == 2
+        assert capsys.readouterr().err.startswith("cannot write ")
 
     @pytest.mark.parametrize("target", ["string tick", "list payload", "string clock", "share name a path"])
     def test_dump_values_of_the_wrong_type_exit_2(self, tmp_path, capsys, target):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import D3_SCHEMA, L31_SPEC, L32_SPEC, ROW1, ROW2, ROW3
@@ -281,6 +283,33 @@ class TestOnDataResponse:
         (req,) = node.outbox
         assert isinstance(req, DataRequest)
         assert req.requested_version == 1
+
+    def two_requests_out(self) -> tuple[PeerNode, DataResponse, SharedTableMetadata]:
+        """A Doctor notified of D23 versions 1 and 2, and version 1's answer, now stale."""
+        node = doctor()
+        for version in (1, 2):
+            node.on_notification(Notification("D23", version, frozenset({"a5"}), "Researcher", "Doctor"))
+        node.outbox.clear()
+        incoming = node.read_shared("D23").update_row({"a1": "MedX"}, {"a5": "MeA2"})
+        newest = incoming.update_row({"a1": "MedX"}, {"a5": "MeA3"})
+        meta = replace(meta_for(node, "D23", version=2), content_digest=newest.digest())
+        return node, DataResponse("D23", 1, incoming, "Researcher", "Doctor"), meta
+
+    def test_stale_response_with_another_request_out_sends_nothing(self):
+        node, resp, meta = self.two_requests_out()
+        assert not node.on_data_response(resp, meta).applied
+        assert node.outbox == []  # the request for version 2 is still out
+
+    @pytest.mark.parametrize("mismatch", ["stale version", "digest"])
+    def test_last_unanswered_response_refetches_once(self, mismatch):
+        node, resp, meta = self.two_requests_out()
+        node.on_data_response(resp, meta)
+        if mismatch == "digest":
+            resp = DataResponse("D23", 2, resp.table, "Researcher", "Doctor")
+        assert not node.on_data_response(resp, meta).applied
+        (req,) = node.outbox
+        assert isinstance(req, DataRequest)
+        assert (req.shared_id, req.requested_version, req.to) == ("D23", meta.version, "Researcher")
 
 
 class TestReadShared:
