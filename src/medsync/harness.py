@@ -46,7 +46,7 @@ from .peer import (
     ShareBinding,
     UnknownShare,
 )
-from .relational import RelationalError, Table, canonical_json
+from .relational import RelationalError, Table, canonical_json, names_of
 
 
 class ScenarioError(Exception):
@@ -184,7 +184,10 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
     name = doc.get("name", name)
     if not isinstance(name, str):
         raise ValidationError(f"name must be a string, got {name!r}")
-    principals = tuple(doc.get("principals", ()))
+    try:
+        principals = names_of(doc.get("principals", []), "principals")
+    except RelationalError as exc:
+        raise ValidationError(str(exc)) from exc
     if not principals or not all(map(_plain, principals)) or len(set(principals)) != len(principals):
         raise ValidationError(f"principals must be a non-empty list of unique names, each {_PLAIN}")
 
@@ -242,17 +245,16 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
                 deployer=sd["deployer"],
                 authority=sd["authority"],
                 lens_by_peer=dict(sd["peers"]),
-                perm={a: frozenset(p) for a, p in sd["perm"].items()},
+                perm={a: frozenset(names_of(p, f"perm[{a}]")) for a, p in sd["perm"].items()},
             )
-        except (KeyError, TypeError) as exc:
+        except (RelationalError, KeyError, TypeError) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
         if not isinstance(sd["peers"], dict):  # dict() would also take a list of pairs
             raise ValidationError(f"{where}: peers must be an object from each peer to its lens")
         if len(share.lens_by_peer) != 2:
             raise ValidationError(f"{where}: a share has exactly two peers")
-        names = [share.shared_id, share.deployer, share.authority, *(p for w in share.perm.values() for p in w)]
-        if not all(isinstance(n, str) for n in names):
-            raise ValidationError(f"{where}: shared_id, deployer, authority and perm entries must be strings")
+        if not all(isinstance(n, str) for n in (share.shared_id, share.deployer, share.authority)):
+            raise ValidationError(f"{where}: shared_id, deployer and authority must be strings")
         if not _plain(share.shared_id):
             raise ValidationError(f"{where}: the shared_id must be {_PLAIN}, got {share.shared_id!r}")
         for peer, lens_id in share.lens_by_peer.items():

@@ -140,8 +140,8 @@ class LensCache:
     __slots__ = ("source", "view", "support")
 
     def __init__(self, lens: Lens, view_id: Optional[str] = None) -> None:
-        self.source = Table._derived(lens.spec.source_table_id, lens.source_schema, (), {})
-        self.view = Table._derived(view_id or lens.spec.lens_id, lens.view_schema, (), {})
+        self.source = Table.empty(lens.spec.source_table_id, lens.source_schema)
+        self.view = Table.empty(view_id or lens.spec.lens_id, lens.view_schema)
         self.support: Optional[defaultdict[tuple[Value, ...], list[tuple[Value, ...]]]] = (
             defaultdict(list) if lens.fans_out else None
         )
@@ -181,7 +181,7 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
         )
     if source is cache.source:
         return
-    vattrs, support, new_rows = lens.spec.view_attrs, cache.support, source._by_key
+    vattrs, support = lens.spec.view_attrs, cache.support
     gone_skeys, gone_rows, came_skeys, came_rows = source.changes_since(cache.source)
     if lens.spec.view_key == lens.source_schema.key:  # the view key is the source key
         gone_keys, came_keys = gone_skeys, came_skeys
@@ -197,7 +197,7 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
         # A view key keeps the cells its arriving rows agree on, or those of the
         # rows that stay, which agreed when the cache was derived. The cells
         # include the view key, so distinct cells mean distinct view rows.
-        arriving = dict(zip(came_keys, came_cells))
+        arriving, source_row = dict(zip(came_keys, came_cells)), source.lookup()
         if len(arriving) != len(set(came_cells)):
             raise _fd_violation(lens, source)
         leaving: dict[tuple[Value, ...], set[tuple[Value, ...]]] = {}
@@ -207,14 +207,14 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
         for view_key, skeys in leaving.items():
             staying = [skey for skey in support[view_key] if skey not in skeys]
             if staying:
-                kept = _at(vattrs, [new_rows[staying[0]]])[0]
+                kept = _at(vattrs, [source_row(staying[0])])[0]
                 if arriving.setdefault(view_key, kept) != kept:
                     raise _fd_violation(lens, source)
             elif view_key not in arriving:
                 dropped.add(view_key)
         for view_key in arriving.keys() - leaving.keys():
             skeys = support.get(view_key)
-            if skeys and arriving[view_key] != _at(vattrs, [new_rows[skeys[0]]])[0]:
+            if skeys and arriving[view_key] != _at(vattrs, [source_row(skeys[0])])[0]:
                 raise _fd_violation(lens, source)
         keys, cells = list(arriving), list(arriving.values())
     for attr in lens.spec.view_key:
@@ -222,13 +222,13 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
             raise SchemaMismatch(f"primary-key cell {attr!r} must not be null")
 
     view = cache.view
-    at = view._by_key
-    if at:  # rebuild a view row only where its cells differ from the cached row's
+    at = view.lookup()
+    if len(view):  # rebuild a view row only where its cells differ from the cached row's
         absent = dict.fromkeys(vattrs, _ABSENT)
-        differs = list(map(ne, _at(vattrs, map(at.get, keys, repeat(absent))), cells))
+        differs = list(map(ne, _at(vattrs, map(at, keys, repeat(absent))), cells))
         keys, cells = compress(keys, differs), compress(cells, differs)
     changes: dict[tuple[Value, ...], Optional[Row]] = dict(zip(keys, _view_rows(vattrs, cells)))
-    changes.update((k, None) for k in dropped if k in at)
+    changes.update((k, None) for k in dropped if at(k) is not None)
     if support is not None:
         for view_key, skey in zip(gone_keys, gone_skeys):
             skeys = support[view_key]
@@ -270,7 +270,7 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
     The view rows that differ are found by `Table.changes_since` against the
     cache's view of `source`, so only the source rows behind them are visited. The
     cache then holds the result and `view` itself, which derived views share
-    rows with from then on.
+    chunks with from then on.
     """
     if view.schema != lens.view_schema:
         raise SchemaMismatch(
@@ -284,11 +284,13 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
     schema = source.schema
     key_of = schema.key_of
     rekeys = any(a in schema.key for a in vattrs if a not in lens.spec.view_key)
-    current, incoming = cache.view._by_key, view._by_key
-    gone_keys, _, came_keys, came_rows = view.changes_since(cache.view)
-    edited = [(k, row) for k, row in zip(came_keys, came_rows) if row != current.get(k)]
+    gone_keys, gone_rows, came_keys, came_rows = view.changes_since(cache.view)
+    current = dict(zip(gone_keys, gone_rows))  # the cached view's rows where `view` differs
+    came = dict(zip(came_keys, came_rows))
+    edited = [(k, row) for k, row in came.items() if row != current.get(k)]
     added = [(k, row) for k, row in edited if k not in current]
-    removed = [k for k in gone_keys if k not in incoming]
+    removed = [k for k in current if k not in came]
+    source_row = source.lookup()
 
     def carriers(k: tuple[Value, ...]) -> list[tuple[Value, ...]]:
         """The keys of the source rows carrying view key `k`, in key order."""
@@ -301,7 +303,7 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
             continue
         cells = {a: vrow[a] for a in vattrs}
         for skey in carriers(k):
-            merged = {**source._by_key[skey], **cells}
+            merged = {**source_row(skey), **cells}
             if rekeys and key_of(merged) != skey:
                 changes[skey] = None
                 rekeyed.append((skey, merged))
@@ -322,7 +324,7 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
 
     for row in [_normalize_row(schema, row) for row in moved]:
         k = key_of(row)
-        if changes.get(k) is not None or (k not in changes and k in source._by_key):
+        if changes.get(k) is not None or (k not in changes and source_row(k) is not None):
             raise KeyConflict(f"duplicate primary key {k} in table {source.id!r}")
         changes[k] = row
     result = source._spliced(source.id, changes) if changes else source

@@ -115,12 +115,10 @@ class MergeOutcome:
 def changed_view_attrs(old: Table, new: Table) -> frozenset[str]:
     """Attributes that differ between two versions of a view, aligned on the key.
 
-    Rows present on only one side count as a change to every attribute; the
-    rows that changed in place are those `Table.changes_since` pairs up.
+    Rows on one side only change every attribute; the rows changed in place are
+    those `Table.changes_since` pairs up. It is empty iff the views are equal.
     """
     attrs = new.schema.attrs
-    if len(old.rows) != len(new.rows):
-        return frozenset(attrs)
     gone_keys, gone_rows, came_keys, came_rows = new.changes_since(old)
     if gone_keys != came_keys:
         return frozenset(attrs)
@@ -258,14 +256,14 @@ class PeerNode:
         if shared_id in self.pending:
             return None
         new_view = self.regenerate_view(shared_id)
-        old_view = self.shared_copies[shared_id]
-        if new_view == old_view:
+        changed = changed_view_attrs(self.shared_copies[shared_id], new_view)
+        if not changed:  # the view equals the copy
             return None
         base_version = self.known_versions[shared_id]
         tx = UpdateTx(
             shared_id=shared_id,
             requester=self.principal,
-            changed_attrs=changed_view_attrs(old_view, new_view),
+            changed_attrs=changed,
             base_version=base_version,
             new_digest=new_view.digest(),
         )

@@ -1,7 +1,7 @@
 """Immutable relational tables with primary keys, canonical serialization, and digests.
 
 Tables are value objects: every operation returns a new table and never mutates
-its input. A cell is either a text string or None (null). Rows are stored in
+its input. A cell is either a text string or None (null). Rows are kept in
 canonical order (sorted by their primary-key cells), so two tables holding the
 same rows compare equal regardless of insertion order, serialize to identical
 bytes, and share one SHA-256 digest.
@@ -9,45 +9,42 @@ bytes, and share one SHA-256 digest.
 Rows from outside the program (scenario files, dumps, a caller's rows and
 changes) are validated once, by the `Table(...)` constructor or by the CRUD
 operation that receives them. Tables the program derives from valid tables
-(CRUD results, `with_id`, lens `get` and `put`) skip that check: they splice
-the rows they change into the sorted rows (`_spliced`) and share every other
-row with their input, so an edit costs its validated rows plus C-level copies.
+(CRUD results, `with_id`, lens `get` and `put`) skip that check.
 
-A table's canonical JSON is a fixed prefix, its row fragments (each row's
-cells, encoded without brackets) joined by `],[`, and a fixed suffix. The
-first `digest()` of a table encodes all its rows in one encoder call and keeps
-one fragment per row; a table spliced from it shares the fragments of the rows
-it keeps and encodes only its new rows, so its digest joins and hashes.
+A table keeps its rows in one structure, a tuple of chunks. A chunk is a run of
+at most `2 * CHUNK` rows consecutive in key order: a dict from each row's
+primary-key tuple to the row, in key order, the first key, and, once a digest
+needed it, the chunk's canonical JSON (`[cells],[cells]`). A lookup bisects the
+first keys, then asks one dict. A splice (`_spliced`) copies the chunk tuple and
+rebuilds only the chunks its keys fall in, so a derived table shares every other
+chunk, and its encoding, with its input: path copying, as in Driscoll, Sarnak,
+Sleator & Tarjan, "Making data structures persistent" (JCSS 1989). A digest
+encodes only the chunks no earlier digest encoded, joins them, and hashes once.
 
-Because derived tables share their unchanged rows, two versions of a table
-differ only in the rows that are not the same object in both:
-`Table.changes_since` is the one diff the lenses and peers use. A splice also
-knows which keys it changed, so it logs them: the tables spliced one from the
-next share one change log (a line), each holding its position in it. Between
-two tables of one line, rows can differ only at the keys logged in between,
-and the diff looks up only those, so it costs the rows an edit touched. A
-branch (a splice from a table that is no longer the newest of its line) starts
-a new line, and so does a splice once its line has logged as many keys as the
-table has rows, which keeps a log O(rows). Any other pair of tables, such as a
-table from `Table(...)` or `with_id` against its successors, is diffed by
-scanning its rows. A log is bookkeeping, not part of any table's value.
+Two tables derived from one another share the chunks neither changed, so they
+differ only in the rows of the other chunks: `Table.changes_since`, the one diff
+the lenses and peers use, skips shared chunks and pairs the remaining rows by
+key. That holds along a line of splices, across branches, and between `with_id`
+copies and the views a peer adopts, which share their chunks too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from itertools import compress
-from operator import is_not, itemgetter
+from bisect import bisect_right
+from dataclasses import FrozenInstanceError, dataclass, field
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 Value = Optional[str]  # a cell: text, or None for null
 Row = dict[str, Value]
 
 ZERO_DIGEST = "0" * 64
-_ROW_SEP = b"],["  # between two row fragments in a table's canonical JSON
+# Rows per chunk as built; a splice splits a chunk past twice this. An edit
+# diffs and encodes whole chunks, while a pass over a whole table pays per chunk.
+CHUNK = 32
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
@@ -60,22 +57,6 @@ def canonical_json(obj: object) -> bytes:
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _fragments(rows_json: bytes, rows: Sequence[Row], cells_of: Callable[[Row], tuple[Value, ...]]) -> list[bytes]:
-    """Each row's fragment in `rows_json`, the canonical JSON of `rows` as cell lists.
-
-    A fragment is a row's encoding without its brackets, so the list encodes as
-    `[[`, the fragments joined by `],[`, and `]]`. Splitting at `],[` yields
-    one piece per row unless a cell holds `],[` itself; then each row is
-    encoded on its own.
-    """
-    if not rows:
-        return []
-    fragments = rows_json[2:-2].split(_ROW_SEP)
-    if len(fragments) != len(rows):
-        fragments = [canonical_json(list(cells_of(row)))[1:-1] for row in rows]
-    return fragments
 
 
 def tuple_getter(attrs: Sequence[str]) -> Callable[[Mapping[str, Value]], tuple[Value, ...]]:
@@ -182,161 +163,184 @@ def _normalize_row(schema: Schema, row: Mapping[str, Value]) -> Row:
     return {a: row[a] for a in schema.attrs}
 
 
-@dataclass(frozen=True)
+Key = tuple[Value, ...]
+
+
+class _Chunk:
+    """Rows consecutive in key order: a dict from key to row in key order, the
+    first key, and the rows' canonical JSON (`[cells],[cells]`) once encoded.
+
+    A chunk is never empty and never changes, except that its JSON is filled
+    in once; tables share chunks.
+    """
+
+    __slots__ = ("rows", "first", "json")
+
+    def __init__(self, rows: dict[Key, Row], first: Key) -> None:
+        self.rows, self.first, self.json = rows, first, None
+
+
+_first, _rows = attrgetter("first"), attrgetter("rows")
+
+
+def _chunked(items: Sequence[tuple[Key, Row]]) -> list[_Chunk]:
+    """Chunks of `CHUNK` rows from (key, row) pairs in key order."""
+    return [_Chunk(dict(items[i : i + CHUNK]), items[i][0]) for i in range(0, len(items), CHUNK)]
+
+
+def _joined(chunks: Iterable[_Chunk]) -> dict[Key, Row]:
+    """The rows of chunks consecutive in key order as one dict in key order."""
+    dicts = list(map(_rows, chunks))
+    return dicts[0] if len(dicts) == 1 else dict(chain.from_iterable(map(dict.items, dicts)))
+
+
+def _apart(old: tuple[_Chunk, ...], new: tuple[_Chunk, ...]) -> tuple[dict[Key, Row], dict[Key, Row]]:
+    """The rows of the chunks only `old` holds, and of those only `new` holds,
+    each in key order. Shared chunks are not read."""
+    only = set(old).symmetric_difference(new).__contains__
+    return _joined(filter(only, old)), _joined(filter(only, new))
+
+
+_set = object.__setattr__  # writes a field of a table, which `Table.__setattr__` refuses
+
+
+def _encoded(rows: Iterable[Row], cells_of: Callable[[Row], tuple[Value, ...]]) -> bytes:
+    """`[cells],[cells]`: the canonical JSON of `rows` as cell lists, without its outer brackets."""
+    return canonical_json(list(map(list, map(cells_of, rows))))[1:-1]
+
+
 class Table:
     """An immutable table: id, schema, and rows unique on the primary key.
 
-    `Table(...)` validates, sorts and indexes every row; it is the entry point
-    for rows from outside the program. Tables derived from a valid table skip
-    it (`_derived`), and the operations below share unchanged row dicts with
-    their input. Row dicts are owned by the table after construction; callers
-    must not mutate them. All editing goes through the operations below, each
-    of which returns a new table. The digest is computed once per table, and
-    with it the row fragments that tables spliced from this one share.
+    `Table(...)` validates and sorts every row (`__post_init__`); it is the
+    entry point for rows from outside the program. Tables derived from a valid
+    table skip it, and share the chunks they do not change with their input.
+    Row dicts are owned by the table after construction; callers must not
+    mutate them. All editing goes through the operations below, each of which
+    returns a new table. The digest is computed once per table.
     """
 
-    id: str
-    schema: Schema
-    rows: tuple[Row, ...] = ()
-    # Derived from `rows`: the rows by primary-key tuple, the digest once computed,
-    # and each row's canonical JSON fragment, aligned with `rows`, once encoded.
-    _by_key: dict[tuple[Value, ...], Row] = field(init=False, repr=False, compare=False)
-    _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
-    _frags: Optional[tuple[bytes, ...]] = field(default=None, init=False, repr=False, compare=False)
-    # The change log of the line of splices this table is on (None if it was not
-    # spliced), and how many of its keys were logged when this table was made.
-    _line: Optional[list[tuple[Value, ...]]] = field(default=None, init=False, repr=False, compare=False)
-    _at: int = field(default=0, init=False, repr=False, compare=False)
+    __slots__ = ("id", "schema", "_chunks", "_digest")
 
-    def __post_init__(self) -> None:
-        normalized = [_normalize_row(self.schema, r) for r in self.rows]
-        normalized.sort(key=self.schema.key_of)
-        by_key: dict[tuple[Value, ...], Row] = {}
-        for row in normalized:
-            k = self.schema.key_of(row)
-            if k in by_key:
+    def __init__(self, id: str, schema: Schema, rows: Iterable[Mapping[str, Value]] = ()) -> None:
+        _set(self, "id", id)
+        _set(self, "schema", schema)
+        _set(self, "_digest", None)
+        self.__post_init__(rows)
+
+    def __post_init__(self, rows: Iterable[Mapping[str, Value]]) -> None:
+        """Validate, sort and chunk rows from outside the program (the benchmark's tracer times builds here)."""
+        normalized = [_normalize_row(self.schema, r) for r in rows]
+        items = sorted(zip(map(self.schema.key_of, normalized), normalized), key=itemgetter(0))
+        for (k, _), (after, _) in zip(items, items[1:]):
+            if k == after:
                 raise KeyConflict(f"duplicate primary key {k} in table {self.id!r}")
-            by_key[k] = row
-        object.__setattr__(self, "rows", tuple(normalized))
-        object.__setattr__(self, "_by_key", by_key)
+        _set(self, "_chunks", tuple(_chunked(items)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @classmethod
-    def _derived(
-        cls,
-        id: str,
-        schema: Schema,
-        rows: tuple[Row, ...],
-        by_key: dict[tuple[Value, ...], Row],
-        frags: Optional[tuple[bytes, ...]] = None,
-        line: Optional[list[tuple[Value, ...]]] = None,
-        at: int = 0,
-    ) -> "Table":
-        """A table from rows already valid for `schema`, in key order, with `by_key` their index.
-
-        Nothing is checked: the caller guarantees what `__post_init__` would.
-        The index may list its keys in any order; `frags`, if given, holds the
-        rows' fragments in row order; `line` and `at` place it in a change log.
-        """
+    def _of(cls, id: str, schema: Schema, chunks: tuple[_Chunk, ...]) -> "Table":
+        """A table of chunks already valid for `schema`; nothing is checked."""
         table = object.__new__(cls)
-        table.__dict__.update(id=id, schema=schema, rows=rows, _by_key=by_key, _frags=frags, _line=line, _at=at)
+        _set(table, "id", id)
+        _set(table, "schema", schema)
+        _set(table, "_chunks", chunks)
+        _set(table, "_digest", None)
         return table
 
-    def _spliced(self, id: str, changes: Mapping[tuple[Value, ...], Optional[Row]]) -> "Table":
+    @classmethod
+    def empty(cls, id: str, schema: Schema) -> "Table":
+        """The table with no rows."""
+        return cls._of(id, schema, ())
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """Every row in key order, gathered from the chunks on each read."""
+        return tuple(chain.from_iterable(map(dict.values, map(_rows, self._chunks))))
+
+    def __len__(self) -> int:
+        return sum(map(len, map(_rows, self._chunks)))
+
+    def __repr__(self) -> str:
+        return f"Table(id={self.id!r}, schema={self.schema!r}, rows={self.rows!r})"
+
+    def __eq__(self, other: object) -> bool:
+        """Equal ids, schemas and rows; tables holding the same chunk tuple are
+        equal without reading their rows."""
+        if not isinstance(other, Table):
+            return NotImplemented
+        if self.id != other.id or (self.schema is not other.schema and self.schema != other.schema):
+            return False
+        return self._chunks is other._chunks or self.rows == other.rows
+
+    def lookup(self) -> Callable[..., Optional[Row]]:
+        """A function from a primary-key tuple (and a default) to its row, or the default (None).
+
+        For a table of one chunk it is that chunk's `dict.get`.
+        """
+        chunks = self._chunks
+        if len(chunks) > 1:
+            return lambda k, default=None: chunks[max(bisect_right(chunks, k, key=_first) - 1, 0)].rows.get(k, default)
+        return chunks[0].rows.get if chunks else {}.get
+
+    def _spliced(self, id: str, changes: Mapping[Key, Optional[Row]]) -> "Table":
         """This table under `id`, with the row at each key of `changes` replaced or
         inserted, or deleted where the change is None.
 
         The new rows must be valid for the schema, and every deleted key present.
-        The rows this keeps, and their fragments if this table holds them, are
-        shared; only the new rows are encoded.
-
-        This is the only code that writes a change log. A splice from the newest
-        table of a line logs the keys of `changes` and places the result after
-        them. A splice from an older table (a branch), from a table on no line,
-        or from a line that has logged as many keys as this table has rows
-        starts a new line at the result, so a log holds O(rows) keys.
+        Only the chunks the keys fall in are rebuilt; a rebuilt chunk is dropped
+        once empty and split once it holds more than `2 * CHUNK` rows.
         """
-        line = self._line
-        if line is not None and self._at == len(line) < len(self.rows):  # the newest, with room left
-            line += changes  # the keys of `changes`
-        else:
-            line = []
-        if not self.rows:  # nothing to splice into: the new rows, sorted (keys are distinct)
-            by_key = dict(sorted(filter(itemgetter(1), changes.items())))
-            return Table._derived(id, self.schema, tuple(by_key.values()), by_key, None, line, len(line))
-        key_of, old, frags = self.schema.key_of, self._by_key, self._frags
-        by_key = dict(old)
-        rows: list[Row] = []
-        kept: list[Optional[bytes]] = []  # the fragments in row order, None for a new row
-        fresh: list[int] = []  # where the new rows land
-        pos = 0  # the old rows before `pos` are placed
+        chunks = self._chunks
+        if not chunks:  # nothing to splice into: the new rows, sorted (keys are distinct)
+            return Table._of(id, self.schema, tuple(_chunked(sorted(filter(itemgetter(1), changes.items())))))
+        keys_at: dict[int, list[Key]] = {}  # chunk index -> the keys of `changes` it takes
         for k in sorted(changes):
-            i = bisect_left(self.rows, k, lo=pos, key=key_of)
-            rows += self.rows[pos:i]
-            if frags is not None:
-                kept += frags[pos:i]
-            row = changes[k]
-            if row is None:
-                del by_key[k]
-            else:
-                by_key[k] = row
-                fresh.append(len(rows))
-                rows.append(row)
-                kept.append(None)
-            pos = i + 1 if k in old else i
-        rows += self.rows[pos:]
-        if frags is None:
-            return Table._derived(id, self.schema, tuple(rows), by_key, None, line, len(line))
-        kept += frags[pos:]
-        cells_of = self.schema.cells_of
-        new_rows = [rows[i] for i in fresh]
-        encoded = _fragments(canonical_json([list(cells_of(row)) for row in new_rows]), new_rows, cells_of)
-        for i, fragment in zip(fresh, encoded):
-            kept[i] = fragment
-        return Table._derived(id, self.schema, tuple(rows), by_key, tuple(kept), line, len(line))
+            i = max(bisect_right(chunks, k, key=_first) - 1, 0) if len(chunks) > 1 else 0
+            keys_at.setdefault(i, []).append(k)
+        out: list[_Chunk] = []
+        done = 0  # the chunks before `done` are placed
+        for i, keys in keys_at.items():
+            rows = dict(chunks[i].rows)
+            added = False
+            for k in keys:
+                row = changes[k]
+                if row is None:
+                    del rows[k]
+                else:
+                    added = added or k not in rows
+                    rows[k] = row
+            out += chunks[done:i]
+            if added:
+                rows = dict(sorted(rows.items(), key=itemgetter(0)))
+            if len(rows) > 2 * CHUNK:
+                out += _chunked(list(rows.items()))
+            elif rows:
+                out.append(_Chunk(rows, next(iter(rows))))
+            done = i + 1
+        out += chunks[done:]
+        return Table._of(id, self.schema, tuple(out))
 
-    def changes_since(self, old: "Table") -> tuple[list, list[Row], list, list[Row]]:
+    def changes_since(self, old: "Table") -> tuple[list[Key], list[Row], list[Key], list[Row]]:
         """Between `old` and this version of the table: the keys and rows of the
         rows that left or changed, and the keys and rows of those that arrived
-        or changed.
+        or changed, each in key order.
 
-        A row that is the same object in both is unchanged; only the others are
-        looked at. When `old` is on this table's line and not newer, the rows can
-        differ only at the keys logged since `old`, and only those are looked up,
-        in key order. Otherwise the rows are scanned: tables of equal length
-        usually hold the same keys, so row i of one is paired with row i of the
-        other; the key index serves otherwise, and walks the old rows only if the
-        row counts show that a key vanished.
+        From the empty table, where a full lens `get` starts, every row arrived.
+        Otherwise chunks both tables hold are skipped and the rows of the others
+        are paired by key; a row that is the same object on both sides is unchanged.
         """
-        line, since = self._line, old._at
-        if line is not None and line is old._line and since <= self._at:
-            old_rows, new_rows = old._by_key, self._by_key
-            gone_keys, gone_rows, came_keys, came_rows = [], [], [], []
-            for k in sorted(set(line[since : self._at])):
-                gone, came = old_rows.get(k), new_rows.get(k)
-                if gone is not came:
-                    if gone is not None:
-                        gone_keys.append(k)
-                        gone_rows.append(gone)
-                    if came is not None:
-                        came_keys.append(k)
-                        came_rows.append(came)
-            return gone_keys, gone_rows, came_keys, came_rows
-        key_of = self.schema.key_of
-        if len(old.rows) == len(self.rows):
-            differs = list(map(is_not, old.rows, self.rows))
-            gone_rows, came_rows = list(compress(old.rows, differs)), list(compress(self.rows, differs))
-            gone_keys, came_keys = list(map(key_of, gone_rows)), list(map(key_of, came_rows))
-            if gone_keys == came_keys:
-                return gone_keys, gone_rows, came_keys, came_rows
-        old_rows, new_rows = old._by_key, self._by_key
-        if not old_rows:
-            return [], [], list(new_rows), list(new_rows.values())
-        came = list(compress(new_rows.items(), map(is_not, map(old_rows.get, new_rows), new_rows.values())))
-        came_keys, came_rows = [k for k, _ in came], [row for _, row in came]
-        gone_keys = [k for k in came_keys if k in old_rows]  # the rows replaced in place
-        if len(old_rows) - len(gone_keys) + len(came_keys) != len(new_rows):
-            gone_keys += old_rows.keys() - new_rows.keys()
-        return gone_keys, list(map(old_rows.__getitem__, gone_keys)), came_keys, came_rows
+        if not old._chunks:
+            return [], [], list(chain.from_iterable(map(_rows, self._chunks))), list(self.rows)
+        gone, came = _apart(old._chunks, self._chunks)
+        gone_keys = [k for k, row in gone.items() if came.get(k) is not row]
+        came_keys = [k for k, row in came.items() if gone.get(k) is not row]
+        return gone_keys, list(map(gone.__getitem__, gone_keys)), came_keys, list(map(came.__getitem__, came_keys))
 
     def _bind_key(self, key: Mapping[str, Value]) -> tuple[str, ...]:
         if set(key) != set(self.schema.key) or not all(isinstance(v, str) for v in key.values()):
@@ -347,13 +351,13 @@ class Table:
 
     def get_row(self, key: Mapping[str, Value]) -> Optional[Row]:
         """The row matching the key, or None. The result must not be mutated."""
-        return self._by_key.get(self._bind_key(key))
+        return self.lookup()(self._bind_key(key))
 
     def insert_row(self, row: Mapping[str, Value]) -> "Table":
         """Add one row; the key cells must be fresh."""
         normalized = _normalize_row(self.schema, row)
         k = self.schema.key_of(normalized)
-        if k in self._by_key:
+        if self.lookup()(k) is not None:
             raise KeyConflict(f"row with key {k} already in table {self.id!r}")
         return self._spliced(self.id, {k: normalized})
 
@@ -367,7 +371,7 @@ class Table:
                 raise KeyImmutable(f"cannot change primary-key attribute {a!r}")
             if v is not None and not isinstance(v, str):
                 raise SchemaMismatch(f"cell {a!r} must be a string or null")
-        old = self._by_key.get(k)
+        old = self.lookup()(k)
         if old is None:
             raise NotFound(f"no row with key {k} in table {self.id!r}")
         if not changes:
@@ -377,7 +381,7 @@ class Table:
     def delete_row(self, key: Mapping[str, Value]) -> "Table":
         """Remove the row matching `key`."""
         k = self._bind_key(key)
-        if k not in self._by_key:
+        if self.lookup()(k) is None:
             raise NotFound(f"no row with key {k} in table {self.id!r}")
         return self._spliced(self.id, {k: None})
 
@@ -403,8 +407,8 @@ class Table:
         return len(set(map(tuple_getter(both), self.rows))) == len(set(map(tuple_getter(det), self.rows)))
 
     def with_id(self, new_id: str) -> "Table":
-        """The same table value under a different id; rows, index and fragments are shared."""
-        return Table._derived(new_id, self.schema, self.rows, self._by_key, self._frags)
+        """The same table value under a different id; the chunks are shared."""
+        return Table._of(new_id, self.schema, self._chunks)
 
     def to_json_dict(self) -> dict:
         """The persistence form: rows as value arrays in schema order, canonical row order."""
@@ -427,31 +431,22 @@ class Table:
     def canonical_bytes(self) -> bytes:
         """Deterministic serialization; equal tables yield identical bytes.
 
-        Joins the row fragments where the table holds them, else encodes the table.
+        `canonical_json(self.to_json_dict())`, with the rows joined from the
+        chunks' JSON; a chunk is encoded the first time it is needed and kept.
         """
-        frags = self._frags
-        if frags is None:
-            return canonical_json(self.to_json_dict())
-        rows_json = b"[[" + _ROW_SEP.join(frags) + b"]]" if frags else b"[]"
+        cells_of = self.schema.cells_of
+        for chunk in self._chunks:
+            if chunk.json is None:
+                chunk.json = _encoded(chunk.rows.values(), cells_of)
+        rows_json = b"[" + b",".join(map(attrgetter("json"), self._chunks)) + b"]"
         schema_json = self.schema.canonical_bytes()
         return b"".join((b'{"id":', canonical_json(self.id), b',"rows":', rows_json, b',"schema":', schema_json, b"}"))
 
     def digest(self) -> str:
         """SHA-256 over the canonical bytes; equal digests iff equal tables.
 
-        Computed on first use and kept on the table, together with the row
-        fragments of a table that held none (the bytes themselves are not kept).
+        Computed on first use and kept on the table (the bytes are not kept).
         """
-        digest = self._digest
-        if digest is None:
-            data = self.canonical_bytes()
-            if self._frags is None:
-                # The rows sit between `{"id":<id>,"rows":` and the last `,"schema":`
-                # (a quote inside a string is escaped, so that key is not in one).
-                start = len(b'{"id":,"rows":') + len(canonical_json(self.id))
-                rows_json = data[start : data.rindex(b',"schema":')]
-                frags = _fragments(rows_json, self.rows, self.schema.cells_of)
-                object.__setattr__(self, "_frags", tuple(frags))
-            digest = sha256_hex(data)
-            object.__setattr__(self, "_digest", digest)
-        return digest
+        if self._digest is None:
+            _set(self, "_digest", sha256_hex(self.canonical_bytes()))
+        return self._digest

@@ -6,6 +6,7 @@ constructor builds from the same rows, hold the lens caches' delta `get` and
 from __future__ import annotations
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +35,32 @@ def key_of(table: Table, row) -> tuple:
     return tuple(row[k] for k in table.schema.key)
 
 
+def by_key(table: Table) -> dict:
+    return {key_of(table, row): row for row in table.rows}
+
+
+def assert_chunks_hold(table: Table) -> None:
+    """No chunk is empty or holds more than `2 * CHUNK` rows; keys, first keys
+    included, strictly increase; each chunk files its rows under their keys and
+    keeps its first key and, once encoded, its rows' JSON."""
+    keys = []
+    for chunk in table._chunks:
+        assert 0 < len(chunk.rows) <= 2 * relational.CHUNK
+        assert chunk.first == next(iter(chunk.rows))
+        assert all(k == key_of(table, row) for k, row in chunk.rows.items())
+        if chunk.json is not None:
+            assert b"[" + chunk.json + b"]" == canonical_json([list(table.schema.cells_of(r)) for r in chunk.rows.values()])
+        keys += chunk.rows
+    assert keys == sorted(set(keys))
+
+
 def assert_matches_reference(table: Table, keys=()) -> None:
-    """`table` equals, hashes and looks up like the table `Table(...)` builds from its rows.
+    """`table` equals, hashes and looks up like the table `Table(...)` builds from
+    its rows, and keeps the chunk invariants.
 
     `keys` are extra key tuples to look up, such as those of deleted rows.
     """
+    assert_chunks_hold(table)
     reference = Table(table.id, table.schema, table.rows)
     assert table == reference
     assert table.digest() == reference.digest()
@@ -52,6 +74,8 @@ def assert_matches_reference(table: Table, keys=()) -> None:
 
 cells = st.one_of(st.none(), st.sampled_from(["a", "b", "c"]))
 key_cells = st.sampled_from(["p", "q", "r", "s"])
+# Tables of a few rows span several chunks only when chunks are this small.
+CHUNK_SIZES = (1, 2, relational.CHUNK)
 
 
 @st.composite
@@ -65,37 +89,42 @@ def crud_cases(draw):
         return {a: draw(key_cells) if a in key else draw(cells) for a in attrs}
 
     start = {tuple(r[k] for k in key): r for r in (row() for _ in range(draw(st.integers(0, 6))))}
+    kinds = ["insert", "update", "delete", "with_id", "digest"]
+    if draw(st.booleans()):
+        kinds += ["delete"] * 3  # delete-heavy: chunks empty out and are dropped
     ops = []
     for _ in range(draw(st.integers(1, 10))):
-        kind = draw(st.sampled_from(["insert", "update", "delete", "with_id", "digest"]))
+        kind = draw(st.sampled_from(kinds))
         r = row()
         changes = {a: draw(cells) for a in attrs if a not in key and draw(st.booleans())}
         ops.append((kind, r, changes))
-    return Table("t", schema, tuple(start.values())), ops
+    return draw(st.sampled_from(CHUNK_SIZES)), schema, tuple(start.values()), ops
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(crud_cases())
 def test_crud_results_match_the_reference_constructor(case):
-    table, ops = case
-    touched = set()
-    for kind, row, changes in ops:
-        key = {a: row[a] for a in table.schema.key}
-        touched.add(key_of(table, row))
-        try:
-            if kind == "insert":
-                table = table.insert_row(row)
-            elif kind == "update":
-                table = table.update_row(key, changes)
-            elif kind == "delete":
-                table = table.delete_row(key)
-            elif kind == "with_id":
-                table = table.with_id(table.id + "'")
-            else:
-                table.digest()  # memoised on this table; must not leak into what derives from it
-        except (KeyConflict, NotFound):
-            continue
-        assert_matches_reference(table, touched)
+    chunk, schema, rows, ops = case
+    with patch.object(relational, "CHUNK", chunk):
+        table = Table("t", schema, rows)
+        touched = set()
+        for kind, row, changes in ops:
+            key = {a: row[a] for a in table.schema.key}
+            touched.add(key_of(table, row))
+            try:
+                if kind == "insert":
+                    table = table.insert_row(row)
+                elif kind == "update":
+                    table = table.update_row(key, changes)
+                elif kind == "delete":
+                    table = table.delete_row(key)
+                elif kind == "with_id":
+                    table = table.with_id(table.id + "'")
+                else:
+                    table.digest()  # memoised on this table; must not leak into what derives from it
+            except (KeyConflict, NotFound):
+                continue
+            assert_matches_reference(table, touched)
 
 
 # --- lens get and put ---------------------------------------------------------------
@@ -143,11 +172,11 @@ def test_lens_cases_cover_fan_out_deletes_inserts_and_rewritten_source_keys():
 # after each step the cached view must be what a get from the empty table
 # derives, or both must refuse the source. Each pair of table versions a step
 # diffs is also held to a reference diff by key and row identity, and so is
-# the source against every earlier source of the case: along one line of
-# splices the diff reads the keys logged since the older version, across
-# lines (branches, restarts, `with_id` copies, `Table(...)` roots) it scans.
+# the source against every earlier source of the case, its siblings, `with_id`
+# copies and adopted views. A case runs at one of `CHUNK_SIZES`, so its tables
+# span several chunks, which splices split and drop.
 
-DELTA_CELLS = ["a", "b", "x],[y", None]  # "],[" in a cell defeats the one-call fragment split
+DELTA_CELLS = ["a", "b", "x],[y", None]  # "],[" in a cell reads like the boundary of two encoded rows
 DELTA_KEYS = ["p", "q", "r"]
 
 
@@ -182,30 +211,29 @@ def _outcome(fn):
 
 
 def check_diff(old: Table, new: Table, seen: set[str]) -> None:
-    """`new.changes_since(old)` and `changed_view_attrs` against references built by key."""
+    """`new.changes_since(old)` and `changed_view_attrs` against references built by key from `.rows`."""
     gone_keys, gone_rows, came_keys, came_rows = new.changes_since(old)
-    old_items = {(k, id(row)) for k, row in old._by_key.items()}
-    new_items = {(k, id(row)) for k, row in new._by_key.items()}
-    assert len(gone_keys) == len(gone_rows) == len(set(gone_keys))
-    assert len(came_keys) == len(came_rows) == len(set(came_keys))
+    old_rows, new_rows = by_key(old), by_key(new)
+    old_items = {(k, id(row)) for k, row in old_rows.items()}
+    new_items = {(k, id(row)) for k, row in new_rows.items()}
+    assert gone_keys == sorted(set(gone_keys)) and len(gone_rows) == len(gone_keys)
+    assert came_keys == sorted(set(came_keys)) and len(came_rows) == len(came_keys)
     assert {(k, id(row)) for k, row in zip(gone_keys, gone_rows)} == old_items - new_items
     assert {(k, id(row)) for k, row in zip(came_keys, came_rows)} == new_items - old_items
     attrs = new.schema.attrs
-    if old._by_key.keys() != new._by_key.keys():
+    if old_rows.keys() != new_rows.keys():
         expected = frozenset(attrs)
     else:
-        expected = frozenset(a for k, row in new._by_key.items() for a in attrs if old._by_key[k][a] != row[a])
+        expected = frozenset(a for k, row in new_rows.items() for a in attrs if old_rows[k][a] != row[a])
     assert peer_module.changed_view_attrs(old, new) == expected
-    if new._line is not None and new._line is old._line and old._at <= new._at:
-        assert gone_keys == sorted(gone_keys) and came_keys == sorted(came_keys)
-        seen.add("logged diff")
-    else:
-        seen.add("scanned diff")
-    if old._line is None:
-        seen.add("diff from a table on no line")
+    old_chunks, new_chunks = set(old._chunks), set(new._chunks)
+    if old_chunks & new_chunks and old_chunks != new_chunks:
+        seen.add("diff skips shared chunks")
+    if len(old_chunks - new_chunks) > 1 or len(new_chunks - old_chunks) > 1:
+        seen.add("diff pairs rows across chunks")
     if not old.rows and new.rows:
         seen.add("empty old table")
-    if len(old.rows) == len(new.rows) and old._by_key.keys() != new._by_key.keys():
+    if len(old.rows) == len(new.rows) and old_rows.keys() != new_rows.keys():
         seen.add("equal-length insert and delete")
 
 
@@ -219,7 +247,6 @@ def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
     for kind, row, changes in [("start", None, None), *steps]:
         key = {a: row[a] for a in source.schema.key} if row else None
         before = source
-        logged_keys = len(before._line) if before._line is not None and before._at == len(before._line) else None
         if kind == "put":
             try:
                 edited, _ = make_edited_view(rng, lens, cache.view)
@@ -256,23 +283,23 @@ def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
                     source = source.delete_row(key)
             except (KeyConflict, NotFound):
                 continue
-            if logged_keys is not None and logged_keys >= len(before.rows) and source is not before:
-                assert source._line is not before._line  # the log reached the row count
-                seen.add("restarted line")
+            if 0 < len(before._chunks) < len(source._chunks):
+                seen.add("chunk split")
+            if len(source._chunks) < len(before._chunks):
+                seen.add("chunk dropped")
             if before.rows and source is not before:  # a second child of `before`, spliced after `source`
                 sibling = before.delete_row({a: before.rows[0][a] for a in before.schema.key})
                 check_diff(before, sibling, seen)
                 check_diff(source, sibling, seen)
                 check_diff(sibling, source, seen)
                 seen.add("sibling diff")
+        assert_chunks_hold(source)
         full = _outcome(lambda: get(lens, source))
         held, held_view = cache.source, cache.view
         check_diff(held, source, seen)
         for older in history:
             check_diff(older, source, seen)
-            if older is not history[-1] and older._line is source._line is not None:
-                seen.add("logged diff across splices")
-        check_diff(source, history[-1], seen)  # backwards: the log serves forward diffs only
+        check_diff(source, history[-1], seen)  # backwards
         check_diff(history[-1], source.with_id("copy"), seen)
         check_diff(source.with_id("copy"), source, seen)
         delta = _outcome(lambda: get(lens, source, cache))
@@ -297,7 +324,7 @@ def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
         if kind == "delete":
             gone = view_key_of(before.get_row(key))
             if not any(view_key_of(r) == gone for r in source.rows):
-                assert gone not in delta._by_key  # the group emptied: its view row is gone
+                assert gone not in by_key(delta)  # the group emptied: its view row is gone
                 seen.add("emptied group")
     return seen
 
@@ -306,14 +333,16 @@ def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
 @given(st.integers(0, 2**32 - 1))
 def test_delta_get_and_put_match_a_full_recompute(seed):
     rng = random.Random(seed)
-    run_delta_case(*make_delta_case(rng), rng)
+    with patch.object(relational, "CHUNK", CHUNK_SIZES[seed % len(CHUNK_SIZES)]):
+        run_delta_case(*make_delta_case(rng), rng)
 
 
 def test_delta_cases_cover_refusals_emptied_groups_puts_and_fan_out():
     rng = random.Random(11)
     seen: set[str] = set()
-    for _ in range(400):
-        seen |= run_delta_case(*make_delta_case(rng), rng)
+    for i in range(400):
+        with patch.object(relational, "CHUNK", CHUNK_SIZES[i % len(CHUNK_SIZES)]):
+            seen |= run_delta_case(*make_delta_case(rng), rng)
     assert seen >= {
         "fd violation",
         "null view key",
@@ -323,11 +352,10 @@ def test_delta_cases_cover_refusals_emptied_groups_puts_and_fan_out():
         "fan-out",
         "empty old table",
         "equal-length insert and delete",
-        "logged diff",
-        "logged diff across splices",
-        "scanned diff",
-        "diff from a table on no line",
-        "restarted line",
+        "diff skips shared chunks",
+        "diff pairs rows across chunks",
+        "chunk split",
+        "chunk dropped",
         "sibling diff",
         "diff from an adopted view",
     }
@@ -482,46 +510,74 @@ def wide_peer(name: str, counterpart: str) -> PeerNode:
     return node
 
 
+def _meta(view: Table, version: int) -> SharedTableMetadata:
+    """The contract entry of share `view.id` at `version`, registering `view`."""
+    return SharedTableMetadata(
+        shared_id=view.id,
+        view_schema=view.schema,
+        peers=frozenset({"A", "B"}),
+        perm={attr: frozenset({"A"}) for attr in view.schema.attrs},
+        authority="A",
+        version=version,
+        content_digest=view.digest(),
+    )
+
+
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the view rows the lenses build, the row fragments encoded, the
-    rows spliced, per table, and the row pairs a scanning diff compares."""
-    counts = {"view_rows": 0, "fragments": 0, "spliced": {}, "compared": 0}
-    view_rows, fragments, spliced = lenses._view_rows, relational._fragments, relational.Table._spliced
+    """Counts of the view rows the lenses build, the rows encoded for digests,
+    the rows spliced, per table, and the rows diffs read: one entry per side of
+    a `changes_since`, the rows of its chunks the other side lacks (from the
+    empty table, every row)."""
+    counts = {"view_rows": 0, "encoded": 0, "spliced": {}, "read": []}
+    view_rows, encoded, spliced, apart, changes_since = (
+        lenses._view_rows,
+        relational._encoded,
+        relational.Table._spliced,
+        relational._apart,
+        relational.Table.changes_since,
+    )
 
     def count_view_rows(attrs, cells):
         rows = view_rows(attrs, cells)
         counts["view_rows"] += len(rows)
         return rows
 
-    def count_fragments(rows_json, rows, cells_of):
-        counts["fragments"] += len(rows)
-        return fragments(rows_json, rows, cells_of)
+    def count_encoded(rows, cells_of):
+        counts["encoded"] += len(rows)
+        return encoded(rows, cells_of)
 
     def count_spliced(table, id, changes):
         counts["spliced"][id] = counts["spliced"].get(id, 0) + len(changes)
         return spliced(table, id, changes)
 
-    def count_compared(old_row, new_row):
-        counts["compared"] += 1
-        return old_row is not new_row
+    def count_read(old, new):
+        gone, came = apart(old, new)
+        counts["read"] += [len(gone), len(came)]
+        return gone, came
+
+    def count_from_empty(table, old):
+        if not len(old):
+            counts["read"] += [0, len(table)]
+        return changes_since(table, old)
 
     monkeypatch.setattr(lenses, "_view_rows", count_view_rows)
-    monkeypatch.setattr(relational, "_fragments", count_fragments)
+    monkeypatch.setattr(relational, "_encoded", count_encoded)
     monkeypatch.setattr(relational.Table, "_spliced", count_spliced)
-    monkeypatch.setattr(relational, "is_not", count_compared)
+    monkeypatch.setattr(relational, "_apart", count_read)
+    monkeypatch.setattr(relational.Table, "changes_since", count_from_empty)
     return counts
 
 
-def test_a_one_row_edit_and_proposal_build_and_encode_one_row(counted):
+def test_a_one_row_edit_and_proposal_build_one_row_and_encode_one_chunk(counted):
     node = wide_peer("A", "B")
-    counted.update(view_rows=0, fragments=0, spliced={})
+    counted.update(view_rows=0, encoded=0, spliced={})
     node.local_edit("wide", Edit("update", key={"p": "P0500", "m": "M000"}, changes={"note": "changed"}))
     tx = node.regenerate_and_propose("S")
     assert tx is not None and tx.changed_attrs == {"note"}
     assert tx.new_digest == sha256_hex(canonical_json(node.pending["S"].view.to_json_dict()))
     assert counted["view_rows"] <= 1
-    assert counted["fragments"] <= 1
+    assert 0 < counted["encoded"] <= relational.CHUNK  # the proposed view's one changed chunk
     assert counted["spliced"] == {"wide": 1, "S": 1}
 
 
@@ -535,36 +591,46 @@ def test_a_one_row_edit_and_proposal_build_and_encode_one_row(counted):
 )
 def test_a_one_row_edit_is_diffed_without_walking_the_table(counted, edit, attrs):
     node = wide_peer("A", "B")
-    counted.update(compared=0)
-    # A table built by `Table(...)` is on no line of splices, so the first
-    # edit's source diff compares all 10,000 rows.
+    assert sum(counted["read"]) >= 10_000  # a share's first view diffs its source against the empty table
+    counted["read"].clear()
+    # A splice of a table built by `Table(...)` shares all its other chunks.
     node.local_edit("wide", Edit("update", key={"p": "P0500", "m": "M000"}, changes={"note": "changed"}))
     tx = node.regenerate_and_propose("S")
-    assert counted["compared"] >= 10_000
+    assert counted["read"] and max(counted["read"]) <= relational.CHUNK
     assert node.on_receipt(Receipt(tx, Verdict.accept(), "A")) == []
-    counted.update(compared=0)
+    counted["read"].clear()
     node.local_edit("wide", edit)
     tx = node.regenerate_and_propose("S")
     assert tx is not None and tx.changed_attrs == attrs
-    assert counted["compared"] == 0  # the source and view diffs read the logged keys
+    assert counted["read"] and max(counted["read"]) <= relational.CHUNK  # each diff reads one chunk a side
     assert node.pending["S"].view == get(compile_lens(BY_ROW, WIDE), node.tables["wide"]).with_id("S")
 
 
-def test_a_change_log_holds_at_most_a_table_of_keys():
-    table = Table("t", BIG, tuple({"k": f"r{i}", "v": "0", "w": None} for i in range(4)))
-    versions = [table]
-    for i in range(1000):
-        versions.append(versions[-1].update_row({"k": f"r{i % 4}"}, {"v": str(i)}))
-    lines = {id(t._line): t._line for t in versions[1:]}
-    assert max(map(len, lines.values())) <= len(table.rows)
-    assert len(lines) == 1000 // (len(table.rows) + 1)  # a line: its root and four logged splices
-    # across a restart the diff scans; along a line it reads the log
-    for old, new in [(versions[1], versions[-1]), (versions[-5], versions[-1]), (table, versions[2])]:
-        gone_keys, gone_rows, came_keys, came_rows = new.changes_since(old)
-        changed = sorted(k for k, row in new._by_key.items() if row is not old._by_key[k])
-        assert sorted(gone_keys) == sorted(came_keys) == changed
-        assert gone_rows == [old._by_key[k] for k in gone_keys]
-        assert came_rows == [new._by_key[k] for k in came_keys]
+def test_sibling_and_adopted_view_diffs_read_the_chunks_that_differ(counted):
+    table = wide_table()
+    first, second = ("P0100", "M000"), ("P0900", "M000")
+    left = table.update_row(dict(zip(WIDE.key, first)), {"note": "left"})
+    right = table.update_row(dict(zip(WIDE.key, second)), {"note": "right"})
+    counted["read"].clear()
+    gone_keys, gone_rows, came_keys, came_rows = right.changes_since(left)
+    assert gone_keys == came_keys == [first, second]
+    assert [r["note"] for r in gone_rows] == ["left", "n9000"] and [r["note"] for r in came_rows] == ["n1000", "right"]
+    assert len(counted["read"]) == 2 and max(counted["read"]) <= 2 * relational.CHUNK  # two chunks a side
+
+    # B adopts A's view; then each side's next one-row edit is diffed against the adopted view.
+    a, b = wide_peer("A", "B"), wide_peer("B", "A")
+    a.local_edit("wide", Edit("update", key={"p": "P0500", "m": "M000"}, changes={"dose": "a"}))
+    tx = a.regenerate_and_propose("S")
+    a.on_receipt(Receipt(tx, Verdict.accept(), "A"))
+    assert b.on_data_response(DataResponse("S", 1, a.read_shared("S"), "A", "B"), _meta(a.read_shared("S"), 1)).applied
+    counted["read"].clear()
+    b.local_edit("wide", Edit("update", key={"p": "P0700", "m": "M000"}, changes={"dose": "b"}))
+    tx = b.regenerate_and_propose("S")
+    b.on_receipt(Receipt(tx, Verdict.accept(), "B"))
+    assert tx.changed_attrs == {"dose"}
+    assert a.on_data_response(DataResponse("S", 2, b.read_shared("S"), "B", "A"), _meta(b.read_shared("S"), 2)).applied
+    assert a.tables["wide"].get_row({"p": "P0700", "m": "M000"})["dose"] == "b"
+    assert counted["read"] and max(counted["read"]) <= 2 * relational.CHUNK
 
 
 def test_a_merge_visits_the_rows_it_changes_and_a_quiet_cascade_builds_nothing(counted):
@@ -573,20 +639,12 @@ def test_a_merge_visits_the_rows_it_changes_and_a_quiet_cascade_builds_nothing(c
     tx = a.regenerate_and_propose("S")
     a.on_receipt(Receipt(tx, Verdict.accept(), "A"))
     view = a.read_shared("S")
-    meta = SharedTableMetadata(
-        shared_id="S",
-        view_schema=view.schema,
-        peers=frozenset({"A", "B"}),
-        perm={attr: frozenset({"A"}) for attr in view.schema.attrs},
-        authority="A",
-        version=1,
-        content_digest=view.digest(),
-    )
-    counted.update(view_rows=0, fragments=0, spliced={})
+    meta = _meta(view, 1)
+    counted.update(view_rows=0, encoded=0, spliced={})
     outcome = b.on_data_response(DataResponse("S", 1, view, "A", "B"), meta)
     assert outcome.applied and outcome.cascade_txs == ()  # BY_MED does not carry `dose`
     assert counted["spliced"] == {"wide": 1}  # put changed one source row; neither view was rebuilt
-    assert counted["view_rows"] == 0 and counted["fragments"] == 0
+    assert counted["view_rows"] == 0 and counted["encoded"] == 0
     assert b.tables["wide"].get_row({"p": "P0500", "m": "M000"})["dose"] == "changed"
     assert b.regenerate_view("S") is view  # the merged copy is the lens's view of the new source
     assert b.regenerate_view("T") == get(compile_lens(BY_MED, WIDE), b.tables["wide"]).with_id("T")
@@ -600,18 +658,10 @@ def test_a_fan_out_edit_checks_its_group_and_a_fan_out_merge_visits_one_group(co
         a.regenerate_view("T")
     assert counted["view_rows"] == 0
     incoming = b.read_shared("T").update_row({"m": "M007"}, {"mech": "new"})
-    meta = SharedTableMetadata(
-        shared_id="T",
-        view_schema=incoming.schema,
-        peers=frozenset({"A", "B"}),
-        perm={attr: frozenset({"A"}) for attr in incoming.schema.attrs},
-        authority="A",
-        version=1,
-        content_digest=incoming.digest(),
-    )
-    counted.update(view_rows=0, fragments=0, spliced={})
+    meta = _meta(incoming, 1)
+    counted.update(view_rows=0, encoded=0, spliced={})
     outcome = b.on_data_response(DataResponse("T", 1, incoming, "A", "B"), meta)
     assert outcome.applied and outcome.cascade_txs == ()  # BY_ROW does not carry `mech`
     assert counted["spliced"] == {"wide": 10}  # the ten source rows behind M007
-    assert counted["view_rows"] == 0 and counted["fragments"] == 0
+    assert counted["view_rows"] == 0 and counted["encoded"] == 0
     assert {r["mech"] for r in b.tables["wide"].rows if r["m"] == "M007"} == {"new"}

@@ -86,6 +86,12 @@ def _rename(old, new):
     return rewrite
 
 
+def _one_letter_names(doc):
+    """Rename the principals to D, P and R, so that a string of them splits into valid names."""
+    for old in ("Doctor", "Patient", "Researcher"):
+        _rename(old, old[0])(doc)
+
+
 KV_TABLE = {"id": "KV", "schema": {"attrs": ["k", "v"], "key": ["k"]}, "rows": [["1", "x"]]}
 
 
@@ -189,6 +195,9 @@ SCENARIO_ERRORS = {
         doc["tables"]["Patient"].append(KV_TABLE),
         doc["lenses"]["Patient"].append({"lens_id": "LKV", "source": "KV", "view_attrs": "kv", "view_key": ["k"]}),
     ),
+    # with one-letter principals, a string would split into the names "D", "P" and "R"
+    "principals a string of names": lambda doc: (_one_letter_names(doc), _set(("principals",), "DPR")(doc)),
+    "perm entry a string of names": lambda doc: (_one_letter_names(doc), _set(("shares", 0, "perm", "a2"), "DP")(doc)),
 }
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,6 +173,7 @@ class TestCanonicalForm:
     def test_one_cell_difference_changes_digest(self, fixture_f):
         changed = fixture_f.update_row({"a0": "P1", "a1": "MedX"}, {"a5": "MeA2"})
         assert changed.digest() != fixture_f.digest()
+        assert changed != fixture_f and Table("D3", D3_SCHEMA, changed.rows) != fixture_f
 
     def test_canonicalize_is_pure(self, fixture_f):
         assert fixture_f.canonical_bytes() == fixture_f.canonical_bytes()
@@ -187,6 +190,15 @@ class TestCanonicalForm:
     def test_id_participates_in_digest(self, fixture_f):
         assert fixture_f.with_id("D31").digest() != fixture_f.digest()
         assert fixture_f.with_id("D31").with_id("D3") == fixture_f
+
+    @pytest.mark.parametrize("field", ["id", "schema", "_chunks", "_digest"])
+    def test_fields_cannot_be_assigned_or_deleted(self, fixture_f, field):
+        digest = fixture_f.digest()
+        with pytest.raises(FrozenInstanceError):
+            setattr(fixture_f, field, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(fixture_f, field)
+        assert fixture_f.digest() == digest and fixture_f == Table("D3", D3_SCHEMA, (ROW1, ROW2, ROW3))
 
 
 # --- property tests -------------------------------------------------------------
