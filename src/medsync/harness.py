@@ -6,7 +6,7 @@ tick; each tick t it (1) delivers every message sent in tick t-1, retried data
 requests included, to peers in lexicographic order, (2) runs the script actions
 of tick t, (3) collects peer outboxes, then (4) seals one block and (5) sends
 its notifications and receipts. The loop stops at quiescence (no messages in
-flight, empty mempool, no staged proposals, script exhausted).
+flight, empty mempool, script exhausted).
 There is no randomness anywhere: a scenario always yields the same trace,
 chain, and dumps, byte for byte.
 """
@@ -42,9 +42,9 @@ from .peer import (
     DataResponse,
     Edit,
     Message,
+    PeerError,
     PeerNode,
     ShareBinding,
-    UnknownShare,
 )
 from .relational import RelationalError, Table, canonical_json, names_of
 
@@ -385,6 +385,18 @@ def _notify_payload(note: Notification) -> dict:
     }
 
 
+# The payload keys the tick loop writes for the event kinds the audit does not
+# rebuild whole: the keys every such event holds, and those it may hold (an
+# edit holds the fields its Edit sets).
+_PAYLOAD_KEYS = {
+    "data_req": ({"shared_id", "from", "to", "requested_version"}, set()),
+    "data_resp": ({"shared_id", "from", "to", "version", "digest"}, set()),
+    "put_applied": ({"shared_id", "source_table", "version"}, set()),
+    "cascade": ({"after_merge_of", "shared_id"}, set()),
+    "edit": ({"table", "op"}, {"key", "changes", "row"}),
+}
+
+
 def _block_events(block: Block, notes: Sequence[Notification]) -> list[tuple[str, str, dict]]:
     """The events of one sealed block, as (actor, kind, payload): the block, its verdicts, its notifications."""
     return [
@@ -413,8 +425,9 @@ def trace_mismatch(world: World) -> Optional[str]:
     `put_applied` of `after_merge_of` in the same tick and comes right before
     the actor's `propose` of its share. An `edit` must name a table its actor
     holds; what it changed is not checked, because the script is not in the
-    dump. Event `seq` numbers must run 0..n-1, ticks must never decrease, and
-    no other kind of event may occur.
+    dump. Each of these five kinds holds exactly the payload keys the tick
+    loop writes. Event `seq` numbers must run 0..n-1, ticks must never
+    decrease, and no other kind of event may occur.
     """
     trace = world.trace
     for seq, event in enumerate(trace):
@@ -435,6 +448,10 @@ def trace_mismatch(world: World) -> Optional[str]:
     while seq < len(trace):
         event = trace[seq]
         p = event.payload
+        if event.kind in _PAYLOAD_KEYS:
+            required, optional = _PAYLOAD_KEYS[event.kind]
+            if not required <= p.keys() <= required | optional:
+                return f"event {seq} holds payload keys the tick loop does not write"
         try:
             if event.kind == "block":
                 block = next(blocks, None)
@@ -474,7 +491,7 @@ def trace_mismatch(world: World) -> Optional[str]:
                 key = (event.actor, p["shared_id"], p["version"])
                 if not responses[key]:
                     return f"event {seq} applies data no data_resp event carried"
-                if p["source_table"] != world.peers[event.actor].source_of(p["shared_id"]):
+                if p["source_table"] != world.peers[event.actor].shares[p["shared_id"]].source_id:
                     return f"event {seq} names a table other than the share's source at its actor"
                 responses[key] -= 1
                 merged.add((event.tick, event.actor, p["shared_id"]))
@@ -489,7 +506,7 @@ def trace_mismatch(world: World) -> Optional[str]:
                     return f"event {seq} edits a table its actor does not hold"
             else:
                 return f"event {seq} has an unknown kind {event.kind!r}"
-        except (LookupError, TypeError, UnknownShare):  # a payload of the wrong shape, or naming another's share
+        except (LookupError, TypeError):  # a payload of the wrong shape, or naming another's share
             return f"event {seq} has a malformed payload"
         seq += 1
     if proposed:
@@ -572,13 +589,12 @@ class World:
         self._trace(*_propose_event(tx))
 
     def quiescent(self) -> bool:
-        """No messages in flight, empty mempool, nothing staged, script done."""
-        return (
-            not self._inflight
-            and not self.chain.mempool
-            and self._script_pos >= len(self._script)
-            and all(not p.pending and not p.outbox for p in self.peers.values())
-        )
+        """No messages in flight, empty mempool, script done.
+
+        No peer needs a look: a staged proposal has its transaction in the
+        mempool or its receipt in flight, and every step empties the outboxes.
+        """
+        return not self._inflight and not self.chain.mempool and self._script_pos >= len(self._script)
 
     # -- the tick loop -----------------------------------------------------------
 
@@ -595,7 +611,7 @@ class World:
             meta = query_metadata(self.contract, message.shared_id)
             outcome = peer.on_data_response(message, meta)
             if outcome.applied:
-                source = peer.source_of(message.shared_id)
+                source = peer.shares[message.shared_id].source_id
                 payload = {"shared_id": message.shared_id, "source_table": source, "version": message.version}
                 self._trace(peer.principal, "put_applied", payload)
             # The digest check admits only the share's current version.
@@ -686,7 +702,7 @@ class World:
                     f"{len(self._inflight)} messages in flight, "
                     f"{len(self.chain.mempool)} mempool transactions, "
                     f"pending proposals on "
-                    f"{sorted(sid for p in self.peers.values() for sid in p.pending)}"
+                    f"{sorted(sid for p in self.peers.values() for sid, s in p.shares.items() if s.staged)}"
                 )
             self.step()
         return self
@@ -725,8 +741,9 @@ def dump(world: World, out_dir: str | Path) -> Path:
         peer = world.peers[principal]
         for tid in sorted(peer.tables):
             _write(out / "tables" / principal / f"{tid}.json", peer.tables[tid].canonical_bytes())
-        for sid in sorted(peer.shared_copies):
-            _write(out / "shared" / principal / f"{sid}.json", peer.shared_copies[sid].canonical_bytes())
+        for sid, share in peer.shares.items():
+            if share.copy is not None:
+                _write(out / "shared" / principal / f"{sid}.json", share.copy.canonical_bytes())
     _write(out / "world.json", canonical_json(manifest))
     _write(out / "contract.json", world.contract.canonical_bytes())
     _write(out / "chain.json", world.chain.dumps())
@@ -758,10 +775,9 @@ def load_dump(dump_dir: str | Path) -> World:
 
     def read_trace() -> list[TraceEvent]:
         # A function of its own, so the text lines are freed before the tables load.
-        path = root / "trace.jsonl"
         # Lines end at "\n" only: canonical JSON leaves U+2028, U+2029 and U+0085
         # unescaped, and str.splitlines would split inside a string there.
-        lines = path.read_text(encoding="utf-8").split("\n") if path.exists() else []
+        lines = (root / "trace.jsonl").read_text(encoding="utf-8").split("\n")
         return [TraceEvent.from_json_dict(json.loads(line)) for line in lines if line.strip()]
 
     try:
@@ -790,7 +806,7 @@ def load_dump(dump_dir: str | Path) -> World:
         # name, clock, principals and peers, each read above, and nothing else
         if len(manifest) != 4 or manifest["principals"] != sorted(manifest["peers"]):
             raise ValidationError("world.json holds keys or values a dump does not write")
-    except (OSError, ValueError, LookupError, TypeError, AttributeError, RelationalError, LensError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, RelationalError, LensError, PeerError) as exc:
         raise ValidationError(f"unreadable dump at {root}: {exc}") from exc
     return world
 
@@ -834,17 +850,16 @@ def verify_convergence(world: World) -> Report:
         holders = sorted(meta.peers)
         copies = {}
         for p in holders:
-            peer = world.peers.get(p)
-            copy = peer.shared_copies.get(sid) if peer else None
+            share = world.peers[p].shares.get(sid) if p in world.peers else None
+            copy = share.copy if share else None
             if copy is None:
                 checks.append(CheckResult(sid, f"copy-present[{p}]", False, f"{p} holds no copy"))
             else:
                 copies[p] = copy
         if len(copies) == 2:
             a, b = (copies[p] for p in holders)
-            checks.append(
-                CheckResult(sid, "copies-equal", a == b, "" if a == b else "peers' copies differ")
-            )
+            ok = a == b
+            checks.append(CheckResult(sid, "copies-equal", ok, "" if ok else "peers' copies differ"))
         for p, copy in copies.items():
             ok = copy.digest() == meta.content_digest
             checks.append(

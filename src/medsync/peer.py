@@ -1,29 +1,23 @@
 """One participant's state machine.
 
-A peer owns its full local tables, a lens per share it participates in, and a
-copy of each shared table. Local edits stay local until the peer regenerates
-the affected view and proposes the change to the ledger; copies move only on
-an accepted receipt or on data fetched from the counterpart and verified
-against the contract digest. After merging a counterpart's update into a
-source table, the peer re-derives its other views over that source and
-proposes any that changed (the cascade).
+A peer owns its full local tables, its lenses, and one record per share it is
+bound to (`ShareState`, built with the peer). Local edits stay local until the
+peer regenerates the affected view and proposes the change to the ledger;
+copies move only on an accepted receipt or on data fetched from the
+counterpart and verified against the contract digest. After merging a
+counterpart's update into a source table, the peer re-derives its other views
+over that source and proposes any that changed (the cascade).
 
-Each share keeps a lens cache: the source its view was last derived from, that
-view, and the lens's support index. Regenerating a view and merging fetched
-data advance the cache, so they cost what the edit touched, not the table
-size. The cache is working state only: it is not dumped, and verification
-derives every view from its whole source. A proposal's changed attributes come
-from the same diff of two table versions, `Table.changes_since`.
-
-Each share also counts the data requests it has out, so that a stale response
-refetches only when it was the last one unanswered (`on_data_response`). Like
-the caches, the count is working state: not dumped, and zero in a reloaded,
-quiescent peer.
+A share's lens cache holds the source its view was last derived from, that
+view, and the lens's support index, so regenerating a view and merging fetched
+data cost what the edit touched, not the table size. A share's unanswered
+count lets a stale response refetch only when it was the last one out. Both
+are working state: not dumped, and fresh in a reloaded peer; verification
+derives every view from its whole source.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -104,6 +98,24 @@ class PendingProposal:
     source: Table  # the source table `view` was derived from
 
 
+@dataclass
+class ShareState:
+    """Everything a peer holds for one share it is bound to."""
+
+    binding: ShareBinding
+    lens: Lens
+    cache: LensCache  # what the lens last derived
+    copy: Optional[Table] = None  # as last installed, accepted or merged
+    version: int = 0
+    staged: Optional[PendingProposal] = None  # the proposal awaiting its receipt
+    unanswered: int = 0  # data requests sent and not yet answered
+
+    @property
+    def source_id(self) -> str:
+        """The id of the local table the share's view is derived from."""
+        return self.lens.spec.source_table_id
+
+
 @dataclass(frozen=True)
 class MergeOutcome:
     """What happened when a data response was merged."""
@@ -138,16 +150,13 @@ class PeerNode:
         self.principal = principal
         self.tables: dict[str, Table] = dict(tables)
         self.lenses: dict[str, Lens] = dict(lenses)
-        self.bindings: dict[str, ShareBinding] = dict(bindings)
+        self.shares: dict[str, ShareState] = {}
         # The shares derived from each source table, in share-id order: the cascade's order.
         self._shares_of: dict[str, list[str]] = {}
-        for shared_id in sorted(self.bindings):
-            self._shares_of.setdefault(self.source_of(shared_id), []).append(shared_id)
-        self.shared_copies: dict[str, Table] = {}
-        self._caches: dict[str, LensCache] = {}  # per share: what its lens last derived
-        self._unanswered: Counter[str] = Counter()  # per share: data requests sent and not yet answered
-        self.known_versions: dict[str, int] = {}
-        self.pending: dict[str, PendingProposal] = {}
+        for shared_id, binding in sorted(bindings.items()):
+            lens = self.lenses[binding.lens_id]
+            share = self.shares[shared_id] = ShareState(binding, lens, LensCache(lens, shared_id))
+            self._shares_of.setdefault(share.source_id, []).append(shared_id)
         self.outbox: list[Message] = []
 
     def to_json_dict(self) -> dict:
@@ -155,8 +164,8 @@ class PeerNode:
         return {
             "tables": sorted(self.tables),
             "lenses": [self.lenses[k].spec.to_json_dict() for k in sorted(self.lenses)],
-            "bindings": [b.to_json_dict() for _, b in sorted(self.bindings.items())],
-            "versions": dict(sorted(self.known_versions.items())),
+            "bindings": [s.binding.to_json_dict() for s in self.shares.values()],
+            "versions": {sid: s.version for sid, s in self.shares.items() if s.copy is not None},
         }
 
     @classmethod
@@ -165,7 +174,7 @@ class PeerNode:
         principal: Principal,
         d: Mapping,
         tables: Mapping[str, Table],
-        shared_copies: Mapping[str, Table],
+        copies: Mapping[str, Table],
     ) -> "PeerNode":
         """Rebuild a quiescent peer from its dump entry and the tables read back for it."""
         lenses = {}
@@ -174,34 +183,25 @@ class PeerNode:
             lenses[spec.lens_id] = compile_lens(spec, tables[spec.source_table_id].schema)
         bindings = [ShareBinding.from_json_dict(b) for b in d["bindings"]]
         peer = cls(principal, tables, lenses, {b.shared_id: b for b in bindings})
-        peer.shared_copies = dict(shared_copies)
-        peer.known_versions = dict(d["versions"])
+        for shared_id, version in d["versions"].items():
+            share = peer._share(shared_id)
+            share.copy, share.version = copies[shared_id], version
         return peer
 
     # -- wiring ---------------------------------------------------------------
 
-    def _binding(self, shared_id: str) -> ShareBinding:
-        binding = self.bindings.get(shared_id)
-        if binding is None:
+    def _share(self, shared_id: str) -> ShareState:
+        """The record of a share this peer is bound to; UnknownShare for any other."""
+        share = self.shares.get(shared_id)
+        if share is None:
             raise UnknownShare(f"{self.principal!r} is not bound to share {shared_id!r}")
-        return binding
+        return share
 
-    def source_of(self, shared_id: str) -> str:
-        """The id of the local table the share's view is derived from."""
-        return self.lenses[self._binding(shared_id).lens_id].spec.source_table_id
-
-    def _fetch(self, shared_id: str, version: int) -> None:
+    def _fetch(self, share: ShareState, version: int) -> None:
         """Ask the share's counterpart for `version` of the share (or a later one)."""
-        counterpart = self._binding(shared_id).counterpart
-        self.outbox.append(DataRequest(shared_id, version, self.principal, counterpart))
-        self._unanswered[shared_id] += 1
-
-    def _lens_cache(self, shared_id: str) -> tuple[Lens, LensCache]:
-        lens = self.lenses[self._binding(shared_id).lens_id]
-        cache = self._caches.get(shared_id)
-        if cache is None:
-            cache = self._caches[shared_id] = LensCache(lens, shared_id)
-        return lens, cache
+        binding = share.binding
+        self.outbox.append(DataRequest(binding.shared_id, version, self.principal, binding.counterpart))
+        share.unanswered += 1
 
     def regenerate_view(self, shared_id: str) -> Table:
         """Derive the current view for a share from the local source table.
@@ -209,20 +209,19 @@ class PeerNode:
         Only the view rows the source edits since the last derivation touched
         are derived again; the first call derives them all.
         """
-        lens, cache = self._lens_cache(shared_id)
-        return lens_get(lens, self.tables[lens.spec.source_table_id], cache)
+        share = self._share(shared_id)
+        return lens_get(share.lens, self.tables[share.source_id], share.cache)
 
     def derive_view(self, shared_id: str) -> Table:
         """The share's view derived from the whole source table: a new cache, not the share's."""
-        lens = self.lenses[self._binding(shared_id).lens_id]
-        return lens_get(lens, self.tables[lens.spec.source_table_id], LensCache(lens, shared_id))
+        share = self._share(shared_id)
+        return lens_get(share.lens, self.tables[share.source_id], LensCache(share.lens, shared_id))
 
     def install_share(self, shared_id: str) -> Table:
         """Initialize the local copy of a share from the current source; version 0."""
-        view = self.regenerate_view(shared_id)
-        self.shared_copies[shared_id] = view
-        self.known_versions[shared_id] = 0
-        return view
+        share = self._share(shared_id)
+        share.copy, share.version = self.regenerate_view(shared_id), 0
+        return share.copy
 
     # -- local operations -----------------------------------------------------
 
@@ -243,8 +242,7 @@ class PeerNode:
 
     def read_shared(self, shared_id: str) -> Table:
         """Local query of a shared copy; no messages, no ledger interaction."""
-        self._binding(shared_id)
-        return self.shared_copies[shared_id]
+        return self._share(shared_id).copy
 
     def regenerate_and_propose(self, shared_id: str) -> Optional[UpdateTx]:
         """Regenerate the view and, if it drifted from the shared copy, stage a proposal.
@@ -252,22 +250,22 @@ class PeerNode:
         The copy itself is replaced only once the ledger accepts the proposal.
         Returns None when nothing changed or a proposal is already in flight.
         """
-        source = self.tables[self.source_of(shared_id)]
-        if shared_id in self.pending:
+        share = self._share(shared_id)
+        if share.staged is not None:
             return None
+        source = self.tables[share.source_id]
         new_view = self.regenerate_view(shared_id)
-        changed = changed_view_attrs(self.shared_copies[shared_id], new_view)
+        changed = changed_view_attrs(share.copy, new_view)
         if not changed:  # the view equals the copy
             return None
-        base_version = self.known_versions[shared_id]
         tx = UpdateTx(
             shared_id=shared_id,
             requester=self.principal,
             changed_attrs=changed,
-            base_version=base_version,
+            base_version=share.version,
             new_digest=new_view.digest(),
         )
-        self.pending[shared_id] = PendingProposal(new_view, base_version, source)
+        share.staged = PendingProposal(new_view, share.version, source)
         return tx
 
     # -- message handlers -----------------------------------------------------
@@ -281,25 +279,21 @@ class PeerNode:
         tx = receipt.tx
         if not isinstance(tx, UpdateTx):
             return []
-        shared_id = tx.shared_id
-        staged = self.pending.pop(shared_id, None)
+        share = self._share(tx.shared_id)
+        staged, share.staged = share.staged, None
         if receipt.verdict.ok:
             if staged is not None:
-                self.shared_copies[shared_id] = staged.view
-                self.known_versions[shared_id] = staged.base_version + 1
-                if self.tables[self.source_of(shared_id)] is staged.source:
+                share.copy, share.version = staged.view, staged.base_version + 1
+                if self.tables[share.source_id] is staged.source:
                     return []  # the copy is the view of the current source
             # The source may have moved again while the proposal was in flight.
-            follow_up = self.regenerate_and_propose(shared_id)
+            follow_up = self.regenerate_and_propose(tx.shared_id)
             return [follow_up] if follow_up else []
-        if receipt.verdict.reason in (
-            RejectReason.STALE_VERSION,
-            RejectReason.BLOCKED_BY_SERIALIZATION,
-        ):
+        if receipt.verdict.reason in (RejectReason.STALE_VERSION, RejectReason.BLOCKED_BY_SERIALIZATION):
             # Refetch only if the winning version has not already been merged
             # through the notification path while this receipt was in flight.
-            if self.known_versions[shared_id] <= tx.base_version:
-                self._fetch(shared_id, tx.base_version + 1)
+            if share.version <= tx.base_version:
+                self._fetch(share, tx.base_version + 1)
         return []
 
     def on_notification(self, note: Notification) -> None:
@@ -308,7 +302,7 @@ class PeerNode:
         The contract notifies the peer that did not request the update, so the
         notification's source is always this peer's counterpart on the share.
         """
-        self._fetch(note.shared_id, note.new_version)
+        self._fetch(self._share(note.shared_id), note.new_version)
 
     def on_data_request(self, req: DataRequest) -> str:
         """Serve the current copy, or signal a retry if we don't hold it yet.
@@ -316,20 +310,12 @@ class PeerNode:
         Requests from anyone but the share's counterpart are refused: shared
         data never travels to a third party.
         """
-        binding = self._binding(req.shared_id)
-        if req.sender != binding.counterpart:
+        share = self._share(req.shared_id)
+        if req.sender != share.binding.counterpart:
             return REFUSED
-        if self.known_versions[req.shared_id] < req.requested_version:
+        if share.version < req.requested_version:
             return RETRY
-        self.outbox.append(
-            DataResponse(
-                shared_id=req.shared_id,
-                version=self.known_versions[req.shared_id],
-                table=self.shared_copies[req.shared_id],
-                sender=self.principal,
-                to=req.sender,
-            )
-        )
+        self.outbox.append(DataResponse(req.shared_id, share.version, share.copy, self.principal, req.sender))
         return SERVED
 
     def on_data_response(self, resp: DataResponse, meta: SharedTableMetadata) -> MergeOutcome:
@@ -342,20 +328,18 @@ class PeerNode:
         After a merge, every other share derived from the same source is
         regenerated; views that changed become cascade proposals.
         """
+        share = self._share(resp.shared_id)
         # The count stays at zero for a response to no counted request.
-        unanswered = self._unanswered[resp.shared_id] = max(self._unanswered[resp.shared_id] - 1, 0)
-        lens, cache = self._lens_cache(resp.shared_id)
+        share.unanswered = max(share.unanswered - 1, 0)
         if resp.table.digest() != meta.content_digest or resp.version != meta.version:
-            if not unanswered:
-                self._fetch(resp.shared_id, meta.version)
+            if not share.unanswered:
+                self._fetch(share, meta.version)
             return MergeOutcome(applied=False)
 
         # The digest covers the id, so the check above proved it is the share's.
-        self.shared_copies[resp.shared_id] = resp.table
-        self.known_versions[resp.shared_id] = resp.version
-
-        source_id = lens.spec.source_table_id
-        self.tables[source_id] = lens_put(lens, self.tables[source_id], resp.table, cache)
+        share.copy, share.version = resp.table, resp.version
+        source_id = share.source_id
+        self.tables[source_id] = lens_put(share.lens, self.tables[source_id], resp.table, share.cache)
 
         others = [sid for sid in self._shares_of[source_id] if sid != resp.shared_id]
         proposed = (self.regenerate_and_propose(sid) for sid in others)

@@ -247,6 +247,13 @@ class TestRun:
         assert world.quiescent()
         assert world.clock <= 30
 
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_a_quiescent_world_leaves_nothing_staged_or_unanswered(self, name):
+        # `World.quiescent` reads no peer: every proposal got its receipt, every request its answer.
+        world = run(load_scenario(scenario_path(name)))
+        shares = [s for peer in world.peers.values() for s in peer.shares.values()]
+        assert shares and all(s.staged is None and not s.unanswered for s in shares)
+
     def test_identical_runs_produce_identical_traces(self, update_flow):
         t1 = [e.to_json_dict() for e in run(update_flow).trace]
         t2 = [e.to_json_dict() for e in run(update_flow).trace]
@@ -450,6 +457,16 @@ class TestVerifyConvergence:
         assert len(report.checks) == 10  # 2 shares x (copies-equal + 2 digests + 2 regenerations)
         assert all(line.startswith("[PASS]") for line in report.lines())
 
+    def test_one_verify_compares_each_pair_of_tables_once(self, update_flow, monkeypatch):
+        from medsync.relational import Table
+
+        world = run(update_flow)
+        calls = []
+        eq = Table.__eq__
+        monkeypatch.setattr(Table, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+        assert verify_convergence(world).ok
+        assert len(calls) == 6  # 2 shares x (copies-equal + 2 copy-matches-source)
+
     def test_not_quiescent_mid_run(self, update_flow):
         world = World(update_flow)  # script not yet executed
         with pytest.raises(NotQuiescent):
@@ -465,7 +482,7 @@ class TestVerifyConvergence:
         assert doctor.regenerate_view("D13") is copy  # the held copy is the lens's cached view
         row = copy.rows[0]
         forged = copy.update_row({a: row[a] for a in copy.schema.key}, {"a4": "forged"})
-        doctor._caches["D13"].view = doctor.shared_copies["D13"] = forged
+        doctor.shares["D13"].cache.view = doctor.shares["D13"].copy = forged
         assert doctor.regenerate_view("D13") is forged  # the cache now agrees with the forged copy
         failed = {c.check for c in verify_convergence(world).checks if not c.ok}
         assert "copy-matches-source[Doctor]" in failed
@@ -475,7 +492,7 @@ class TestVerifyConvergence:
         # to forget one of the two D3 rows behind MedX before the run, so its
         # merge deletes only the other one.
         world = World(cascade_delete)
-        support = world.peers["Doctor"]._caches["D23"].support
+        support = world.peers["Doctor"].shares["D23"].cache.support
         support[("MedX",)].remove(("P2", "MedX"))
         world.run_to_quiescence()
         assert world.peers["Doctor"].tables["D3"].get_row({"a0": "P2", "a1": "MedX"}) is not None
@@ -577,6 +594,8 @@ class TestCli:
             "data_req dropped",
             "data_req duplicated",
             "data_resp duplicated",
+            "data_req key smuggled",
+            "edit key smuggled",
         ],
     )
     def test_forged_trace_fails_verify(self, tmp_path, capsys, forgery):
@@ -633,6 +652,9 @@ class TestCli:
             for e in events:
                 if e["kind"] == "edit":
                     e["payload"]["table"] = "forged"
+        elif forgery.endswith("key smuggled"):
+            kind = forgery.split()[0]
+            next(e for e in events if e["kind"] == kind)["payload"]["smuggled"] = "x"
         elif forgery in ("data_req dropped", "data_req duplicated", "data_resp duplicated"):
             kind, change = forgery.split()
             at = next(i for i, e in enumerate(events) if e["kind"] == kind)
@@ -694,6 +716,25 @@ class TestCli:
             else:
                 events[0]["payload"] = list(events[0]["payload"].items())
             path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == 2
+        assert capsys.readouterr().err.startswith("dump error: ")
+
+    @pytest.mark.parametrize("target", ["trace missing", "copy of an unbound share"])
+    def test_a_missing_trace_or_a_copy_of_an_unbound_share_exits_2(self, tmp_path, capsys, target):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("permission_grant"), "--dump", str(dump_dir)]) == 0
+        if target == "trace missing":
+            (dump_dir / "trace.jsonl").unlink()
+        else:  # a version and a copy of a share the Doctor has no binding for
+            path = dump_dir / "world.json"
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc["peers"]["Doctor"]["versions"]["Zeta"] = 0
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            shared = dump_dir / "shared" / "Doctor"
+            (shared / "Zeta.json").write_bytes((shared / "D23.json").read_bytes())
         capsys.readouterr()
         assert main(["verify", str(dump_dir)]) == 2
         assert capsys.readouterr().err.startswith("dump error: ")

@@ -67,15 +67,15 @@ def doctor() -> PeerNode:
 
 def meta_for(node: PeerNode, shared_id: str, version: int = 0) -> SharedTableMetadata:
     """A contract entry whose digest matches the node's current copy."""
-    lens = node.lenses[node.bindings[shared_id].lens_id]
+    lens = node.lenses[node.shares[shared_id].binding.lens_id]
     return SharedTableMetadata(
         shared_id=shared_id,
         view_schema=lens.view_schema,
-        peers=frozenset({node.principal, node.bindings[shared_id].counterpart}),
+        peers=frozenset({node.principal, node.shares[shared_id].binding.counterpart}),
         perm={a: frozenset({node.principal}) for a in lens.view_schema.attrs},
         authority=node.principal,
         version=version,
-        content_digest=node.shared_copies[shared_id].digest(),
+        content_digest=node.shares[shared_id].copy.digest(),
     )
 
 
@@ -110,7 +110,7 @@ class TestRegenerateAndPropose:
         assert tx.requester == "Researcher"
         # staged, not yet visible
         assert node.read_shared("D23").get_row({"a1": "MedX"})["a5"] == "MeA1"
-        assert "D23" in node.pending
+        assert node.shares["D23"].staged is not None
 
     def test_untouched_source_proposes_nothing(self):
         assert researcher().regenerate_and_propose("D23") is None
@@ -144,8 +144,8 @@ class TestOnReceipt:
         follow_ups = node.on_receipt(Receipt(tx, Verdict.accept(), "Researcher"))
         assert follow_ups == []
         assert node.read_shared("D23").get_row({"a1": "MedX"})["a5"] == "MeA2"
-        assert node.known_versions["D23"] == 1
-        assert not node.pending
+        assert node.shares["D23"].version == 1
+        assert node.shares["D23"].staged is None
 
     def test_accept_reproposes_when_source_moved_again(self):
         node = researcher()
@@ -160,7 +160,7 @@ class TestOnReceipt:
         node = researcher()
         tx = self.stage(node)
         node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.STALE_VERSION), "Researcher"))
-        assert not node.pending
+        assert node.shares["D23"].staged is None
         assert node.read_shared("D23").get_row({"a1": "MedX"})["a5"] == "MeA1"
         (req,) = node.outbox
         assert isinstance(req, DataRequest)
@@ -179,18 +179,18 @@ class TestOnReceipt:
         # receipt did; chasing base_version+2 would request data nobody has
         node = researcher()
         tx = self.stage(node)
-        node.known_versions["D23"] = 1  # merge completed while the receipt was in flight
+        node.shares["D23"].version = 1  # merge completed while the receipt was in flight
         node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.STALE_VERSION), "Researcher"))
         assert node.outbox == []
-        assert not node.pending
+        assert node.shares["D23"].staged is None
 
     def test_permission_rejection_only_drops_staging(self):
         node = researcher()
         tx = self.stage(node)
         node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.PERMISSION_DENIED), "Researcher"))
-        assert not node.pending
+        assert node.shares["D23"].staged is None
         assert node.outbox == []
-        assert node.known_versions["D23"] == 0
+        assert node.shares["D23"].version == 0
 
 
 class TestNotificationAndRequests:
@@ -245,7 +245,7 @@ class TestOnDataResponse:
         )
         assert outcome.applied
         assert outcome.cascade_txs == ()  # shared attrs with D13 did not change
-        assert node.known_versions["D23"] == 1
+        assert node.shares["D23"].version == 1
         assert node.tables["D3"].get_row({"a0": "P1", "a1": "MedX"})["a5"] == "MeA2"
         assert node.tables["D3"].get_row({"a0": "P2", "a1": "MedX"})["a5"] == "MeA2"
 
