@@ -799,6 +799,8 @@ def load_dump(dump_dir: str | Path) -> World:
             info = manifest["peers"][principal]
             if not all(map(_plain, [principal, *info["tables"], *info["versions"]])):
                 raise ValidationError(f"world.json's principal, table and share names must each be {_PLAIN}")
+            if not all(type(v) is int for v in info["versions"].values()):  # a bool is no version either
+                raise ValidationError(f"world.json's share versions of {principal} must be integers")
             tables = {tid: read_table("tables", principal, f"{tid}.json") for tid in info["tables"]}
             copies = {sid: read_table("shared", principal, f"{sid}.json") for sid in info["versions"]}
             peer = PeerNode.from_json_dict(principal, info, tables, copies)
@@ -840,9 +842,9 @@ class Report:
 
 
 def verify_convergence(world: World) -> Report:
-    """Check that every share's two copies agree, match the contract digest,
-    and equal the view derived from each holder's whole source (the peers'
-    lens caches are not consulted)."""
+    """Check that every share's two copies agree, match the contract's digest
+    and version, and equal the view derived from each holder's whole source
+    (the peers' lens caches are not consulted)."""
     if not world.quiescent():
         raise NotQuiescent("verify_convergence requires a quiescent world")
     checks: list[CheckResult] = []
@@ -861,15 +863,13 @@ def verify_convergence(world: World) -> Report:
             ok = a == b
             checks.append(CheckResult(sid, "copies-equal", ok, "" if ok else "peers' copies differ"))
         for p, copy in copies.items():
-            ok = copy.digest() == meta.content_digest
-            checks.append(
-                CheckResult(
-                    sid,
-                    f"digest-matches-contract[{p}]",
-                    ok,
-                    "" if ok else f"copy digest {copy.digest()[:12]} != contract digest",
-                )
-            )
+            version = world.peers[p].shares[sid].version
+            wrong = []
+            if copy.digest() != meta.content_digest:
+                wrong.append(f"copy digest {copy.digest()[:12]} != contract digest")
+            if version != meta.version:
+                wrong.append(f"copy version {version!r} != contract version {meta.version}")
+            checks.append(CheckResult(sid, f"digest-matches-contract[{p}]", not wrong, "; ".join(wrong)))
             regenerated = world.peers[p].derive_view(sid)
             ok = regenerated == copy
             checks.append(

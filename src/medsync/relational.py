@@ -6,10 +6,15 @@ canonical order (sorted by their primary-key cells), so two tables holding the
 same rows compare equal regardless of insertion order, serialize to identical
 bytes, and share one SHA-256 digest.
 
-Rows from outside the program (scenario files, dumps, a caller's rows and
-changes) are validated once, by the `Table(...)` constructor or by the CRUD
-operation that receives them. Tables the program derives from valid tables
-(CRUD results, `with_id`, lens `get` and `put`) skip that check.
+Rows from outside the program are validated once, where they enter. A caller's
+row dicts and changes are checked one row at a time by the `Table(...)`
+constructor or by the CRUD operation that receives them. Scenario files and
+dumps hold rows as JSON cell lists, and `Table.from_json_dict` checks them in a
+few passes that run in C: the rows form a list of lists one cell per attribute
+long, every cell's type is text or null, and no key cell is null. Each row dict
+is then built in schema order, and rows already in strictly increasing key
+order, as a dump writes them, are not sorted again. Tables the program derives
+from valid tables (CRUD results, `with_id`, lens `get` and `put`) skip all checks.
 
 A table keeps its rows in one structure, a tuple of chunks. A chunk is a run of
 at most `2 * CHUNK` rows consecutive in key order: a dict from each row's
@@ -34,12 +39,13 @@ import hashlib
 import json
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass, field
-from itertools import chain
-from operator import attrgetter, itemgetter
+from itertools import chain, islice, repeat
+from operator import attrgetter, itemgetter, lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 Value = Optional[str]  # a cell: text, or None for null
 Row = dict[str, Value]
+_CELL_TYPES = frozenset((str, type(None)))  # the types of a Value
 
 ZERO_DIGEST = "0" * 64
 # Rows per chunk as built; a splice splits a chunk past twice this. An edit
@@ -183,6 +189,11 @@ class _Chunk:
 _first, _rows = attrgetter("first"), attrgetter("rows")
 
 
+def _increasing(keys: list[Key]) -> bool:
+    """True iff the keys are strictly increasing, which also makes them unique."""
+    return all(map(lt, keys, islice(keys, 1, None)))
+
+
 def _chunked(items: Sequence[tuple[Key, Row]]) -> list[_Chunk]:
     """Chunks of `CHUNK` rows from (key, row) pairs in key order."""
     return [_Chunk(dict(items[i : i + CHUNK]), items[i][0]) for i in range(0, len(items), CHUNK)]
@@ -212,9 +223,10 @@ def _encoded(rows: Iterable[Row], cells_of: Callable[[Row], tuple[Value, ...]]) 
 class Table:
     """An immutable table: id, schema, and rows unique on the primary key.
 
-    `Table(...)` validates and sorts every row (`__post_init__`); it is the
-    entry point for rows from outside the program. Tables derived from a valid
-    table skip it, and share the chunks they do not change with their input.
+    `Table(...)` on row dicts and `Table.from_json_dict` on JSON cell lists are
+    the entry points for rows from outside the program; both key, sort and chunk
+    the rows in `__post_init__`. Tables derived from a valid table skip it, and
+    share the chunks they do not change with their input.
     Row dicts are owned by the table after construction; callers must not
     mutate them. All editing goes through the operations below, each of which
     returns a new table. The digest is computed once per table.
@@ -226,14 +238,22 @@ class Table:
         _set(self, "id", id)
         _set(self, "schema", schema)
         _set(self, "_digest", None)
-        self.__post_init__(rows)
+        self.__post_init__([_normalize_row(schema, r) for r in rows])
 
-    def __post_init__(self, rows: Iterable[Mapping[str, Value]]) -> None:
-        """Validate, sort and chunk rows from outside the program (the benchmark's tracer times builds here)."""
-        normalized = [_normalize_row(self.schema, r) for r in rows]
-        items = sorted(zip(map(self.schema.key_of, normalized), normalized), key=itemgetter(0))
-        for (k, _), (after, _) in zip(items, items[1:]):
-            if k == after:
+    def __post_init__(self, rows: list[Row]) -> None:
+        """Key, sort and chunk rows whose cells are valid and in schema order,
+        refusing a null or repeated key; rows already in strictly increasing key
+        order are not sorted. Every table from outside the program is built here
+        (the benchmark's tracer times builds here)."""
+        keys = list(map(self.schema.key_of, rows))
+        if None in chain.from_iterable(keys):  # before any comparison: None < str raises
+            raise SchemaMismatch(f"a primary-key cell is null in table {self.id!r}")
+        items = list(zip(keys, rows))
+        if not _increasing(keys):
+            items.sort(key=itemgetter(0))
+            keys = list(map(itemgetter(0), items))
+            if not _increasing(keys):  # sorted, so two neighbours are equal
+                k = next(k for k, after in zip(keys, islice(keys, 1, None)) if k == after)
                 raise KeyConflict(f"duplicate primary key {k} in table {self.id!r}")
         _set(self, "_chunks", tuple(_chunked(items)))
 
@@ -420,13 +440,22 @@ class Table:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Table":
+        """The table of a persistence form, validated in passes that run in C.
+
+        `rows` must be a list of cell lists, one cell per schema attribute, each
+        cell text or null. Each row dict is then built in schema order, so the
+        per-row `_normalize_row` is not needed.
+        """
         schema = Schema.from_json_dict(d["schema"])
-        attrs, width = schema.attrs, len(schema.attrs)
+        attrs, rows = schema.attrs, d["rows"]
         # zip would drop extra cells and split a string row into characters
-        rows = [dict(zip(attrs, cells)) for cells in d["rows"] if type(cells) is list and len(cells) == width]
-        if len(rows) != len(d["rows"]):
-            raise SchemaMismatch(f"every row must be a list of {width} cells, one per schema attribute")
-        return cls(d["id"], schema, tuple(rows))
+        if type(rows) is not list or not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {len(attrs)}:
+            raise SchemaMismatch(f"rows must be a list of lists of {len(attrs)} cells, one per schema attribute")
+        if not set(map(type, chain.from_iterable(rows))) <= _CELL_TYPES:
+            raise SchemaMismatch("every cell must be a string or null")
+        table = cls._of(d["id"], schema, ())
+        table.__post_init__(list(map(dict, map(zip, repeat(attrs), rows))))
+        return table
 
     def canonical_bytes(self) -> bytes:
         """Deterministic serialization; equal tables yield identical bytes.

@@ -552,6 +552,68 @@ class TestCli:
         assert main(["verify", str(dump_dir)]) == 2
         assert capsys.readouterr().err.startswith("dump error: ")
 
+    @pytest.mark.parametrize("subdir, table", [("tables", "D3"), ("shared", "D23")])
+    @pytest.mark.parametrize(
+        "corruption",
+        [
+            "rows out of key order",
+            "number cell",
+            "true cell",
+            "list cell",
+            "null key cell",
+            "row one cell short",
+            "row one cell long",
+            "extra key on the table",
+            "extra key on the schema",
+        ],
+    )
+    def test_malformed_dump_table_exits_2(self, tmp_path, capsys, subdir, table, corruption):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
+        path = dump_dir / subdir / "Doctor" / f"{table}.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        rows, schema = doc["rows"], doc["schema"]
+        assert len(rows) >= 2
+        if corruption == "rows out of key order":
+            rows.reverse()
+        elif corruption == "null key cell":
+            rows[-1][schema["attrs"].index(schema["key"][0])] = None
+        elif corruption.endswith(" cell"):
+            rows[0][-1] = {"number cell": 5, "true cell": True, "list cell": [rows[0][-1]]}[corruption]
+        elif corruption == "row one cell short":
+            rows[0].pop()
+        elif corruption == "row one cell long":
+            rows[0].append("x")
+        else:
+            (doc if corruption.endswith("table") else schema)["extra"] = "x"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == 2
+        assert capsys.readouterr().err.startswith("dump error: ")
+
+    @pytest.mark.parametrize(
+        "version, code", [(True, 2), ("1", 2), (1.0, 2), (7, 1)], ids=["true", "string", "float", "seven"]
+    )
+    def test_a_dumped_share_version_is_checked(self, tmp_path, capsys, version, code):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
+        path = dump_dir / "world.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["peers"]["Doctor"]["versions"]["D23"] == 1
+        doc["peers"]["Doctor"]["versions"]["D23"] = version
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert err.startswith("dump error: ")
+        else:
+            assert "[FAIL] D23: digest-matches-contract[Doctor]: copy version 7 != contract version 1" in out
+
     def test_verify_checks_the_loaded_chain_once(self, tmp_path, capsys, monkeypatch):
         from medsync.cli import main
         from medsync.ledger import Chain

@@ -187,6 +187,52 @@ class TestCanonicalForm:
     def test_json_roundtrip(self, fixture_f):
         assert Table.from_json_dict(fixture_f.to_json_dict()) == fixture_f
 
+    def test_json_rows_out_of_key_order_are_sorted(self, fixture_f):
+        doc = fixture_f.to_json_dict()
+        doc["rows"].reverse()
+        assert Table.from_json_dict(doc) == fixture_f
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda rows: rows[0].__setitem__(4, 5),
+            lambda rows: rows[0].__setitem__(4, True),
+            lambda rows: rows[0].__setitem__(4, ["MeA1"]),
+            lambda rows: rows[0].pop(),
+            lambda rows: rows[0].append("x"),
+            lambda rows: rows.__setitem__(0, "P1MedXclinNote15mgMeA1"),
+            lambda rows: rows.reverse() or rows[1].__setitem__(0, None),  # null among unsorted keys
+        ],
+        ids=["number", "true", "list", "one cell short", "one cell long", "string row", "null key"],
+    )
+    def test_malformed_json_rows_are_refused(self, fixture_f, rewrite):
+        doc = fixture_f.to_json_dict()
+        rewrite(doc["rows"])
+        with pytest.raises(SchemaMismatch):
+            Table.from_json_dict(doc)
+
+    def test_json_rows_must_be_a_list(self, fixture_f):
+        with pytest.raises(SchemaMismatch):
+            Table.from_json_dict({**fixture_f.to_json_dict(), "rows": ""})
+
+    def test_a_repeated_json_key_is_refused(self, fixture_f):
+        doc = fixture_f.to_json_dict()
+        doc["rows"].insert(0, list(doc["rows"][-1]))
+        with pytest.raises(KeyConflict):
+            Table.from_json_dict(doc)
+
+    def test_sorted_json_rows_skip_the_row_check(self, monkeypatch):
+        import medsync.relational as relational
+
+        calls = []
+        normalize = relational._normalize_row
+        monkeypatch.setattr(relational, "_normalize_row", lambda *a: calls.append(1) or normalize(*a))
+        schema = Schema(("k", "v"), ("k",))
+        doc = {"id": "t", "schema": schema.to_json_dict(), "rows": [[f"{i:05}", None] for i in range(10_000)]}
+        table = Table.from_json_dict(doc)
+        assert len(table) == 10_000 and not calls
+        assert Table("t", schema, table.rows) == table and len(calls) == 10_000  # the dict path still checks
+
     def test_id_participates_in_digest(self, fixture_f):
         assert fixture_f.with_id("D31").digest() != fixture_f.digest()
         assert fixture_f.with_id("D31").with_id("D3") == fixture_f
@@ -251,3 +297,30 @@ def test_insert_delete_roundtrip(key, v1, v2):
             base.insert_row(row)
         return
     assert base.insert_row(row).delete_row({"k": key}) == base
+
+
+def _chunk_bounds(table: Table) -> list:
+    return [(chunk.first, list(chunk.rows)) for chunk in table._chunks]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(st.tuples(st.text(max_size=2), st.text(max_size=2)), st.tuples(values, values), max_size=150),
+    st.sampled_from(["sorted", "reversed", "shuffled"]),
+    st.data(),
+)
+def test_json_decode_builds_what_the_constructor_builds(rows, order, data):
+    # the key attributes are neither first nor adjacent, so cells and keys differ in order
+    schema = Schema(("v", "k0", "w", "k1"), ("k0", "k1"))
+    cells = [[v, k0, w, k1] for (k0, k1), (v, w) in rows.items()]
+    cells.sort(key=lambda c: (c[1], c[3]))
+    if order == "reversed":
+        cells.reverse()
+    elif order == "shuffled":
+        cells = data.draw(st.permutations(cells))
+    expected = Table("t", schema, [dict(zip(schema.attrs, c)) for c in cells])
+    decoded = Table.from_json_dict({"id": "t", "schema": schema.to_json_dict(), "rows": cells})
+    assert decoded == expected
+    assert decoded.canonical_bytes() == expected.canonical_bytes()
+    assert decoded.digest() == expected.digest()
+    assert _chunk_bounds(decoded) == _chunk_bounds(expected)
