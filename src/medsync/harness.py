@@ -13,7 +13,9 @@ chain, and dumps, byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,7 +48,7 @@ from .peer import (
     PeerNode,
     ShareBinding,
 )
-from .relational import RelationalError, Table, canonical_json, names_of
+from .relational import RelationalError, Table, _encode, canonical_json, names_of
 
 
 class ScenarioError(Exception):
@@ -717,37 +719,95 @@ def run(scenario: Scenario) -> World:
 
 
 def _write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data + b"\n")
+
+
+def _trace_bytes(trace: Sequence[TraceEvent]) -> bytes:
+    """`canonical_json(e.to_json_dict()) + b"\n"` for each event, joined.
+
+    An event's five keys sort as actor, kind, payload, seq, tick, so each line
+    is assembled around one encode of its payload; the few actor and kind
+    names are encoded once each.
+    """
+    name = functools.cache(_encode)
+    lines = [
+        f'{{"actor":{name(e.actor)},"kind":{name(e.kind)},"payload":{_encode(e.payload)},'
+        f'"seq":{e.seq},"tick":{e.tick}}}\n'
+        for e in trace
+    ]
+    return "".join(lines).encode("utf-8")
 
 
 def write_trace(trace: Sequence[TraceEvent], path: str | Path) -> None:
     """Write a trace as JSON Lines, one canonical event per line."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"".join(canonical_json(e.to_json_dict()) + b"\n" for e in trace))
+    path.write_bytes(_trace_bytes(trace))
+
+
+_decode_at = json.JSONDecoder().raw_decode
+_line_space = re.compile(r"[ \t]*").match  # JSON whitespace within a line
+
+
+def read_trace(path: str | Path) -> list[TraceEvent]:
+    """Read a trace written by `write_trace`: one JSON event per line.
+
+    The text is read with universal newlines, so lines end at "\n", "\r\n"
+    or "\r", and at nothing else: canonical JSON leaves U+2028, U+2029 and
+    U+0085 unescaped, and str.splitlines would split inside a string there.
+    Each event is decoded in place in the whole text and must end on its own
+    line, with only spaces and tabs around it; lines of whitespace alone are
+    skipped.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    events = []
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        try:
+            doc, stop = _decode_at(text, pos)
+        except json.JSONDecodeError:  # leading whitespace, a blank line, or no event at all
+            if not text[pos:end].strip():
+                pos = end + 1
+                continue
+            doc, stop = _decode_at(text, _line_space(text, pos).end())
+        if stop != end and _line_space(text, stop).end() != end:
+            raise ValueError(f"trace line at character {pos} does not hold exactly one event")
+        events.append(TraceEvent.from_json_dict(doc))
+        pos = end + 1
+    return events
 
 
 def dump(world: World, out_dir: str | Path) -> Path:
-    """Write the world's state in canonical form: tables, copies, contract, chain, trace."""
+    """Write the world's state in canonical form: tables, copies, contract, chain, trace.
+
+    Each directory is made once, before its first file.
+    """
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    peers = [world.peers[p] for p in sorted(world.peers)]
+    tables = {peer.principal: peer.tables for peer in peers}
+    copies = {peer.principal: {sid: s.copy for sid, s in peer.shares.items() if s.copy is not None} for peer in peers}
+    for sub, held in (("tables", tables), ("shared", copies)):
+        held = {principal: by_id for principal, by_id in held.items() if by_id}
+        if held:
+            (out / sub).mkdir(exist_ok=True)
+        for principal, by_id in held.items():
+            (out / sub / principal).mkdir(exist_ok=True)
+            for name, table in by_id.items():
+                _write(out / sub / principal / f"{name}.json", table.canonical_bytes())
     manifest = {
         "name": world.name,
         "clock": world.clock,
         "principals": sorted(world.peers),
-        "peers": {p: world.peers[p].to_json_dict() for p in sorted(world.peers)},
+        "peers": {peer.principal: peer.to_json_dict() for peer in peers},
     }
-    for principal in sorted(world.peers):
-        peer = world.peers[principal]
-        for tid in sorted(peer.tables):
-            _write(out / "tables" / principal / f"{tid}.json", peer.tables[tid].canonical_bytes())
-        for sid, share in peer.shares.items():
-            if share.copy is not None:
-                _write(out / "shared" / principal / f"{sid}.json", share.copy.canonical_bytes())
     _write(out / "world.json", canonical_json(manifest))
     _write(out / "contract.json", world.contract.canonical_bytes())
     _write(out / "chain.json", world.chain.dumps())
-    write_trace(world.trace, out / "trace.jsonl")
+    (out / "trace.jsonl").write_bytes(_trace_bytes(world.trace))
     return out
 
 
@@ -773,13 +833,6 @@ def load_dump(dump_dir: str | Path) -> World:
         doc = read(*parts)
         return check(Table.from_json_dict(doc), doc, "/".join(parts))
 
-    def read_trace() -> list[TraceEvent]:
-        # A function of its own, so the text lines are freed before the tables load.
-        # Lines end at "\n" only: canonical JSON leaves U+2028, U+2029 and U+0085
-        # unescaped, and str.splitlines would split inside a string there.
-        lines = (root / "trace.jsonl").read_text(encoding="utf-8").split("\n")
-        return [TraceEvent.from_json_dict(json.loads(line)) for line in lines if line.strip()]
-
     try:
         manifest = read("world.json")
         if not isinstance(manifest["name"], str) or type(manifest["clock"]) is not int:
@@ -791,7 +844,7 @@ def load_dump(dump_dir: str | Path) -> World:
         for sid, entry in contract_doc["entries"].items():
             check(contract.entries[sid], entry, "contract.json")
         chain = Chain.loads((root / "chain.json").read_bytes())
-        trace = read_trace()
+        trace = read_trace(root / "trace.jsonl")
         # A world with no principals and an empty script, given the dumped state.
         world = World(Scenario(manifest["name"], (), {}, {}, (), ()))
         world.clock, world.trace, world.chain, world.contract = manifest["clock"], trace, chain, contract

@@ -13,8 +13,9 @@ dumps hold rows as JSON cell lists, and `Table.from_json_dict` checks them in a
 few passes that run in C: the rows form a list of lists one cell per attribute
 long, every cell's type is text or null, and no key cell is null. Each row dict
 is then built in schema order, and rows already in strictly increasing key
-order, as a dump writes them, are not sorted again. Tables the program derives
-from valid tables (CRUD results, `with_id`, lens `get` and `put`) skip all checks.
+order, as a dump writes them, are not sorted again. A table or schema object
+holding a key nothing reads is refused. Tables the program derives from valid
+tables (CRUD results, `with_id`, lens `get` and `put`) skip all checks.
 
 A table keeps its rows in one structure, a tuple of chunks. A chunk is a run of
 at most `2 * CHUNK` rows consecutive in key order: a dict from each row's
@@ -141,7 +142,14 @@ class Schema:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Schema":
+        _only_keys(d, ("attrs", "key"), "a schema")
         return cls(names_of(d["attrs"], "schema attrs"), names_of(d["key"], "schema key"))
+
+
+def _only_keys(d: object, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a JSON object holding keys other than `keys`, which nothing would read."""
+    if not isinstance(d, Mapping) or d.keys() != set(keys):
+        raise SchemaMismatch(f"{what} is an object with exactly the keys {', '.join(keys)}")
 
 
 def names_of(doc: object, what: str) -> tuple[str, ...]:
@@ -446,6 +454,7 @@ class Table:
         cell text or null. Each row dict is then built in schema order, so the
         per-row `_normalize_row` is not needed.
         """
+        _only_keys(d, ("id", "schema", "rows"), "a table")
         schema = Schema.from_json_dict(d["schema"])
         attrs, rows = schema.attrs, d["rows"]
         # zip would drop extra cells and split a string row into characters

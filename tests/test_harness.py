@@ -8,6 +8,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import medsync.harness
 import medsync.lenses
@@ -17,15 +19,19 @@ from medsync.harness import (
     MaxTicksExceeded,
     NotQuiescent,
     ParseError,
+    TraceEvent,
     ValidationError,
     World,
     dump,
     load_dump,
     load_scenario,
+    read_trace,
     run,
     scenario_from_json_dict,
     verify_convergence,
+    write_trace,
 )
+from medsync.relational import canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +204,9 @@ SCENARIO_ERRORS = {
     # with one-letter principals, a string would split into the names "D", "P" and "R"
     "principals a string of names": lambda doc: (_one_letter_names(doc), _set(("principals",), "DPR")(doc)),
     "perm entry a string of names": lambda doc: (_one_letter_names(doc), _set(("shares", 0, "perm", "a2"), "DP")(doc)),
+    # keys nobody reads: a misspelt key would otherwise be dropped without a word
+    "table key misspelt": _set(("tables", "Doctor", 0, "rowz"), [["x"]]),
+    "schema key extra": _set(("tables", "Doctor", 0, "schema", "extra"), 1),
 }
 
 
@@ -436,6 +445,17 @@ class TestDump:
         assert (out / "shared" / "Doctor" / "D13.json").is_file()
         assert (out / "shared" / "Doctor" / "D23.json").is_file()
 
+    def test_a_dump_makes_each_directory_once(self, tmp_path, update_flow, monkeypatch):
+        world = run(update_flow)
+        made = []
+        mkdir = Path.mkdir
+        monkeypatch.setattr(Path, "mkdir", lambda path, *args, **kw: made.append(path) or mkdir(path, *args, **kw))
+        out = dump(world, tmp_path / "d")
+        directories = [out, *(p for p in out.rglob("*") if p.is_dir())]
+        assert sorted(made) == sorted(directories)
+        dump(world, out)  # into the same directory again, as a repeated audit does
+        assert sorted(made) == sorted(directories * 2)
+
     def test_corrupted_copy_fails_digest_check(self, tmp_path, update_flow):
         world = run(update_flow)
         out = dump(world, tmp_path / "d")
@@ -448,6 +468,29 @@ class TestDump:
         assert failed
         assert all(c.shared_id == "D23" for c in failed)
         assert any(c.check == "digest-matches-contract[Doctor]" for c in failed)
+
+
+# Names and payload text mix plain characters with those a codec can get wrong:
+# non-ASCII, the line separators canonical JSON leaves unescaped, and escapes.
+_texts = st.text(st.sampled_from("aZé漢😀\u2028\u2029\u0085\n\r\t\"\\\x00 "), max_size=6) | st.text(max_size=6)
+_ints = st.integers(-(10**30), 10**30)
+_values = st.recursive(
+    st.none() | st.booleans() | _ints | st.floats(allow_nan=False) | _texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=8,
+)
+_events = st.builds(
+    TraceEvent, tick=_ints, seq=_ints, actor=_texts, kind=_texts, payload=st.dictionaries(_texts, _values, max_size=4)
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(_events, max_size=4))
+def test_the_trace_codec_writes_canonical_json_and_reads_it_back(tmp_path_factory, trace):
+    path = tmp_path_factory.getbasetemp() / "codec.trace.jsonl"
+    write_trace(trace, path)
+    assert path.read_bytes() == b"".join(canonical_json(e.to_json_dict()) + b"\n" for e in trace)
+    assert read_trace(path) == trace
 
 
 class TestVerifyConvergence:
@@ -755,7 +798,17 @@ class TestCli:
         assert main(["run", scenario_path("update_flow"), option, str(target)]) == 2
         assert capsys.readouterr().err.startswith("cannot write ")
 
-    @pytest.mark.parametrize("target", ["string tick", "list payload", "string clock", "share name a path"])
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "string tick",
+            "list payload",
+            "string clock",
+            "share name a path",
+            "event split over two lines",
+            "two events on one line",
+        ],
+    )
     def test_dump_values_of_the_wrong_type_exit_2(self, tmp_path, capsys, target):
         from medsync.cli import main
 
@@ -775,12 +828,33 @@ class TestCli:
             events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
             if target == "string tick":
                 events[-1]["tick"] = str(events[-1]["tick"])
-            else:
+            elif target == "list payload":
                 events[0]["payload"] = list(events[0]["payload"].items())
-            path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+            lines = [json.dumps(e) for e in events]
+            if target == "event split over two lines":
+                lines[1] = lines[1].replace(", ", ",\n", 1)
+            elif target == "two events on one line":
+                lines[0:2] = [" ".join(lines[0:2])]
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         capsys.readouterr()
         assert main(["verify", str(dump_dir)]) == 2
         assert capsys.readouterr().err.startswith("dump error: ")
+
+    @pytest.mark.parametrize("layout", ["CRLF endings", "blank lines"])
+    def test_a_trace_with_crlf_endings_or_blank_lines_verifies(self, tmp_path, capsys, layout):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
+        path = dump_dir / "trace.jsonl"
+        lines = path.read_bytes().split(b"\n")[:-1]
+        if layout == "CRLF endings":
+            path.write_bytes(b"".join(line + b"\r\n" for line in lines))
+        else:
+            path.write_bytes(b"\n" + b"\n \t\n".join(lines) + b"\n\n")
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == 0
+        assert "[PASS] trace-matches-chain" in capsys.readouterr().out
 
     @pytest.mark.parametrize("target", ["trace missing", "copy of an unbound share"])
     def test_a_missing_trace_or_a_copy_of_an_unbound_share_exits_2(self, tmp_path, capsys, target):
