@@ -183,6 +183,9 @@ def _plain(name: object) -> bool:
 
 def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
     """Build and cross-validate a scenario from its parsed JSON form."""
+    unread = set(doc) - {"name", "principals", "tables", "lenses", "shares", "script", "config"}
+    if unread:  # a misspelt key would otherwise be dropped without a word
+        raise ValidationError(f"unknown scenario keys {sorted(unread)}")
     name = doc.get("name", name)
     if not isinstance(name, str):
         raise ValidationError(f"name must be a string, got {name!r}")
@@ -699,15 +702,23 @@ class World:
         """Step until quiescent; the scenario's `max_ticks` is the only tick budget."""
         while not self.quiescent():
             if self.clock >= self.config.max_ticks:
+                stuck = f" (the oldest: {_described(self._inflight[0])})" if self._inflight else ""
                 raise MaxTicksExceeded(
                     f"world {self.name!r} still busy after {self.config.max_ticks} ticks: "
-                    f"{len(self._inflight)} messages in flight, "
+                    f"{len(self._inflight)} messages in flight{stuck}, "
                     f"{len(self.chain.mempool)} mempool transactions, "
                     f"pending proposals on "
                     f"{sorted(sid for p in self.peers.values() for sid, s in p.shares.items() if s.staged)}"
                 )
             self.step()
         return self
+
+
+def _described(message: Message) -> str:
+    """A message's type, share, sender and recipient; notifications and receipts come from the ledger."""
+    shared_id = message.tx.shared_id if isinstance(message, Receipt) else message.shared_id
+    sender = getattr(message, "sender", "the ledger")
+    return f"{type(message).__name__} on share {shared_id!r} from {sender} to {message.to}"
 
 
 def run(scenario: Scenario) -> World:

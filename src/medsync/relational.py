@@ -25,7 +25,10 @@ first keys, then asks one dict. A splice (`_spliced`) copies the chunk tuple and
 rebuilds only the chunks its keys fall in, so a derived table shares every other
 chunk, and its encoding, with its input: path copying, as in Driscoll, Sarnak,
 Sleator & Tarjan, "Making data structures persistent" (JCSS 1989). A digest
-encodes only the chunks no earlier digest encoded, joins them, and hashes once.
+encodes only the chunks no earlier digest encoded, and hashes only from the
+first chunk no earlier digest passed after the same bytes: SHA-256 reads its
+input left to right (Merkle-Damgard; Merkle, Damgard, CRYPTO '89), so a chunk
+keeps the hash state up to its end, and a digest resumes it with `copy()`.
 
 Two tables derived from one another share the chunks neither changed, so they
 differ only in the rows of the other chunks: `Table.changes_since`, the one diff
@@ -184,14 +187,17 @@ class _Chunk:
     """Rows consecutive in key order: a dict from key to row in key order, the
     first key, and the rows' canonical JSON (`[cells],[cells]`) once encoded.
 
-    A chunk is never empty and never changes, except that its JSON is filled
-    in once; tables share chunks.
+    `state` is the SHA-256 state of a digested table's canonical bytes up to
+    this chunk's end, and `before` what it continues: the bytes before the rows
+    for a first chunk, else the previous chunk's `state`. A chunk is never
+    empty and its rows never change; its JSON is filled in once, and `state`
+    and `before` are replaced, never updated. Tables share chunks.
     """
 
-    __slots__ = ("rows", "first", "json")
+    __slots__ = ("rows", "first", "json", "state", "before")
 
     def __init__(self, rows: dict[Key, Row], first: Key) -> None:
-        self.rows, self.first, self.json = rows, first, None
+        self.rows, self.first, self.json, self.state, self.before = rows, first, None, None, None
 
 
 _first, _rows = attrgetter("first"), attrgetter("rows")
@@ -466,25 +472,48 @@ class Table:
         table.__post_init__(list(map(dict, map(zip, repeat(attrs), rows))))
         return table
 
-    def canonical_bytes(self) -> bytes:
-        """Deterministic serialization; equal tables yield identical bytes.
-
-        `canonical_json(self.to_json_dict())`, with the rows joined from the
-        chunks' JSON; a chunk is encoded the first time it is needed and kept.
-        """
+    def _encoded_chunks(self) -> tuple[_Chunk, ...]:
+        """The chunks, each encoded to JSON the first time it is needed, and kept."""
         cells_of = self.schema.cells_of
         for chunk in self._chunks:
             if chunk.json is None:
                 chunk.json = _encoded(chunk.rows.values(), cells_of)
-        rows_json = b"[" + b",".join(map(attrgetter("json"), self._chunks)) + b"]"
-        schema_json = self.schema.canonical_bytes()
-        return b"".join((b'{"id":', canonical_json(self.id), b',"rows":', rows_json, b',"schema":', schema_json, b"}"))
+        return self._chunks
+
+    def _ends(self) -> tuple[bytes, bytes]:
+        """The canonical bytes before the rows' JSON and after it."""
+        return b'{"id":' + canonical_json(self.id) + b',"rows":[', b'],"schema":' + self.schema.canonical_bytes() + b"}"
+
+    def canonical_bytes(self) -> bytes:
+        """Deterministic serialization; equal tables yield identical bytes: `canonical_json(self.to_json_dict())`."""
+        head, tail = self._ends()
+        return head + b",".join(map(attrgetter("json"), self._encoded_chunks())) + tail
 
     def digest(self) -> str:
         """SHA-256 over the canonical bytes; equal digests iff equal tables.
 
         Computed on first use and kept on the table (the bytes are not kept).
+        The walk takes each chunk's state while it continues the running one,
+        and from the first chunk where it does not (one an edit rebuilt) hashes
+        on, keeping new states on all chunks but the last. A table of at most
+        one chunk is hashed at once.
         """
         if self._digest is None:
-            _set(self, "_digest", sha256_hex(self.canonical_bytes()))
+            chunks, (head, tail) = self._encoded_chunks(), self._ends()
+            if len(chunks) < 2:
+                state = hashlib.sha256(head + (chunks[0].json if chunks else b"") + tail)
+            else:
+                first = chunks[0]
+                if first.before != head:  # None, a state object, or another id's bytes
+                    first.state, first.before = hashlib.sha256(head + first.json), head
+                state = first.state
+                for chunk in islice(chunks, 1, len(chunks) - 1):
+                    if chunk.before is not state:
+                        after = state.copy()
+                        after.update(b"," + chunk.json)
+                        chunk.state, chunk.before = after, state
+                    state = chunk.state
+                state = state.copy()
+                state.update(b"," + chunks[-1].json + tail)
+            _set(self, "_digest", state.hexdigest())
         return self._digest

@@ -5,7 +5,9 @@ constructor builds from the same rows, hold the lens caches' delta `get` and
 
 from __future__ import annotations
 
+import hashlib
 import random
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -451,15 +453,111 @@ def test_an_edit_validates_only_the_row_it_touches(normalize_calls, op, most):
     assert_matches_reference(result, [("r0500",), ("r0500x",)])
 
 
-def test_a_second_digest_hashes_nothing(monkeypatch):
+class _LoggedSha256:
+    """A SHA-256 state that logs each input it is fed, and each copy made of it."""
+
+    def __init__(self, log: list, state) -> None:
+        self._log, self._state = log, state
+
+    def update(self, data: bytes) -> None:
+        self._log.append(("update", len(data)))
+        self._state.update(data)
+
+    def copy(self) -> "_LoggedSha256":
+        self._log.append(("copy", 0))
+        return _LoggedSha256(self._log, self._state.copy())
+
+    def hexdigest(self) -> str:
+        return self._state.hexdigest()
+
+
+@pytest.fixture
+def hashing(monkeypatch):
+    """Each new SHA-256 state, update and copy `relational` makes, with the bytes it hashes."""
+    log = []
+
+    def sha256(data=b""):
+        log.append(("new", len(data)))
+        return _LoggedSha256(log, hashlib.sha256(data))
+
+    monkeypatch.setattr(relational, "hashlib", SimpleNamespace(sha256=sha256))
+    return log
+
+
+def fed(log) -> int:
+    return sum(n for _, n in log)
+
+
+def test_a_second_digest_hashes_nothing(hashing):
     table = big_table()
-    calls = []
-    original = relational.sha256_hex
-    monkeypatch.setattr(relational, "sha256_hex", lambda data: calls.append(data) or original(data))
     first = table.digest()
-    assert len(calls) == 1
+    assert fed(hashing) == len(table.canonical_bytes())
+    hashing.clear()
     assert table.digest() == first
-    assert len(calls) == 1
+    assert hashing == []
+
+
+def test_a_one_row_edit_hashes_from_its_chunk_to_the_end(hashing):
+    table = Table("big", BIG, tuple({"k": f"r{i:05d}", "v": str(i), "w": None} for i in range(10_000)))
+    table.digest()
+    tail = len(b'],"schema":' + BIG.canonical_bytes() + b"}")
+    for key in ("r09999", "r00000"):
+        edited = table.update_row({"k": key}, {"v": "changed"})
+        hashing.clear()
+        digest = edited.digest()
+        assert digest == hashlib.sha256(edited.canonical_bytes()).hexdigest()
+        if key == "r09999":  # the last chunk's bytes, and its neighbour's were it split
+            assert 0 < fed(hashing) <= sum(len(c.json) + 1 for c in edited._chunks[-2:]) + tail
+        else:  # an edit in the first chunk hashes the whole table
+            assert fed(hashing) == len(edited.canonical_bytes())
+
+
+# An op on a table of the pool: (kind, which table, where, how many rows).
+digest_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "update", "delete", "with_id", "digest"]),
+        st.integers(0, 1 << 16),
+        st.integers(0, 1 << 16),
+        st.integers(1, 12),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from((1, 2, 4)), st.integers(0, 24), digest_ops)
+def test_every_digest_is_the_hash_of_the_canonical_bytes(chunk, n_rows, ops):
+    """Kept hash states are resumed only after the bytes they were made from:
+    across edits that split or empty chunks, branches of one parent, `with_id`
+    copies, and digests taken in any order."""
+
+    def check(table: Table) -> None:
+        assert table.digest() == sha256_hex(canonical_json(table.to_json_dict()))
+
+    with patch.object(relational, "CHUNK", chunk):
+        pool = [Table("tab", BIG, tuple({"k": f"{i:04d}", "v": str(i), "w": None} for i in range(0, 2 * n_rows, 2)))]
+        for kind, which, where, n in ops:
+            table = pool[which % len(pool)]
+            keys = [{"k": row["k"]} for row in table.rows]
+            if kind == "insert":  # a run of new keys lands in one chunk, which may split
+                for j in range(n):
+                    row = {"k": f"{where % 60:04d}.{j:02d}", "v": "new", "w": None}
+                    if table.get_row({"k": row["k"]}) is None:
+                        table = table.insert_row(row)
+            elif kind == "update" and keys:
+                table = table.update_row(keys[where % len(keys)], {"v": str(n)})
+            elif kind == "delete" and keys:  # from the first row, this may empty the first chunk
+                start = where % len(keys) if where % 2 else 0
+                for key in keys[start : start + n]:
+                    table = table.delete_row(key)
+            elif kind == "with_id":  # another id, or an equal id held in a distinct string
+                table = table.with_id("".join(("ta", "b")) if n % 2 else "other")
+            elif kind == "digest":
+                check(table)
+                continue
+            pool.append(table)
+        for table in reversed(pool):
+            check(table)
 
 
 def test_an_accepted_receipt_on_an_unmoved_source_derives_no_view(monkeypatch):

@@ -207,6 +207,8 @@ SCENARIO_ERRORS = {
     # keys nobody reads: a misspelt key would otherwise be dropped without a word
     "table key misspelt": _set(("tables", "Doctor", 0, "rowz"), [["x"]]),
     "schema key extra": _set(("tables", "Doctor", 0, "schema", "extra"), 1),
+    # an empty script would run to quiescence at tick 0 and exit 0
+    "script key misspelt": lambda doc: doc.__setitem__("scirpt", doc.pop("script")),
 }
 
 
@@ -402,8 +404,32 @@ class TestRun:
             # still circling: requeued every tick rather than answered or dropped
             assert len(world._inflight) == 1
             assert world._inflight[0].requested_version == 5
-        with pytest.raises(MaxTicksExceeded, match="messages in flight"):
+        stuck = r"1 messages in flight \(the oldest: DataRequest on share 'D23' from Doctor to Researcher\)"
+        with pytest.raises(MaxTicksExceeded, match=stuck):
             world.run_to_quiescence()
+
+    def test_max_ticks_names_the_oldest_message_of_each_kind(self, update_flow):
+        from medsync.contract import Notification, UpdateTx, Verdict
+        from medsync.ledger import Receipt
+        from medsync.peer import DataResponse
+
+        world = World(replace(update_flow, script=(), config=replace(update_flow.config, max_ticks=0)))
+        view = world.peers["Researcher"].read_shared("D23")
+        tx = UpdateTx("D23", "Doctor", frozenset({"a5"}), 1, view.digest())
+        for message, text in [
+            (
+                Notification("D23", 2, frozenset({"a5"}), "Doctor", "Researcher"),
+                "Notification on share 'D23' from the ledger to Researcher",
+            ),
+            (Receipt(tx, Verdict.accept(), "Doctor"), "Receipt on share 'D23' from the ledger to Doctor"),
+            (
+                DataResponse("D23", 1, view, "Researcher", "Doctor"),
+                "DataResponse on share 'D23' from Researcher to Doctor",
+            ),
+        ]:
+            world._inflight[:] = [message, message]
+            with pytest.raises(MaxTicksExceeded, match=f"2 messages in flight \\(the oldest: {text}\\)"):
+                world.run_to_quiescence()
 
     def test_stale_refetches_stay_bounded_through_a_burst(self):
         # A data_req opens a request for its actor; a data_resp closes one for its recipient.
