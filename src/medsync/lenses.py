@@ -1,12 +1,14 @@
 """Projection lenses: paired forward (get) and backward (put) transformations
 between a source table and a key-aligned view.
 
-`get` projects the source onto the view attributes with duplicate elimination.
-`put` pushes an edited view back into the source: source rows matched on the
-view key have their view cells overwritten (fanning out over every matching
-source row), source rows whose view key vanished from the view are deleted,
-and view rows matching no source row are inserted null-padded (only when the
-source primary key lies inside the view; otherwise the insert is refused).
+`get` projects the source onto the view attributes with duplicate elimination:
+a view row is the tuple of a source row's cells at the view attributes'
+positions. `put` pushes an edited view back into the source: source rows
+matched on the view key have their view cells overwritten by position (fanning
+out over every matching source row), source rows whose view key vanished from
+the view are deleted, and view rows matching no source row are inserted
+null-padded (only when the source key lies inside the view; otherwise the
+insert is refused).
 
 Both directions require the functional dependency view_key -> view_attrs to
 hold on the source; under it the pair is well-behaved:
@@ -30,24 +32,23 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter, ne
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .relational import (
+    Cells,
     KeyConflict,
-    Row,
     Schema,
     SchemaMismatch,
     Table,
     UnknownAttribute,
     Value,
-    _normalize_row,
+    _only_keys,
     names_of,
+    replaced,
+    tuple_getter,
 )
-
-
-_ABSENT = object()  # a cell no row holds
 
 
 class LensError(Exception):
@@ -89,21 +90,24 @@ class LensSpec:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "LensSpec":
+        _only_keys(d, ("lens_id", "source", "view_attrs", "view_key"), "a lens")
         view_attrs, view_key = names_of(d["view_attrs"], "view_attrs"), names_of(d["view_key"], "view_key")
         return cls(d["lens_id"], d["source"], view_attrs, view_key)
 
 
 @dataclass(frozen=True)
 class Lens:
-    """A compiled lens: spec plus derived view schema, insert capability, and
-    whether a view row can stand for several source rows (the view key does
-    not cover the source key)."""
+    """A compiled lens: spec plus derived view schema, insert capability, whether a
+    view row can stand for several source rows (the view key does not cover the
+    source key), and the source positions of the view attributes and view key."""
 
     spec: LensSpec
     source_schema: Schema
     view_schema: Schema
     inserts_allowed: bool
     fans_out: bool
+    view_at: tuple[int, ...]
+    key_at: tuple[int, ...]
 
 
 def compile_lens(spec: LensSpec, source_schema: Schema) -> Lens:
@@ -125,7 +129,9 @@ def compile_lens(spec: LensSpec, source_schema: Schema) -> Lens:
     view_schema = Schema(spec.view_attrs, spec.view_key)
     inserts_allowed = set(source_schema.key) <= set(spec.view_attrs)
     fans_out = not set(source_schema.key) <= set(spec.view_key)
-    return Lens(spec, source_schema, view_schema, inserts_allowed, fans_out)
+    at = source_schema.at.__getitem__
+    view_at, key_at = tuple(map(at, spec.view_attrs)), tuple(map(at, spec.view_key))
+    return Lens(spec, source_schema, view_schema, inserts_allowed, fans_out, view_at, key_at)
 
 
 class LensCache:
@@ -147,23 +153,11 @@ class LensCache:
         )
 
 
-def _view_rows(attrs: tuple[str, ...], cells: Iterable[tuple[Value, ...]]) -> list[Row]:
-    """View rows from their cells in `attrs` order."""
-    return list(map(dict, map(zip, repeat(attrs), cells)))
-
-
 def _fd_violation(lens: Lens, source: Table) -> FdViolation:
     return FdViolation(
         f"source {source.id!r} violates {lens.spec.view_key} -> {lens.spec.view_attrs} "
         f"required by lens {lens.spec.lens_id!r}"
     )
-
-
-def _at(attrs: tuple[str, ...], rows: Iterable[Mapping[str, Value]]) -> list[tuple[Value, ...]]:
-    """Each row's cells at `attrs` as a tuple, computed without a Python call per row."""
-    if len(attrs) == 1:
-        return list(zip(map(itemgetter(attrs[0]), rows)))
-    return list(map(itemgetter(*attrs), rows))
 
 
 def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
@@ -181,13 +175,13 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
         )
     if source is cache.source:
         return
-    vattrs, support = lens.spec.view_attrs, cache.support
+    support, view_of, view_key_of = cache.support, tuple_getter(lens.view_at), tuple_getter(lens.key_at)
     gone_skeys, gone_rows, came_skeys, came_rows = source.changes_since(cache.source)
     if lens.spec.view_key == lens.source_schema.key:  # the view key is the source key
         gone_keys, came_keys = gone_skeys, came_skeys
     else:
-        gone_keys, came_keys = _at(lens.spec.view_key, gone_rows), _at(lens.spec.view_key, came_rows)
-    came_cells = _at(vattrs, came_rows)
+        gone_keys, came_keys = list(map(view_key_of, gone_rows)), list(map(view_key_of, came_rows))
+    came_cells = list(map(view_of, came_rows))
     if support is None:
         # Each view row stands for one source row, so the dependency holds, and
         # a view key no arriving row carries is no longer carried at all.
@@ -207,28 +201,27 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
         for view_key, skeys in leaving.items():
             staying = [skey for skey in support[view_key] if skey not in skeys]
             if staying:
-                kept = _at(vattrs, [source_row(staying[0])])[0]
+                kept = view_of(source_row(staying[0]))
                 if arriving.setdefault(view_key, kept) != kept:
                     raise _fd_violation(lens, source)
             elif view_key not in arriving:
                 dropped.add(view_key)
         for view_key in arriving.keys() - leaving.keys():
             skeys = support.get(view_key)
-            if skeys and arriving[view_key] != _at(vattrs, [source_row(skeys[0])])[0]:
+            if skeys and arriving[view_key] != view_of(source_row(skeys[0])):
                 raise _fd_violation(lens, source)
         keys, cells = list(arriving), list(arriving.values())
-    for attr in lens.spec.view_key:
-        if attr not in lens.source_schema.key and None in map(itemgetter(attr), came_rows):
+    for attr, at in zip(lens.spec.view_key, lens.key_at):
+        if attr not in lens.source_schema.key and None in map(itemgetter(at), came_rows):
             raise SchemaMismatch(f"primary-key cell {attr!r} must not be null")
 
     view = cache.view
-    at = view.lookup()
-    if len(view):  # rebuild a view row only where its cells differ from the cached row's
-        absent = dict.fromkeys(vattrs, _ABSENT)
-        differs = list(map(ne, _at(vattrs, map(at, keys, repeat(absent))), cells))
+    row_at = view.lookup()
+    if len(view):  # take a new view row only where its cells differ from the cached row's
+        differs = list(map(ne, map(row_at, keys), cells))
         keys, cells = compress(keys, differs), compress(cells, differs)
-    changes: dict[tuple[Value, ...], Optional[Row]] = dict(zip(keys, _view_rows(vattrs, cells)))
-    changes.update((k, None) for k in dropped if at(k) is not None)
+    changes: dict[tuple[Value, ...], Optional[Cells]] = dict(zip(keys, cells))
+    changes.update((k, None) for k in dropped if row_at(k) is not None)
     if support is not None:
         for view_key, skey in zip(gone_keys, gone_skeys):
             skeys = support[view_key]
@@ -280,10 +273,8 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
         cache = LensCache(lens)
     _advance(lens, cache, source)
 
-    vattrs = lens.spec.view_attrs
-    schema = source.schema
-    key_of = schema.key_of
-    rekeys = any(a in schema.key for a in vattrs if a not in lens.spec.view_key)
+    schema, view_at, key_of = source.schema, lens.view_at, source.schema.key_of
+    rekeys = any(a in schema.key for a in lens.spec.view_attrs if a not in lens.spec.view_key)
     gone_keys, gone_rows, came_keys, came_rows = view.changes_since(cache.view)
     current = dict(zip(gone_keys, gone_rows))  # the cached view's rows where `view` differs
     came = dict(zip(came_keys, came_rows))
@@ -291,19 +282,19 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
     added = [(k, row) for k, row in edited if k not in current]
     removed = [k for k in current if k not in came]
     source_row = source.lookup()
+    key_in_view = None if cache.support is not None else tuple_getter([lens.view_schema.at[a] for a in schema.key])
 
     def carriers(k: tuple[Value, ...]) -> list[tuple[Value, ...]]:
-        """The keys of the source rows carrying view key `k`, in key order."""
-        return sorted(cache.support[k]) if cache.support is not None else [key_of(current[k])]
+        """The keys of the source rows carrying view key `k`, in key order (with no support index, the view row's)."""
+        return sorted(cache.support[k]) if key_in_view is None else [key_in_view(current[k])]
 
-    changes: dict[tuple[Value, ...], Optional[Row]] = {}
-    rekeyed: list[tuple[tuple[Value, ...], Row]] = []  # (old source key, row): checked below
+    changes: dict[tuple[Value, ...], Optional[Cells]] = {}
+    rekeyed: list[tuple[tuple[Value, ...], Cells]] = []  # (old source key, row): checked below
     for k, vrow in edited:
         if k not in current:
             continue
-        cells = {a: vrow[a] for a in vattrs}
         for skey in carriers(k):
-            merged = {**source_row(skey), **cells}
+            merged = replaced(source_row(skey), view_at, vrow)
             if rekeys and key_of(merged) != skey:
                 changes[skey] = None
                 rekeyed.append((skey, merged))
@@ -318,11 +309,11 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
                 f"lens {lens.spec.lens_id!r} cannot insert view row {k} into {source.id!r}: "
                 f"source key {lens.source_schema.key} not covered by the view"
             )
-        padded: Row = {a: None for a in schema.attrs}
-        padded.update({a: vrow[a] for a in vattrs})
-        moved.append(padded)
+        moved.append(replaced((None,) * len(schema.attrs), view_at, vrow))
 
-    for row in [_normalize_row(schema, row) for row in moved]:
+    if any(None in key_of(row) for row in moved):  # only inserted and re-keyed rows can null a key cell
+        raise SchemaMismatch(f"a primary-key cell of {source.id!r} must not be null")
+    for row in moved:
         k = key_of(row)
         if changes.get(k) is not None or (k not in changes and source_row(k) is not None):
             raise KeyConflict(f"duplicate primary key {k} in table {source.id!r}")

@@ -134,7 +134,7 @@ def changed_view_attrs(old: Table, new: Table) -> frozenset[str]:
     gone_keys, gone_rows, came_keys, came_rows = new.changes_since(old)
     if gone_keys != came_keys:
         return frozenset(attrs)
-    return frozenset(a for orow, nrow in zip(gone_rows, came_rows) for a in attrs if orow[a] != nrow[a])
+    return frozenset(a for orow, nrow in zip(gone_rows, came_rows) for a, o, n in zip(attrs, orow, nrow) if o != n)
 
 
 class PeerNode:

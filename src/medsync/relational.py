@@ -6,29 +6,29 @@ canonical order (sorted by their primary-key cells), so two tables holding the
 same rows compare equal regardless of insertion order, serialize to identical
 bytes, and share one SHA-256 digest.
 
-Rows from outside the program are validated once, where they enter. A caller's
-row dicts and changes are checked one row at a time by the `Table(...)`
-constructor or by the CRUD operation that receives them. Scenario files and
-dumps hold rows as JSON cell lists, and `Table.from_json_dict` checks them in a
-few passes that run in C: the rows form a list of lists one cell per attribute
-long, every cell's type is text or null, and no key cell is null. Each row dict
-is then built in schema order, and rows already in strictly increasing key
-order, as a dump writes them, are not sorted again. A table or schema object
-holding a key nothing reads is refused. Tables the program derives from valid
-tables (CRUD results, `with_id`, lens `get` and `put`) skip all checks.
+Inside a table a row is the tuple of its cells in schema order, its canonical
+encoding. Row dicts exist only at the API edges (`Table(...)`, `insert_row`,
+`update_row`'s changes, `get_row`, `Table.rows`), which copy cells in or out and
+check a caller's dict one row at a time. Scenario files and dumps hold rows as
+JSON cell lists, and `Table.from_json_dict` checks them in a few passes that run
+in C: the rows form a list of lists one cell per attribute long, every cell's
+type is text or null, and no key cell is null. Each list becomes a tuple, and
+rows already in strictly increasing key order, as a dump writes them, are not
+sorted again. A table or schema object holding a key nothing reads is refused.
+Tables derived from valid tables (CRUD, `with_id`, lens `get`/`put`) skip checks.
 
 A table keeps its rows in one structure, a tuple of chunks. A chunk is a run of
-at most `2 * CHUNK` rows consecutive in key order: a dict from each row's
-primary-key tuple to the row, in key order, the first key, and, once a digest
-needed it, the chunk's canonical JSON (`[cells],[cells]`). A lookup bisects the
-first keys, then asks one dict. A splice (`_spliced`) copies the chunk tuple and
-rebuilds only the chunks its keys fall in, so a derived table shares every other
-chunk, and its encoding, with its input: path copying, as in Driscoll, Sarnak,
-Sleator & Tarjan, "Making data structures persistent" (JCSS 1989). A digest
-encodes only the chunks no earlier digest encoded, and hashes only from the
-first chunk no earlier digest passed after the same bytes: SHA-256 reads its
-input left to right (Merkle-Damgard; Merkle, Damgard, CRYPTO '89), so a chunk
-keeps the hash state up to its end, and a digest resumes it with `copy()`.
+at most `2 * CHUNK` rows consecutive in key order: a dict from each row's key
+tuple to its cells, in key order, the first key, and, once a digest needed it,
+the chunk's canonical JSON (`[cells],[cells]`). A lookup bisects the first keys,
+then asks one dict. A splice (`_spliced`) copies the chunk tuple and rebuilds
+only the chunks its keys fall in, so a derived table shares every other chunk,
+and its encoding, with its input: path copying, as in Driscoll, Sarnak, Sleator
+& Tarjan, "Making data structures persistent" (JCSS 1989). A digest encodes only
+the chunks no earlier digest encoded, and hashes only from the first chunk no
+earlier digest passed after the same bytes: SHA-256 reads its input left to
+right (Merkle-Damgard; Merkle, Damgard, CRYPTO '89), so a chunk keeps the hash
+state up to its end, and a digest resumes it with `copy()`.
 
 Two tables derived from one another share the chunks neither changed, so they
 differ only in the rows of the other chunks: `Table.changes_since`, the one diff
@@ -42,13 +42,15 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter, lt
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 Value = Optional[str]  # a cell: text, or None for null
-Row = dict[str, Value]
+Row = dict[str, Value]  # a row at the API edges, keyed by attribute name
+Cells = tuple[Value, ...]  # a row inside a table: its cells in schema order
 _CELL_TYPES = frozenset((str, type(None)))  # the types of a Value
 
 ZERO_DIGEST = "0" * 64
@@ -69,12 +71,19 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def tuple_getter(attrs: Sequence[str]) -> Callable[[Mapping[str, Value]], tuple[Value, ...]]:
-    """A function from a row to the tuple of its cells at `attrs`, in that order."""
-    if len(attrs) == 1:
-        (attr,) = attrs
-        return lambda row: (row[attr],)
-    return itemgetter(*attrs) if attrs else lambda row: ()
+def tuple_getter(positions: Sequence[int]) -> Callable[[Cells], Cells]:
+    """A function, running in C, from a row to the tuple of its cells at `positions`, in that order."""
+    if len(positions) < 2:  # a slice of the row: one position would give the bare cell
+        return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+    return itemgetter(*positions)
+
+
+def replaced(row: Cells, positions: Iterable[int], cells: Iterable[Value]) -> Cells:
+    """`row` with the cell at each of `positions` replaced by the matching one of `cells`."""
+    out = list(row)
+    for at, cell in zip(positions, cells):
+        out[at] = cell
+    return tuple(out)
 
 
 class RelationalError(Exception):
@@ -107,9 +116,9 @@ class Schema:
 
     attrs: tuple[str, ...]
     key: tuple[str, ...]
-    # Derived: maps a row to its primary-key tuple, and to its cells in `attrs` order.
-    key_of: Callable[[Mapping[str, Value]], tuple[Value, ...]] = field(init=False, repr=False, compare=False)
-    cells_of: Callable[[Mapping[str, Value]], tuple[Value, ...]] = field(init=False, repr=False, compare=False)
+    # Derived: each attribute's position in `attrs`, and a row's primary-key tuple from its cells.
+    at: dict[str, int] = field(init=False, repr=False, compare=False)
+    key_of: Callable[[Cells], Cells] = field(init=False, repr=False, compare=False)
     _json: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -122,17 +131,17 @@ class Schema:
         for a in attrs:
             if not isinstance(a, str) or not a:
                 raise SchemaMismatch(f"bad attribute name: {a!r}")
-        if len(set(attrs)) != len(attrs):
+        object.__setattr__(self, "at", {a: i for i, a in enumerate(attrs)})
+        if len(self.at) != len(attrs):
             raise SchemaMismatch(f"duplicate attribute names in {attrs}")
         if not key:
             raise SchemaMismatch("primary key must not be empty")
         if len(set(key)) != len(key):
             raise SchemaMismatch(f"duplicate key attributes in {key}")
-        missing = [k for k in key if k not in attrs]
+        missing = [k for k in key if k not in self.at]
         if missing:
             raise UnknownAttribute(f"key attributes not in schema: {missing}")
-        object.__setattr__(self, "key_of", tuple_getter(key))
-        object.__setattr__(self, "cells_of", tuple_getter(attrs))
+        object.__setattr__(self, "key_of", tuple_getter([self.at[k] for k in key]))
 
     def to_json_dict(self) -> dict:
         return {"attrs": list(self.attrs), "key": list(self.key)}
@@ -162,29 +171,25 @@ def names_of(doc: object, what: str) -> tuple[str, ...]:
     return tuple(doc)
 
 
-def _normalize_row(schema: Schema, row: Mapping[str, Value]) -> Row:
-    """Validate a row against the schema and order its cells by schema attrs."""
-    given = set(row)
-    declared = set(schema.attrs)
-    if given != declared:
-        extra = sorted(given - declared)
-        missing = sorted(declared - given)
+def _normalize_row(schema: Schema, row: Mapping[str, Value]) -> Cells:
+    """Validate a row dict against the schema; its cells in schema order."""
+    if set(row) != schema.at.keys():
+        extra, missing = sorted(set(row) - schema.at.keys()), sorted(schema.at.keys() - set(row))
         raise SchemaMismatch(f"row cells do not match schema (extra={extra}, missing={missing})")
-    for a in schema.attrs:
-        v = row[a]
+    cells = tuple(map(row.__getitem__, schema.attrs))
+    for a, v in zip(schema.attrs, cells):
         if v is not None and not isinstance(v, str):
             raise SchemaMismatch(f"cell {a!r} must be a string or null, got {type(v).__name__}")
-    for k in schema.key:
-        if row[k] is None:
-            raise SchemaMismatch(f"primary-key cell {k!r} must not be null")
-    return {a: row[a] for a in schema.attrs}
+    if None in schema.key_of(cells):
+        raise SchemaMismatch(f"primary-key cell {schema.key[schema.key_of(cells).index(None)]!r} must not be null")
+    return cells
 
 
 Key = tuple[Value, ...]
 
 
 class _Chunk:
-    """Rows consecutive in key order: a dict from key to row in key order, the
+    """Rows consecutive in key order: a dict from key to cells in key order, the
     first key, and the rows' canonical JSON (`[cells],[cells]`) once encoded.
 
     `state` is the SHA-256 state of a digested table's canonical bytes up to
@@ -196,7 +201,7 @@ class _Chunk:
 
     __slots__ = ("rows", "first", "json", "state", "before")
 
-    def __init__(self, rows: dict[Key, Row], first: Key) -> None:
+    def __init__(self, rows: dict[Key, Cells], first: Key) -> None:
         self.rows, self.first, self.json, self.state, self.before = rows, first, None, None, None
 
 
@@ -208,18 +213,18 @@ def _increasing(keys: list[Key]) -> bool:
     return all(map(lt, keys, islice(keys, 1, None)))
 
 
-def _chunked(items: Sequence[tuple[Key, Row]]) -> list[_Chunk]:
+def _chunked(items: Sequence[tuple[Key, Cells]]) -> list[_Chunk]:
     """Chunks of `CHUNK` rows from (key, row) pairs in key order."""
     return [_Chunk(dict(items[i : i + CHUNK]), items[i][0]) for i in range(0, len(items), CHUNK)]
 
 
-def _joined(chunks: Iterable[_Chunk]) -> dict[Key, Row]:
+def _joined(chunks: Iterable[_Chunk]) -> dict[Key, Cells]:
     """The rows of chunks consecutive in key order as one dict in key order."""
     dicts = list(map(_rows, chunks))
     return dicts[0] if len(dicts) == 1 else dict(chain.from_iterable(map(dict.items, dicts)))
 
 
-def _apart(old: tuple[_Chunk, ...], new: tuple[_Chunk, ...]) -> tuple[dict[Key, Row], dict[Key, Row]]:
+def _apart(old: tuple[_Chunk, ...], new: tuple[_Chunk, ...]) -> tuple[dict[Key, Cells], dict[Key, Cells]]:
     """The rows of the chunks only `old` holds, and of those only `new` holds,
     each in key order. Shared chunks are not read."""
     only = set(old).symmetric_difference(new).__contains__
@@ -229,9 +234,28 @@ def _apart(old: tuple[_Chunk, ...], new: tuple[_Chunk, ...]) -> tuple[dict[Key, 
 _set = object.__setattr__  # writes a field of a table, which `Table.__setattr__` refuses
 
 
-def _encoded(rows: Iterable[Row], cells_of: Callable[[Row], tuple[Value, ...]]) -> bytes:
+def _encoded(rows: Sequence[Cells]) -> bytes:
     """`[cells],[cells]`: the canonical JSON of `rows` as cell lists, without its outer brackets."""
-    return canonical_json(list(map(list, map(cells_of, rows))))[1:-1]
+    return canonical_json(rows)[1:-1]
+
+
+class _Rows(Sequence):
+    """A table's rows in key order as dicts, built on each read; sizing reads no row."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: "Table") -> None:
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __iter__(self) -> Iterator[Row]:
+        return map(dict, map(zip, repeat(self._table.schema.attrs), self._table._cells()))
+
+    def __getitem__(self, i: int) -> Row:
+        cells = next(islice(self._table._cells(), range(len(self))[i], None))
+        return dict(zip(self._table.schema.attrs, cells))
 
 
 class Table:
@@ -240,10 +264,9 @@ class Table:
     `Table(...)` on row dicts and `Table.from_json_dict` on JSON cell lists are
     the entry points for rows from outside the program; both key, sort and chunk
     the rows in `__post_init__`. Tables derived from a valid table skip it, and
-    share the chunks they do not change with their input.
-    Row dicts are owned by the table after construction; callers must not
-    mutate them. All editing goes through the operations below, each of which
-    returns a new table. The digest is computed once per table.
+    share the chunks they do not change with their input. All editing goes
+    through the operations below, each of which returns a new table. The digest
+    is computed once per table.
     """
 
     __slots__ = ("id", "schema", "_chunks", "_digest")
@@ -254,8 +277,8 @@ class Table:
         _set(self, "_digest", None)
         self.__post_init__([_normalize_row(schema, r) for r in rows])
 
-    def __post_init__(self, rows: list[Row]) -> None:
-        """Key, sort and chunk rows whose cells are valid and in schema order,
+    def __post_init__(self, rows: list[Cells]) -> None:
+        """Key, sort and chunk cell tuples that are valid and in schema order,
         refusing a null or repeated key; rows already in strictly increasing key
         order are not sorted. Every table from outside the program is built here
         (the benchmark's tracer times builds here)."""
@@ -293,27 +316,31 @@ class Table:
         return cls._of(id, schema, ())
 
     @property
-    def rows(self) -> tuple[Row, ...]:
-        """Every row in key order, gathered from the chunks on each read."""
-        return tuple(chain.from_iterable(map(dict.values, map(_rows, self._chunks))))
+    def rows(self) -> Sequence[Row]:
+        """Every row in key order as a dict; a row is read only when it is asked for."""
+        return _Rows(self)
+
+    def _cells(self) -> Iterator[Cells]:
+        """Every row's cells in key order."""
+        return chain.from_iterable(map(dict.values, map(_rows, self._chunks)))
 
     def __len__(self) -> int:
         return sum(map(len, map(_rows, self._chunks)))
 
     def __repr__(self) -> str:
-        return f"Table(id={self.id!r}, schema={self.schema!r}, rows={self.rows!r})"
+        return f"Table(id={self.id!r}, schema={self.schema!r}, rows={tuple(self.rows)!r})"
 
     def __eq__(self, other: object) -> bool:
-        """Equal ids, schemas and rows; tables holding the same chunk tuple are
+        """Equal ids, schemas and cells; tables holding the same chunk tuple are
         equal without reading their rows."""
         if not isinstance(other, Table):
             return NotImplemented
         if self.id != other.id or (self.schema is not other.schema and self.schema != other.schema):
             return False
-        return self._chunks is other._chunks or self.rows == other.rows
+        return self._chunks is other._chunks or list(self._cells()) == list(other._cells())
 
-    def lookup(self) -> Callable[..., Optional[Row]]:
-        """A function from a primary-key tuple (and a default) to its row, or the default (None).
+    def lookup(self) -> Callable[..., Optional[Cells]]:
+        """A function from a primary-key tuple (and a default) to its row's cells, or the default (None).
 
         For a table of one chunk it is that chunk's `dict.get`.
         """
@@ -322,7 +349,7 @@ class Table:
             return lambda k, default=None: chunks[max(bisect_right(chunks, k, key=_first) - 1, 0)].rows.get(k, default)
         return chunks[0].rows.get if chunks else {}.get
 
-    def _spliced(self, id: str, changes: Mapping[Key, Optional[Row]]) -> "Table":
+    def _spliced(self, id: str, changes: Mapping[Key, Optional[Cells]]) -> "Table":
         """This table under `id`, with the row at each key of `changes` replaced or
         inserted, or deleted where the change is None.
 
@@ -360,9 +387,9 @@ class Table:
         out += chunks[done:]
         return Table._of(id, self.schema, tuple(out))
 
-    def changes_since(self, old: "Table") -> tuple[list[Key], list[Row], list[Key], list[Row]]:
-        """Between `old` and this version of the table: the keys and rows of the
-        rows that left or changed, and the keys and rows of those that arrived
+    def changes_since(self, old: "Table") -> tuple[list[Key], list[Cells], list[Key], list[Cells]]:
+        """Between `old` and this version of the table: the keys and cells of the
+        rows that left or changed, and the keys and cells of those that arrived
         or changed, each in key order.
 
         From the empty table, where a full lens `get` starts, every row arrived.
@@ -370,7 +397,7 @@ class Table:
         are paired by key; a row that is the same object on both sides is unchanged.
         """
         if not old._chunks:
-            return [], [], list(chain.from_iterable(map(_rows, self._chunks))), list(self.rows)
+            return [], [], list(chain.from_iterable(map(_rows, self._chunks))), list(self._cells())
         gone, came = _apart(old._chunks, self._chunks)
         gone_keys = [k for k, row in gone.items() if came.get(k) is not row]
         came_keys = [k for k, row in came.items() if gone.get(k) is not row]
@@ -384,16 +411,17 @@ class Table:
         return tuple(key[k] for k in self.schema.key)  # type: ignore[return-value]
 
     def get_row(self, key: Mapping[str, Value]) -> Optional[Row]:
-        """The row matching the key, or None. The result must not be mutated."""
-        return self.lookup()(self._bind_key(key))
+        """The row matching the key, as a new dict, or None."""
+        cells = self.lookup()(self._bind_key(key))
+        return None if cells is None else dict(zip(self.schema.attrs, cells))
 
     def insert_row(self, row: Mapping[str, Value]) -> "Table":
         """Add one row; the key cells must be fresh."""
-        normalized = _normalize_row(self.schema, row)
-        k = self.schema.key_of(normalized)
+        cells = _normalize_row(self.schema, row)
+        k = self.schema.key_of(cells)
         if self.lookup()(k) is not None:
             raise KeyConflict(f"row with key {k} already in table {self.id!r}")
-        return self._spliced(self.id, {k: normalized})
+        return self._spliced(self.id, {k: cells})
 
     def update_row(self, key: Mapping[str, Value], changes: Mapping[str, Value]) -> "Table":
         """Overwrite cells of the row matching `key`; key attributes are immutable."""
@@ -410,7 +438,7 @@ class Table:
             raise NotFound(f"no row with key {k} in table {self.id!r}")
         if not changes:
             return self
-        return self._spliced(self.id, {k: {**old, **changes}})
+        return self._spliced(self.id, {k: replaced(old, map(self.schema.at.__getitem__, changes), changes.values())})
 
     def delete_row(self, key: Mapping[str, Value]) -> "Table":
         """Remove the row matching `key`."""
@@ -424,7 +452,7 @@ class Table:
         unknown = [a for a in attrs if a not in self.schema.attrs]
         if unknown:
             raise UnknownAttribute(f"cannot project on unknown attributes {unknown}")
-        return frozenset(map(tuple_getter(attrs), self.rows))
+        return frozenset(map(tuple_getter([self.schema.at[a] for a in attrs]), self._cells()))
 
     def check_fd(self, determinant: Iterable[str], dependent: Iterable[str]) -> bool:
         """True iff no two rows agree on `determinant` yet differ on `dependent`."""
@@ -437,8 +465,9 @@ class Table:
             return True  # the determinant covers the primary key, which is unique
         # It holds iff each determinant value comes with exactly one dependent
         # value, that is iff adding the dependent cells splits no determinant group.
-        both = tuple(sorted(set(det) | set(dep)))
-        return len(set(map(tuple_getter(both), self.rows))) == len(set(map(tuple_getter(det), self.rows)))
+        at = self.schema.at
+        groups = [set(map(tuple_getter([at[a] for a in attrs]), self._cells())) for attrs in (det, set(det) | set(dep))]
+        return len(groups[0]) == len(groups[1])
 
     def with_id(self, new_id: str) -> "Table":
         """The same table value under a different id; the chunks are shared."""
@@ -449,7 +478,7 @@ class Table:
         return {
             "id": self.id,
             "schema": self.schema.to_json_dict(),
-            "rows": list(map(list, map(self.schema.cells_of, self.rows))),
+            "rows": list(map(list, self._cells())),
         }
 
     @classmethod
@@ -457,8 +486,8 @@ class Table:
         """The table of a persistence form, validated in passes that run in C.
 
         `rows` must be a list of cell lists, one cell per schema attribute, each
-        cell text or null. Each row dict is then built in schema order, so the
-        per-row `_normalize_row` is not needed.
+        cell text or null. Each list is then the row's cell tuple as it stands,
+        so the per-row `_normalize_row` is not needed.
         """
         _only_keys(d, ("id", "schema", "rows"), "a table")
         schema = Schema.from_json_dict(d["schema"])
@@ -469,15 +498,14 @@ class Table:
         if not set(map(type, chain.from_iterable(rows))) <= _CELL_TYPES:
             raise SchemaMismatch("every cell must be a string or null")
         table = cls._of(d["id"], schema, ())
-        table.__post_init__(list(map(dict, map(zip, repeat(attrs), rows))))
+        table.__post_init__(list(map(tuple, rows)))
         return table
 
     def _encoded_chunks(self) -> tuple[_Chunk, ...]:
         """The chunks, each encoded to JSON the first time it is needed, and kept."""
-        cells_of = self.schema.cells_of
         for chunk in self._chunks:
             if chunk.json is None:
-                chunk.json = _encoded(chunk.rows.values(), cells_of)
+                chunk.json = _encoded(tuple(chunk.rows.values()))
         return self._chunks
 
     def _ends(self) -> tuple[bytes, bytes]:

@@ -41,17 +41,25 @@ def by_key(table: Table) -> dict:
     return {key_of(table, row): row for row in table.rows}
 
 
+def cells_by_key(table: Table) -> dict:
+    """Each row's key and the cell tuple the table holds for it, read from its chunks."""
+    return {k: cells for chunk in table._chunks for k, cells in chunk.rows.items()}
+
+
 def assert_chunks_hold(table: Table) -> None:
     """No chunk is empty or holds more than `2 * CHUNK` rows; keys, first keys
-    included, strictly increase; each chunk files its rows under their keys and
-    keeps its first key and, once encoded, its rows' JSON."""
-    keys = []
+    included, strictly increase; each chunk files each row, a tuple of one cell
+    per attribute, under its key, and keeps its first key and, once encoded,
+    its rows' JSON."""
+    attrs, keys = table.schema.attrs, []
     for chunk in table._chunks:
         assert 0 < len(chunk.rows) <= 2 * relational.CHUNK
         assert chunk.first == next(iter(chunk.rows))
-        assert all(k == key_of(table, row) for k, row in chunk.rows.items())
+        for k, cells in chunk.rows.items():
+            assert type(cells) is tuple and len(cells) == len(attrs)
+            assert k == key_of(table, dict(zip(attrs, cells)))
         if chunk.json is not None:
-            assert b"[" + chunk.json + b"]" == canonical_json([list(table.schema.cells_of(r)) for r in chunk.rows.values()])
+            assert b"[" + chunk.json + b"]" == canonical_json([list(cells) for cells in chunk.rows.values()])
         keys += chunk.rows
     assert keys == sorted(set(keys))
 
@@ -213,9 +221,10 @@ def _outcome(fn):
 
 
 def check_diff(old: Table, new: Table, seen: set[str]) -> None:
-    """`new.changes_since(old)` and `changed_view_attrs` against references built by key from `.rows`."""
+    """`new.changes_since(old)` and `changed_view_attrs` against references built
+    by key from every chunk's cell tuples, which pair a row with itself by identity."""
     gone_keys, gone_rows, came_keys, came_rows = new.changes_since(old)
-    old_rows, new_rows = by_key(old), by_key(new)
+    old_rows, new_rows = cells_by_key(old), cells_by_key(new)
     old_items = {(k, id(row)) for k, row in old_rows.items()}
     new_items = {(k, id(row)) for k, row in new_rows.items()}
     assert gone_keys == sorted(set(gone_keys)) and len(gone_rows) == len(gone_keys)
@@ -226,7 +235,7 @@ def check_diff(old: Table, new: Table, seen: set[str]) -> None:
     if old_rows.keys() != new_rows.keys():
         expected = frozenset(attrs)
     else:
-        expected = frozenset(a for k, row in new_rows.items() for a in attrs if old_rows[k][a] != row[a])
+        expected = frozenset(a for k, row in new_rows.items() for i, a in enumerate(attrs) if old_rows[k][i] != row[i])
     assert peer_module.changed_view_attrs(old, new) == expected
     old_chunks, new_chunks = set(old._chunks), set(new._chunks)
     if old_chunks & new_chunks and old_chunks != new_chunks:
@@ -242,7 +251,9 @@ def check_diff(old: Table, new: Table, seen: set[str]) -> None:
 def run_delta_case(lens, source, steps, rng: random.Random) -> set[str]:
     """Apply `steps`, checking the cache against a full recompute after each; return what was seen."""
     seen: set[str] = set()
-    view_key_of = relational.tuple_getter(lens.spec.view_key)
+    def view_key_of(row: dict) -> tuple:
+        return tuple(row[a] for a in lens.spec.view_key)
+
     cache = LensCache(lens)
     history = [source]  # every source the lens accepted, oldest first; a `Table(...)` root
     adopted = False  # the cached view is the one the last put adopted
@@ -623,30 +634,27 @@ def _meta(view: Table, version: int) -> SharedTableMetadata:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the view rows the lenses build, the rows encoded for digests,
-    the rows spliced, per table, and the rows diffs read: one entry per side of
-    a `changes_since`, the rows of its chunks the other side lacks (from the
+    """Counts of the view rows the lenses build into a view (new or changed
+    rows a splice of a view takes in), the rows encoded for digests, the rows
+    spliced, per table, and the rows diffs read: one entry per side of a
+    `changes_since`, the rows of its chunks the other side lacks (from the
     empty table, every row)."""
     counts = {"view_rows": 0, "encoded": 0, "spliced": {}, "read": []}
-    view_rows, encoded, spliced, apart, changes_since = (
-        lenses._view_rows,
+    encoded, spliced, apart, changes_since = (
         relational._encoded,
         relational.Table._spliced,
         relational._apart,
         relational.Table.changes_since,
     )
 
-    def count_view_rows(attrs, cells):
-        rows = view_rows(attrs, cells)
-        counts["view_rows"] += len(rows)
-        return rows
-
-    def count_encoded(rows, cells_of):
+    def count_encoded(rows):
         counts["encoded"] += len(rows)
-        return encoded(rows, cells_of)
+        return encoded(rows)
 
     def count_spliced(table, id, changes):
         counts["spliced"][id] = counts["spliced"].get(id, 0) + len(changes)
+        if table.schema != WIDE:  # a view: its source tables are all "wide"
+            counts["view_rows"] += sum(row is not None for row in changes.values())
         return spliced(table, id, changes)
 
     def count_read(old, new):
@@ -659,7 +667,6 @@ def counted(monkeypatch):
             counts["read"] += [0, len(table)]
         return changes_since(table, old)
 
-    monkeypatch.setattr(lenses, "_view_rows", count_view_rows)
     monkeypatch.setattr(relational, "_encoded", count_encoded)
     monkeypatch.setattr(relational.Table, "_spliced", count_spliced)
     monkeypatch.setattr(relational, "_apart", count_read)
@@ -712,7 +719,8 @@ def test_sibling_and_adopted_view_diffs_read_the_chunks_that_differ(counted):
     counted["read"].clear()
     gone_keys, gone_rows, came_keys, came_rows = right.changes_since(left)
     assert gone_keys == came_keys == [first, second]
-    assert [r["note"] for r in gone_rows] == ["left", "n9000"] and [r["note"] for r in came_rows] == ["n1000", "right"]
+    note = WIDE.at["note"]
+    assert [r[note] for r in gone_rows] == ["left", "n9000"] and [r[note] for r in came_rows] == ["n1000", "right"]
     assert len(counted["read"]) == 2 and max(counted["read"]) <= 2 * relational.CHUNK  # two chunks a side
 
     # B adopts A's view; then each side's next one-row edit is diffed against the adopted view.

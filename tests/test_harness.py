@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import medsync.harness
-import medsync.lenses
 from conftest import BUNDLED_SCENARIOS, scenario_path
 from medsync.harness import (
     CascadeOverflow,
@@ -31,7 +30,7 @@ from medsync.harness import (
     verify_convergence,
     write_trace,
 )
-from medsync.relational import canonical_json
+from medsync.relational import Table, canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +206,7 @@ SCENARIO_ERRORS = {
     # keys nobody reads: a misspelt key would otherwise be dropped without a word
     "table key misspelt": _set(("tables", "Doctor", 0, "rowz"), [["x"]]),
     "schema key extra": _set(("tables", "Doctor", 0, "schema", "extra"), 1),
+    "lens key extra": _set(("lenses", "Doctor", 0, "extra"), 1),
     # an empty script would run to quiescence at tick 0 and exit 0
     "script key misspelt": lambda doc: doc.__setitem__("scirpt", doc.pop("script")),
 }
@@ -527,8 +527,6 @@ class TestVerifyConvergence:
         assert all(line.startswith("[PASS]") for line in report.lines())
 
     def test_one_verify_compares_each_pair_of_tables_once(self, update_flow, monkeypatch):
-        from medsync.relational import Table
-
         world = run(update_flow)
         calls = []
         eq = Table.__eq__
@@ -570,15 +568,15 @@ class TestVerifyConvergence:
 
     def test_a_reloaded_peer_derives_its_views_from_the_whole_source(self, tmp_path, update_flow, monkeypatch):
         reloaded = load_dump(dump(run(update_flow), tmp_path / "d"))
-        built = []
-        view_rows = medsync.lenses._view_rows
+        built = []  # the rows each splice of a D13 view takes in
+        spliced = Table._spliced
 
-        def counted(attrs, cells):
-            rows = view_rows(attrs, cells)
-            built.extend(rows)
-            return rows
+        def counted(table, id, changes):
+            if id == "D13":
+                built.extend(row for row in changes.values() if row is not None)
+            return spliced(table, id, changes)
 
-        monkeypatch.setattr(medsync.lenses, "_view_rows", counted)
+        monkeypatch.setattr(Table, "_spliced", counted)
         doctor = reloaded.peers["Doctor"]
         view = doctor.regenerate_view("D13")
         assert view == doctor.read_shared("D13")

@@ -247,6 +247,41 @@ class TestCanonicalForm:
         assert fixture_f.digest() == digest and fixture_f == Table("D3", D3_SCHEMA, (ROW1, ROW2, ROW3))
 
 
+class TestRowDicts:
+    """A table holds its rows as cell tuples; row dicts are copies made at the API edges."""
+
+    def test_sizing_rows_reads_no_row(self, monkeypatch):
+        schema = Schema(("k", "v"), ("k",))
+        given = [{"k": f"{i:05}", "v": str(i)} for i in reversed(range(10_000))]
+        table = Table("t", schema, given)
+
+        def read(*_):
+            raise AssertionError("a row was read")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Table, "_cells", read)  # every read of a row's cells goes through it
+            assert len(table.rows) == 10_000 and bool(table.rows)
+            assert not Table.empty("t", schema).rows
+        expected = sorted(given, key=lambda row: row["k"])
+        assert table.rows[0] == expected[0] and table.rows[-1] == expected[-1]
+        assert list(table.rows) == expected
+        with pytest.raises(IndexError):
+            table.rows[10_000]
+
+    def test_caller_dicts_are_copied_in_and_out(self):
+        given, inserted, changes = [dict(ROW1), dict(ROW2)], dict(ROW3), {"a2": "changed"}
+        key1 = {a: ROW1[a] for a in D3_SCHEMA.key}
+        table = Table("D3", D3_SCHEMA, given).insert_row(inserted).update_row(key1, changes)
+        handed_out = [table.get_row(key1), table.rows[0], *table.rows]
+        for d in [*given, inserted, changes, *handed_out]:
+            d.update(dict.fromkeys(d, "mutated"), extra="x")
+        reference = Table("D3", D3_SCHEMA, ({**ROW1, "a2": "changed"}, ROW2, ROW3))
+        assert table == reference and table.digest() == reference.digest()
+        for row in reference.rows:
+            key = {a: row[a] for a in D3_SCHEMA.key}
+            assert table.get_row(key) == reference.get_row(key) == row
+
+
 # --- property tests -------------------------------------------------------------
 
 values = st.one_of(st.none(), st.text(alphabet="abxyz", min_size=0, max_size=3))
