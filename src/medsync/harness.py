@@ -19,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .contract import (
     ContractState,
@@ -48,7 +48,7 @@ from .peer import (
     PeerNode,
     ShareBinding,
 )
-from .relational import RelationalError, Table, _encode, canonical_json, names_of
+from .relational import RelationalError, Table, _encode, _only_keys, canonical_json, names_of
 
 
 class ScenarioError(Exception):
@@ -131,46 +131,15 @@ class ShareDeployment:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario: `tables` and `lenses` map each principal to its tables and compiled lenses, by id."""
+
     name: str
     principals: tuple[str, ...]
-    tables: Mapping[str, tuple[Table, ...]]
-    lens_specs: Mapping[str, tuple[LensSpec, ...]]
+    tables: Mapping[str, Mapping[str, Table]]
+    lenses: Mapping[str, Mapping[str, Lens]]
     shares: tuple[ShareDeployment, ...]
     script: tuple[ScheduledAction, ...]
     config: SimConfig = field(default_factory=SimConfig)
-
-
-def _parse_edit(d: Mapping, where: str) -> Edit:
-    op = d.get("op")
-    if op not in ("insert", "update", "delete"):
-        raise ValidationError(f"{where}: edit op must be insert/update/delete, got {op!r}")
-    for name in ("row", "key", "changes"):
-        if d.get(name) is not None and not isinstance(d[name], dict):
-            raise ValidationError(f"{where}: edit {name} must be an object")
-    return Edit(op=op, row=d.get("row"), key=d.get("key"), changes=d.get("changes"))
-
-
-def _parse_action(d: Mapping, where: str) -> Action:
-    kind = d.get("kind")
-    if kind == "edit":
-        if "table" not in d:
-            raise ValidationError(f"{where}: edit action needs a table")
-        return EditAction(d["table"], _parse_edit(d, where))
-    if kind == "propose":
-        if "shared_id" not in d:
-            raise ValidationError(f"{where}: propose action needs a shared_id")
-        return ProposeAction(d["shared_id"])
-    if kind == "change_permission":
-        for k in ("shared_id", "attr", "principals"):
-            if k not in d:
-                raise ValidationError(f"{where}: change_permission action needs {k!r}")
-        principals = d["principals"]
-        if not isinstance(d["attr"], str) or not isinstance(principals, list) or not all(
-            isinstance(p, str) for p in principals
-        ):
-            raise ValidationError(f"{where}: change_permission needs a string attr and a list of principal names")
-        return PermChangeAction(d["shared_id"], d["attr"], frozenset(principals))
-    raise ValidationError(f"{where}: unknown action kind {kind!r}")
 
 
 _PLAIN = "a plain name (a non-empty string without / or \\, not . or ..)"
@@ -181,137 +150,157 @@ def _plain(name: object) -> bool:
     return isinstance(name, str) and name not in ("", ".", "..") and "/" not in name and "\\" not in name
 
 
+# The keys of each scenario object. Every scenario key is optional; an edit's
+# keys depend on its op; `config` alone is open.
+_SCENARIO_KEYS = frozenset({"name", "principals", "tables", "lenses", "shares", "script", "config"})
+_SHARE_KEYS = frozenset({"shared_id", "deployer", "authority", "peers", "perm"})
+_SCHEDULED_KEYS = frozenset({"tick", "principal", "action"})
+_ACTION_KEYS = {
+    "propose": frozenset({"kind", "shared_id"}),
+    "change_permission": frozenset({"kind", "shared_id", "attr", "principals"}),
+}
+_EDIT_FIELDS = {"insert": ("row",), "update": ("key", "changes"), "delete": ("key",)}
+_EDIT_KEYS = {op: frozenset({"kind", "table", "op", *fields}) for op, fields in _EDIT_FIELDS.items()}
+
+
+def _object(doc: object, where: str) -> dict:
+    if type(doc) is not dict:
+        raise ValidationError(f"{where} must be an object, got {type(doc).__name__}")
+    return doc
+
+
+def _each(doc: object, where: str, read: Callable, *context: object) -> list:
+    """`read(item, *context)` for each item of the JSON list `doc`; an error names the item."""
+    if type(doc) is not list:
+        raise ValidationError(f"{where} must be a list, got {type(doc).__name__}")
+    out = []
+    for i, item in enumerate(doc):
+        try:
+            out.append(read(item, *context))
+        except (ValidationError, RelationalError, LensError, LookupError, TypeError) as exc:
+            raise ValidationError(f"{where}[{i}]: {exc}") from exc
+    return out
+
+
+def _read_table(d: Mapping) -> Table:
+    table = Table.from_json_dict(d)
+    if not _plain(table.id):
+        raise ValidationError(f"the table id must be {_PLAIN}, got {table.id!r}")
+    return table
+
+
+def _read_lens(d: Mapping, tables: Mapping[str, Table], principal: str) -> Lens:
+    spec = LensSpec.from_json_dict(d)
+    source = tables.get(spec.source_table_id)
+    if source is None:
+        raise ValidationError(f"source table {spec.source_table_id!r} not held by {principal}")
+    return compile_lens(spec, source.schema)
+
+
+def _read_share(d: Mapping, lenses: Mapping[str, Mapping[str, Lens]]) -> ShareDeployment:
+    _only_keys(d, _SHARE_KEYS, "a share")
+    shared_id, deployer, authority = d["shared_id"], d["deployer"], d["authority"]
+    if not all(isinstance(n, str) for n in (shared_id, deployer, authority)):
+        raise ValidationError("shared_id, deployer and authority must be strings")
+    if not _plain(shared_id):
+        raise ValidationError(f"the shared_id must be {_PLAIN}, got {shared_id!r}")
+    peers = _object(d["peers"], "peers")  # dict() would also take a list of pairs
+    if len(peers) != 2:
+        raise ValidationError("a share has exactly two peers")
+    for peer, lens_id in peers.items():
+        if peer not in lenses:
+            raise ValidationError(f"unknown principal {peer!r}")
+        if not isinstance(lens_id, str) or lens_id not in lenses[peer]:
+            raise ValidationError(f"{peer!r} has no lens {lens_id!r}")
+    if deployer not in peers:
+        raise ValidationError("the deployer must be a sharing peer")
+    perm = {a: frozenset(names_of(p, f"perm[{a}]")) for a, p in _object(d["perm"], "perm").items()}
+    # The contract decides the rest (authority, perm, duplicate ids) at genesis.
+    return ShareDeployment(shared_id, deployer, authority, dict(peers), perm)
+
+
+def _read_action(
+    d: object, principal: str, tables: Mapping[str, Table], shares: Mapping[str, ShareDeployment]
+) -> Action:
+    """One action of `principal`, whose tables are `tables`."""
+    kind = _object(d, "an action").get("kind")
+    if kind == "edit":
+        op = d.get("op")
+        if not isinstance(op, str) or op not in _EDIT_FIELDS:
+            raise ValidationError(f"edit op must be insert/update/delete, got {op!r}")
+        _only_keys(d, _EDIT_KEYS[op], f"an edit of op {op}")
+        fields = {name: _object(d[name], f"edit {name}") for name in _EDIT_FIELDS[op]}
+        if not isinstance(d["table"], str) or d["table"] not in tables:
+            raise ValidationError(f"{principal!r} has no table {d['table']!r}")
+        return EditAction(d["table"], Edit(op, **fields))
+    if not isinstance(kind, str) or kind not in _ACTION_KEYS:
+        raise ValidationError(f"unknown action kind {kind!r}")
+    _only_keys(d, _ACTION_KEYS[kind], f"a {kind} action")
+    shared_id = d["shared_id"]
+    share = shares.get(shared_id) if isinstance(shared_id, str) else None
+    if share is None:
+        raise ValidationError(f"unknown shared_id {shared_id!r}")
+    if kind == "propose":
+        if principal not in share.lens_by_peer:
+            raise ValidationError(f"{principal!r} does not share {shared_id!r}")
+        return ProposeAction(shared_id)
+    if not isinstance(d["attr"], str):
+        raise ValidationError("change_permission needs a string attr")
+    return PermChangeAction(shared_id, d["attr"], frozenset(names_of(d["principals"], "principals")))
+
+
+def _read_scheduled(
+    d: Mapping, tables: Mapping[str, Mapping[str, Table]], shares: Mapping[str, ShareDeployment]
+) -> ScheduledAction:
+    _only_keys(d, _SCHEDULED_KEYS, "a scheduled action")
+    tick, principal = d["tick"], d["principal"]
+    if type(tick) is not int or tick < 0:  # a bool is no tick
+        raise ValidationError("script ticks must be non-negative and non-decreasing integers")
+    if not isinstance(principal, str) or principal not in tables:
+        raise ValidationError(f"unknown principal {principal!r}")
+    return ScheduledAction(tick, principal, _read_action(d["action"], principal, tables[principal], shares))
+
+
 def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
-    """Build and cross-validate a scenario from its parsed JSON form."""
-    unread = set(doc) - {"name", "principals", "tables", "lenses", "shares", "script", "config"}
-    if unread:  # a misspelt key would otherwise be dropped without a word
-        raise ValidationError(f"unknown scenario keys {sorted(unread)}")
-    name = doc.get("name", name)
-    if not isinstance(name, str):
-        raise ValidationError(f"name must be a string, got {name!r}")
+    """Parse a scenario from its JSON form: one reader per object, which refuses
+    keys it does not read, and cross-references resolved through maps."""
+    doc = {"name": name, "principals": [], "tables": {}, "lenses": {}, "shares": [], "script": [], "config": {}, **doc}
     try:
-        principals = names_of(doc.get("principals", []), "principals")
+        _only_keys(doc, _SCENARIO_KEYS, "a scenario (each key optional)")  # a misspelt key would otherwise be dropped
+        principals = names_of(doc["principals"], "principals")
     except RelationalError as exc:
         raise ValidationError(str(exc)) from exc
+    if not isinstance(doc["name"], str):
+        raise ValidationError(f"name must be a string, got {doc['name']!r}")
     if not principals or not all(map(_plain, principals)) or len(set(principals)) != len(principals):
         raise ValidationError(f"principals must be a non-empty list of unique names, each {_PLAIN}")
 
-    tables: dict[str, tuple[Table, ...]] = {}
-    for p, docs in doc.get("tables", {}).items():
-        if p not in principals:
+    tables: dict[str, dict[str, Table]] = {p: {} for p in principals}
+    for p, docs in _object(doc["tables"], "tables").items():
+        if p not in tables:
             raise ValidationError(f"tables[{p}]: unknown principal")
-        built = []
-        for i, td in enumerate(docs):
-            try:
-                built.append(Table.from_json_dict(td))
-            except (RelationalError, KeyError, TypeError) as exc:
-                raise ValidationError(f"tables[{p}][{i}]: {exc}") from exc
-            if not _plain(built[-1].id):
-                raise ValidationError(f"tables[{p}][{i}]: the table id must be {_PLAIN}, got {built[-1].id!r}")
-        ids = [t.id for t in built]
-        if len(set(ids)) != len(ids):
+        tables[p] = {t.id: t for t in _each(docs, f"tables[{p}]", _read_table)}
+        if len(tables[p]) != len(docs):
             raise ValidationError(f"tables[{p}]: duplicate table ids")
-        tables[p] = tuple(built)
 
-    lens_specs: dict[str, tuple[LensSpec, ...]] = {}
-    for p, docs in doc.get("lenses", {}).items():
-        if p not in principals:
+    lenses: dict[str, dict[str, Lens]] = {p: {} for p in principals}
+    for p, docs in _object(doc["lenses"], "lenses").items():
+        if p not in lenses:
             raise ValidationError(f"lenses[{p}]: unknown principal")
-        own_tables = {t.id: t for t in tables.get(p, ())}
-        specs = []
-        for i, ld in enumerate(docs):
-            try:
-                spec = LensSpec.from_json_dict(ld)
-            except (RelationalError, KeyError, TypeError) as exc:
-                raise ValidationError(f"lenses[{p}][{i}]: {exc}") from exc
-            if not (isinstance(spec.lens_id, str) and isinstance(spec.source_table_id, str)):
-                raise ValidationError(f"lenses[{p}][{i}]: lens_id and source must be strings")
-            source = own_tables.get(spec.source_table_id)
-            if source is None:
-                raise ValidationError(
-                    f"lenses[{p}][{i}]: source table {spec.source_table_id!r} not held by {p}"
-                )
-            try:
-                compile_lens(spec, source.schema)
-            except Exception as exc:
-                raise ValidationError(f"lenses[{p}][{i}]: {exc}") from exc
-            specs.append(spec)
-        ids = [s.lens_id for s in specs]
-        if len(set(ids)) != len(ids):
+        lenses[p] = {lens.spec.lens_id: lens for lens in _each(docs, f"lenses[{p}]", _read_lens, tables[p], p)}
+        if len(lenses[p]) != len(docs):
             raise ValidationError(f"lenses[{p}]: duplicate lens ids")
-        lens_specs[p] = tuple(specs)
 
-    shares: list[ShareDeployment] = []
-    for i, sd in enumerate(doc.get("shares", ())):
-        where = f"shares[{i}]"
-        try:
-            share = ShareDeployment(
-                shared_id=sd["shared_id"],
-                deployer=sd["deployer"],
-                authority=sd["authority"],
-                lens_by_peer=dict(sd["peers"]),
-                perm={a: frozenset(names_of(p, f"perm[{a}]")) for a, p in sd["perm"].items()},
-            )
-        except (RelationalError, KeyError, TypeError) as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-        if not isinstance(sd["peers"], dict):  # dict() would also take a list of pairs
-            raise ValidationError(f"{where}: peers must be an object from each peer to its lens")
-        if len(share.lens_by_peer) != 2:
-            raise ValidationError(f"{where}: a share has exactly two peers")
-        if not all(isinstance(n, str) for n in (share.shared_id, share.deployer, share.authority)):
-            raise ValidationError(f"{where}: shared_id, deployer and authority must be strings")
-        if not _plain(share.shared_id):
-            raise ValidationError(f"{where}: the shared_id must be {_PLAIN}, got {share.shared_id!r}")
-        for peer, lens_id in share.lens_by_peer.items():
-            if peer not in principals:
-                raise ValidationError(f"{where}: unknown principal {peer!r}")
-            if not any(s.lens_id == lens_id for s in lens_specs.get(peer, ())):
-                raise ValidationError(f"{where}: {peer!r} has no lens {lens_id!r}")
-        if share.deployer not in share.lens_by_peer:
-            raise ValidationError(f"{where}: the deployer must be a sharing peer")
-        # The contract decides the rest (authority, perm, duplicate ids) at genesis.
-        shares.append(share)
+    shares = _each(doc["shares"], "shares", _read_share, lenses)
+    script = _each(doc["script"], "script", _read_scheduled, tables, {s.shared_id: s for s in shares})
+    for i in range(1, len(script)):
+        if script[i].tick < script[i - 1].tick:
+            raise ValidationError(f"script[{i}]: script ticks must be non-negative and non-decreasing integers")
 
-    script: list[ScheduledAction] = []
-    last_tick = 0
-    known_shared = {s.shared_id for s in shares}
-    for i, ad in enumerate(doc.get("script", ())):
-        where = f"script[{i}]"
-        try:
-            tick = ad["tick"]
-            principal = ad["principal"]
-            action = _parse_action(ad["action"], where)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-        if type(tick) is not int or tick < last_tick:  # a bool is no tick; last_tick >= 0
-            raise ValidationError(f"{where}: script ticks must be non-negative and non-decreasing integers")
-        last_tick = tick
-        if principal not in principals:
-            raise ValidationError(f"{where}: unknown principal {principal!r}")
-        if isinstance(action, EditAction):
-            if action.table_id not in {t.id for t in tables.get(principal, ())}:
-                raise ValidationError(f"{where}: {principal!r} has no table {action.table_id!r}")
-        elif isinstance(action, (ProposeAction, PermChangeAction)):
-            if action.shared_id not in known_shared:
-                raise ValidationError(f"{where}: unknown shared_id {action.shared_id!r}")
-            if isinstance(action, ProposeAction):
-                share = next(s for s in shares if s.shared_id == action.shared_id)
-                if principal not in share.lens_by_peer:
-                    raise ValidationError(f"{where}: {principal!r} does not share {action.shared_id!r}")
-        script.append(ScheduledAction(tick, principal, action))
-
-    max_ticks = doc.get("config", {}).get("max_ticks", SimConfig.max_ticks)
+    max_ticks = _object(doc["config"], "config").get("max_ticks", SimConfig.max_ticks)
     if type(max_ticks) is not int or max_ticks < 0:
         raise ValidationError(f"config: max_ticks must be a non-negative integer, got {max_ticks!r}")
-    return Scenario(
-        name=name,
-        principals=principals,
-        tables=tables,
-        lens_specs=lens_specs,
-        shares=tuple(shares),
-        script=tuple(script),
-        config=SimConfig(max_ticks),
-    )
+    return Scenario(doc["name"], principals, tables, lenses, tuple(shares), tuple(script), SimConfig(max_ticks))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -553,11 +542,7 @@ class World:
                 bindings[peer][share.shared_id] = ShareBinding(share.shared_id, lens_id, counterpart)
 
         for p in sorted(scenario.principals):
-            tables = {t.id: t for t in scenario.tables.get(p, ())}
-            lenses: dict[str, Lens] = {}
-            for spec in scenario.lens_specs.get(p, ()):
-                lenses[spec.lens_id] = compile_lens(spec, tables[spec.source_table_id].schema)
-            self.peers[p] = PeerNode(p, tables, lenses, bindings[p])
+            self.peers[p] = PeerNode(p, scenario.tables[p], scenario.lenses[p], bindings[p])
 
         deploys: list[DeployTx] = []
         for share in sorted(scenario.shares, key=lambda s: s.shared_id):
@@ -869,6 +854,9 @@ def load_dump(dump_dir: str | Path) -> World:
             copies = {sid: read_table("shared", principal, f"{sid}.json") for sid in info["versions"]}
             peer = PeerNode.from_json_dict(principal, info, tables, copies)
             world.peers[principal] = check(peer, info, "world.json")
+            for sid, share in peer.shares.items():
+                if contract.entries[sid].peers != {principal, share.binding.counterpart}:
+                    raise ValidationError(f"world.json: {principal}'s counterpart on {sid} is not its other peer")
         # name, clock, principals and peers, each read above, and nothing else
         if len(manifest) != 4 or manifest["principals"] != sorted(manifest["peers"]):
             raise ValidationError("world.json holds keys or values a dump does not write")

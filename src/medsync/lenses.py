@@ -67,6 +67,9 @@ class InsertNotSupported(LensError):
     """The view introduced a row but the lens cannot insert into the source."""
 
 
+_LENS_KEYS = frozenset({"lens_id", "source", "view_attrs", "view_key"})
+
+
 @dataclass(frozen=True)
 class LensSpec:
     """Declarative lens: which source attributes the view carries, and its key."""
@@ -90,7 +93,9 @@ class LensSpec:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "LensSpec":
-        _only_keys(d, ("lens_id", "source", "view_attrs", "view_key"), "a lens")
+        _only_keys(d, _LENS_KEYS, "a lens")
+        if not (isinstance(d["lens_id"], str) and isinstance(d["source"], str)):
+            raise SchemaMismatch("a lens's lens_id and source must be strings")
         view_attrs, view_key = names_of(d["view_attrs"], "view_attrs"), names_of(d["view_key"], "view_key")
         return cls(d["lens_id"], d["source"], view_attrs, view_key)
 

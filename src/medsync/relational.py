@@ -154,14 +154,18 @@ class Schema:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Schema":
-        _only_keys(d, ("attrs", "key"), "a schema")
+        _only_keys(d, _SCHEMA_KEYS, "a schema")
         return cls(names_of(d["attrs"], "schema attrs"), names_of(d["key"], "schema key"))
 
 
-def _only_keys(d: object, keys: tuple[str, ...], what: str) -> None:
-    """Refuse a JSON object holding keys other than `keys`, which nothing would read."""
-    if not isinstance(d, Mapping) or d.keys() != set(keys):
-        raise SchemaMismatch(f"{what} is an object with exactly the keys {', '.join(keys)}")
+_SCHEMA_KEYS = frozenset({"attrs", "key"})
+_TABLE_KEYS = frozenset({"id", "schema", "rows"})
+
+
+def _only_keys(d: object, keys: frozenset[str], what: str) -> None:
+    """Refuse a JSON object holding keys other than `keys`, which nothing would read, or lacking one."""
+    if not isinstance(d, Mapping) or d.keys() != keys:
+        raise SchemaMismatch(f"{what} is an object with exactly the keys {', '.join(sorted(keys))}")
 
 
 def names_of(doc: object, what: str) -> tuple[str, ...]:
@@ -489,7 +493,7 @@ class Table:
         cell text or null. Each list is then the row's cell tuple as it stands,
         so the per-row `_normalize_row` is not needed.
         """
-        _only_keys(d, ("id", "schema", "rows"), "a table")
+        _only_keys(d, _TABLE_KEYS, "a table")
         schema = Schema.from_json_dict(d["schema"])
         attrs, rows = schema.attrs, d["rows"]
         # zip would drop extra cells and split a string row into characters

@@ -207,15 +207,39 @@ SCENARIO_ERRORS = {
     "table key misspelt": _set(("tables", "Doctor", 0, "rowz"), [["x"]]),
     "schema key extra": _set(("tables", "Doctor", 0, "schema", "extra"), 1),
     "lens key extra": _set(("lenses", "Doctor", 0, "extra"), 1),
+    "lens_id a number": _set(("lenses", "Doctor", 0, "lens_id"), 31),
     # an empty script would run to quiescence at tick 0 and exit 0
     "script key misspelt": lambda doc: doc.__setitem__("scirpt", doc.pop("script")),
+    "share key extra": _set(("shares", 0, "extra"), 1),
+    "scheduled action key extra": _set(("script", 0, "extra"), 1),
+    "propose key extra": _set(("script", 1, "action", "extra"), 1),
+    "edit key misspelt": _script(
+        _edit("Researcher", "D2", op="update", key={"a1": "MedX"}, changes={"a5": "MeA2"}, chnages={"a5": "MeA3"}),
+        _propose("Researcher", "D23"),
+    ),
+    # an edit holds exactly the keys of its op
+    "delete with a row": _script(
+        _edit("Researcher", "D2", op="delete", key={"a1": "MedY"}, row={"a1": "MedY"}),
+        _propose("Researcher", "D23"),
+    ),
+    "update without changes": _script(_edit("Researcher", "D2", op="update", key={"a1": "MedX"})),
+}
+
+# Values of the wrong JSON type, each named by the object that holds it.
+SCENARIO_ERROR_PLACES = {
+    "lenses a list": (_set(("lenses",), []), "lenses"),
+    "perm a list": (_set(("shares", 0, "perm"), []), "shares[0]"),
+    "config a number": (_set(("config",), 5), "config"),
+    "action a list": (_set(("script", 0, "action"), []), "script[0]"),
+    "edit table a list": (_set(("script", 0, "action", "table"), ["D2"]), "script[0]"),
+    "propose shared_id a list": (_script(_propose("Researcher", ["D23"])), "script[0]"),
 }
 
 
 class TestLoadScenario:
     def test_bundled_composition(self, update_flow):
         assert sorted(update_flow.principals) == ["Doctor", "Patient", "Researcher"]
-        assert sum(len(v) for v in update_flow.lens_specs.values()) == 4
+        assert sum(len(v) for v in update_flow.lenses.values()) == 4
         assert len(update_flow.shares) == 2
 
     def test_missing_file(self, tmp_path):
@@ -243,6 +267,13 @@ class TestLoadScenario:
         p.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValidationError, match="non-decreasing"):
             load_scenario(p)
+
+    def test_set_up_compiles_each_lens_once(self, monkeypatch):
+        doc = json.loads(Path(scenario_path("update_flow")).read_text(encoding="utf-8"))
+        compile_lens, calls = medsync.harness.compile_lens, []
+        monkeypatch.setattr(medsync.harness, "compile_lens", lambda *args: calls.append(args) or compile_lens(*args))
+        World(scenario_from_json_dict(doc))
+        assert len(calls) == 4
 
     def test_empty_script_is_valid(self, update_flow):
         scenario = replace(update_flow, script=())
@@ -829,6 +860,8 @@ class TestCli:
             "list payload",
             "string clock",
             "share name a path",
+            "lens_id a number",
+            "counterpart another peer",
             "event split over two lines",
             "two events on one line",
         ],
@@ -838,11 +871,17 @@ class TestCli:
 
         dump_dir = tmp_path / "dump"
         assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
-        if target in ("string clock", "share name a path"):
+        if target in ("string clock", "share name a path", "lens_id a number", "counterpart another peer"):
             path = dump_dir / "world.json"
             doc = json.loads(path.read_text(encoding="utf-8"))
+            patient = doc["peers"]["Patient"]
             if target == "string clock":
                 doc["clock"] = str(doc["clock"])
+            elif target == "lens_id a number":  # in the Patient's lens and binding alike
+                patient["lenses"][0]["lens_id"] = patient["bindings"][0]["lens_id"] = 13
+            elif target == "counterpart another peer":  # not the other peer of its share D13
+                assert patient["bindings"] == [{"shared_id": "D13", "lens_id": "L13", "counterpart": "Doctor"}]
+                patient["bindings"][0]["counterpart"] = "Researcher"
             else:  # the Doctor's copy would be read from the Researcher's directory
                 versions = doc["peers"]["Doctor"]["versions"]
                 versions["../Researcher/D23"] = versions.pop("D23")
@@ -948,8 +987,12 @@ class TestCli:
             assert main(["verify", str(dump_dir)]) == 2
             assert capsys.readouterr().err.startswith("dump error: ")
 
-    @pytest.mark.parametrize("rewrite", SCENARIO_ERRORS.values(), ids=SCENARIO_ERRORS.keys())
-    def test_run_scenario_errors_exit_2_without_traceback(self, tmp_path, capsys, rewrite):
+    @pytest.mark.parametrize(
+        "rewrite, place",
+        [*((rewrite, "") for rewrite in SCENARIO_ERRORS.values()), *SCENARIO_ERROR_PLACES.values()],
+        ids=[*SCENARIO_ERRORS, *SCENARIO_ERROR_PLACES],
+    )
+    def test_run_scenario_errors_exit_2_without_traceback(self, tmp_path, capsys, rewrite, place):
         from medsync.cli import main
 
         doc = json.loads(Path(scenario_path("update_flow")).read_text(encoding="utf-8"))
@@ -957,5 +1000,5 @@ class TestCli:
         path = tmp_path / "broken.scenario.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["run", str(path), "--dump", str(tmp_path / "out" / "d")]) == 2
-        assert capsys.readouterr().err.startswith("scenario error: ")
+        assert capsys.readouterr().err.startswith(f"scenario error: {place}")
         assert [p.name for p in tmp_path.iterdir()] == ["broken.scenario.json"]  # nothing dumped
