@@ -14,12 +14,13 @@ chain, and dumps, byte for byte.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .contract import (
     ContractState,
@@ -326,8 +327,9 @@ def load_scenario(path: str | Path) -> Scenario:
 # --- tracing ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One traced event; a tuple, so building the tens of thousands a trace holds stays cheap."""
+
     tick: int
     seq: int
     actor: str
@@ -347,12 +349,11 @@ class TraceEvent:
     def from_json_dict(cls, d: Mapping) -> "TraceEvent":
         if len(d) != 5:  # the five keys below, each read, and nothing else
             raise ValueError("a trace event holds keys an event does not write")
-        event = cls(d["tick"], d["seq"], d["actor"], d["kind"], d["payload"])
-        ints = type(event.tick) is type(event.seq) is int  # a bool is no tick
-        strs = isinstance(event.actor, str) and isinstance(event.kind, str)
-        if not (ints and strs and isinstance(event.payload, dict)):
+        tick, seq, actor, kind, payload = d["tick"], d["seq"], d["actor"], d["kind"], d["payload"]
+        ints = type(tick) is type(seq) is int  # a bool is no tick
+        if not (ints and isinstance(actor, str) and isinstance(kind, str) and isinstance(payload, dict)):
             raise ValueError("a trace event has integer tick and seq, string actor and kind, and an object payload")
-        return event
+        return cls(tick, seq, actor, kind, payload)
 
 
 def _propose_event(tx: Transaction) -> tuple[str, str, dict]:
@@ -811,23 +812,38 @@ def load_dump(dump_dir: str | Path) -> World:
     """Rebuild a (quiescent) world from a dump directory.
 
     A missing, unparseable or inconsistent file raises ValidationError, except
-    that a chain.json which fails its checks raises ChainCorrupt.
+    that a chain.json which fails its checks raises ChainCorrupt. The cyclic
+    collector is paused meanwhile, and left as it was found: the reload builds
+    each object once and frees almost nothing, so a collector pass would only
+    walk what was just built.
     """
-    root = Path(dump_dir)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _reload(Path(dump_dir))
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _reload(root: Path) -> World:
+    """The world of the dump at `root`, as `load_dump` describes."""
 
     def read(*parts: str):
         return json.loads(root.joinpath(*parts).read_text(encoding="utf-8"))
 
     def check(obj, doc, where: str):
-        # Keys or values the decoder ignores would pass every later check. One
-        # object at a time: re-encoding whole files costs extra full GC passes.
+        # Keys or values the decoder ignores would pass every later check.
         if obj.to_json_dict() != doc:
             raise ValidationError(f"{where} holds keys or values a dump does not write")
         return obj
 
-    def read_table(*parts: str) -> Table:
-        doc = read(*parts)
-        return check(Table.from_json_dict(doc), doc, "/".join(parts))
+    def read_table(sub: str, principal: str, name: str) -> Table:
+        # The decoder refuses unread keys, and rows out of the order a dump writes.
+        table = Table.from_json_dict(read(sub, principal, f"{name}.json"), in_key_order=True)
+        if table.id != name:
+            raise ValidationError(f"{sub}/{principal}/{name}.json holds table {table.id!r}")
+        return table
 
     try:
         manifest = read("world.json")
@@ -850,8 +866,8 @@ def load_dump(dump_dir: str | Path) -> World:
                 raise ValidationError(f"world.json's principal, table and share names must each be {_PLAIN}")
             if not all(type(v) is int for v in info["versions"].values()):  # a bool is no version either
                 raise ValidationError(f"world.json's share versions of {principal} must be integers")
-            tables = {tid: read_table("tables", principal, f"{tid}.json") for tid in info["tables"]}
-            copies = {sid: read_table("shared", principal, f"{sid}.json") for sid in info["versions"]}
+            tables = {tid: read_table("tables", principal, tid) for tid in info["tables"]}
+            copies = {sid: read_table("shared", principal, sid) for sid in info["versions"]}
             peer = PeerNode.from_json_dict(principal, info, tables, copies)
             world.peers[principal] = check(peer, info, "world.json")
             for sid, share in peer.shares.items():
@@ -910,15 +926,19 @@ def verify_convergence(world: World) -> Report:
                 checks.append(CheckResult(sid, f"copy-present[{p}]", False, f"{p} holds no copy"))
             else:
                 copies[p] = copy
+        agreed = None  # the digest of both copies, once they compare equal
         if len(copies) == 2:
             a, b = (copies[p] for p in holders)
             ok = a == b
             checks.append(CheckResult(sid, "copies-equal", ok, "" if ok else "peers' copies differ"))
+            if ok:  # equal tables, each under the share's id, have the same canonical bytes
+                agreed = a.digest()
         for p, copy in copies.items():
             version = world.peers[p].shares[sid].version
             wrong = []
-            if copy.digest() != meta.content_digest:
-                wrong.append(f"copy digest {copy.digest()[:12]} != contract digest")
+            digest = agreed or copy.digest()
+            if digest != meta.content_digest:
+                wrong.append(f"copy digest {digest[:12]} != contract digest")
             if version != meta.version:
                 wrong.append(f"copy version {version!r} != contract version {meta.version}")
             checks.append(CheckResult(sid, f"digest-matches-contract[{p}]", not wrong, "; ".join(wrong)))

@@ -14,8 +14,9 @@ JSON cell lists, and `Table.from_json_dict` checks them in a few passes that run
 in C: the rows form a list of lists one cell per attribute long, every cell's
 type is text or null, and no key cell is null. Each list becomes a tuple, and
 rows already in strictly increasing key order, as a dump writes them, are not
-sorted again. A table or schema object holding a key nothing reads is refused.
-Tables derived from valid tables (CRUD, `with_id`, lens `get`/`put`) skip checks.
+sorted again; a dump's tables must arrive in that order. A table or schema
+object holding a key nothing reads is refused. Tables derived from valid
+tables (CRUD, `with_id`, lens `get`/`put`) skip checks.
 
 A table keeps its rows in one structure, a tuple of chunks. A chunk is a run of
 at most `2 * CHUNK` rows consecutive in key order: a dict from each row's key
@@ -281,16 +282,19 @@ class Table:
         _set(self, "_digest", None)
         self.__post_init__([_normalize_row(schema, r) for r in rows])
 
-    def __post_init__(self, rows: list[Cells]) -> None:
+    def __post_init__(self, rows: list[Cells], in_key_order: bool = False) -> None:
         """Key, sort and chunk cell tuples that are valid and in schema order,
         refusing a null or repeated key; rows already in strictly increasing key
-        order are not sorted. Every table from outside the program is built here
-        (the benchmark's tracer times builds here)."""
+        order are not sorted, and `in_key_order` refuses any others. Every table
+        from outside the program is built here (the benchmark's tracer times
+        builds here)."""
         keys = list(map(self.schema.key_of, rows))
         if None in chain.from_iterable(keys):  # before any comparison: None < str raises
             raise SchemaMismatch(f"a primary-key cell is null in table {self.id!r}")
         items = list(zip(keys, rows))
         if not _increasing(keys):
+            if in_key_order:
+                raise SchemaMismatch(f"the rows of table {self.id!r} are not in strictly increasing key order")
             items.sort(key=itemgetter(0))
             keys = list(map(itemgetter(0), items))
             if not _increasing(keys):  # sorted, so two neighbours are equal
@@ -486,12 +490,14 @@ class Table:
         }
 
     @classmethod
-    def from_json_dict(cls, d: Mapping) -> "Table":
+    def from_json_dict(cls, d: Mapping, in_key_order: bool = False) -> "Table":
         """The table of a persistence form, validated in passes that run in C.
 
         `rows` must be a list of cell lists, one cell per schema attribute, each
         cell text or null. Each list is then the row's cell tuple as it stands,
-        so the per-row `_normalize_row` is not needed.
+        so the per-row `_normalize_row` is not needed. With `in_key_order` the
+        rows must already be in strictly increasing key order, as `to_json_dict`
+        writes them.
         """
         _only_keys(d, _TABLE_KEYS, "a table")
         schema = Schema.from_json_dict(d["schema"])
@@ -502,7 +508,7 @@ class Table:
         if not set(map(type, chain.from_iterable(rows))) <= _CELL_TYPES:
             raise SchemaMismatch("every cell must be a string or null")
         table = cls._of(d["id"], schema, ())
-        table.__post_init__(list(map(tuple, rows)))
+        table.__post_init__(list(map(tuple, rows)), in_key_order)
         return table
 
     def _encoded_chunks(self) -> tuple[_Chunk, ...]:

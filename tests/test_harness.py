@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +32,7 @@ from medsync.harness import (
     verify_convergence,
     write_trace,
 )
-from medsync.relational import Table, canonical_json
+from medsync.relational import Table, canonical_json, sha256_hex
 
 
 @pytest.fixture(scope="module")
@@ -513,6 +515,38 @@ class TestDump:
         dump(world, out)  # into the same directory again, as a repeated audit does
         assert sorted(made) == sorted(directories * 2)
 
+    @pytest.mark.parametrize("collecting", [True, False], ids=["collector on", "collector off"])
+    @pytest.mark.parametrize("malformed", [False, True], ids=["whole dump", "malformed dump"])
+    def test_load_dump_pauses_the_collector_and_leaves_it_as_found(self, tmp_path, update_flow, collecting, malformed):
+        out = dump(run(update_flow), tmp_path / "d")
+        if malformed:
+            (out / "world.json").write_text("{", encoding="utf-8")
+        inside = []  # the generation of each collection that starts while load_dump runs
+
+        def watch(phase, info):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not load_dump.__code__:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                inside.append(info["generation"])
+
+        found, threshold = gc.isenabled(), gc.get_threshold()
+        gc.set_threshold(1)  # were the collector running, it would collect at almost every allocation
+        gc.callbacks.append(watch)
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if malformed:
+                with pytest.raises(ValidationError):
+                    load_dump(out)
+            else:
+                load_dump(out)
+            assert gc.isenabled() is collecting
+        finally:
+            gc.callbacks.remove(watch)
+            gc.set_threshold(*threshold)
+            (gc.enable if found else gc.disable)()
+        assert inside == []
+
     def test_corrupted_copy_fails_digest_check(self, tmp_path, update_flow):
         world = run(update_flow)
         out = dump(world, tmp_path / "d")
@@ -663,6 +697,7 @@ class TestCli:
             "row one cell long",
             "extra key on the table",
             "extra key on the schema",
+            "id not the file's name",
         ],
     )
     def test_malformed_dump_table_exits_2(self, tmp_path, capsys, subdir, table, corruption):
@@ -684,6 +719,8 @@ class TestCli:
             rows[0].pop()
         elif corruption == "row one cell long":
             rows[0].append("x")
+        elif corruption == "id not the file's name":
+            doc["id"] = "Renamed"
         else:
             (doc if corruption.endswith("table") else schema)["extra"] = "x"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -937,6 +974,39 @@ class TestCli:
         capsys.readouterr()
         assert main(["verify", str(dump_dir)]) == 2
         assert capsys.readouterr().err.startswith("dump error: ")
+
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_a_reindented_dump_still_verifies(self, tmp_path, capsys, name):
+        from medsync.cli import main
+
+        # The reload checks the values a dump holds, not its bytes.
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path(name), "--dump", str(dump_dir)]) == 0
+        paths = sorted(dump_dir.rglob("*.json"))
+        assert {"chain.json", "contract.json", "world.json"} < {p.name for p in paths}
+        for path in paths:
+            path.write_text(json.dumps(json.loads(path.read_text(encoding="utf-8")), indent=1), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == 0
+
+    @pytest.mark.parametrize("field", ["index", "tick"])
+    def test_a_block_index_or_tick_that_is_a_bool_exits_1(self, tmp_path, capsys, field):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
+        path = dump_dir / "chain.json"
+        blocks = json.loads(path.read_text(encoding="utf-8"))
+        blocks[1][field] = bool(blocks[1][field])  # index 1 is true, tick 0 false
+        # Relink the digests, so that only the field's type is wrong.
+        for prev, block in zip(blocks, blocks[1:]):
+            block["prev_digest"] = prev["block_digest"]
+            body = {k: v for k, v in block.items() if k != "block_digest"}
+            block["block_digest"] = sha256_hex(canonical_json(body))
+        path.write_bytes(canonical_json(blocks))
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == 1
+        assert "[FAIL] chain: malformed chain dump" in capsys.readouterr().out
 
     def test_corrupt_chain_exits_1(self, tmp_path, capsys):
         from medsync.cli import main

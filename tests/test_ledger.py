@@ -210,6 +210,21 @@ class TestReplay:
         with pytest.raises(ChainCorrupt):
             Chain.loads(b"{not json")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("index", True), ("index", 1.0), ("tick", True), ("tick", "1"), ("prev_digest", None), ("block_digest", 7)],
+    )
+    def test_a_block_field_of_the_wrong_type_is_corrupt(self, deployed, field, value):
+        chain, state = deployed
+        chain.submit(update("D23", "Researcher", {"a5"}, 0, "1"))
+        chain.produce_block(state, 1)
+        blocks = chain.to_json_list()
+        assert type(blocks[1][field]) is (int if field in ("index", "tick") else str)
+        blocks[1][field] = value
+        # Refused as it is decoded, before any link or digest is checked.
+        with pytest.raises(ChainCorrupt, match="integer index and tick, and string prev_digest and block_digest"):
+            Chain.from_json_list(blocks)
+
 
 class TestHistory:
     def test_share_history_in_chain_order(self, deployed):

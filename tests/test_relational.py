@@ -192,6 +192,14 @@ class TestCanonicalForm:
         doc["rows"].reverse()
         assert Table.from_json_dict(doc) == fixture_f
 
+    @pytest.mark.parametrize("rewrite", [list.reverse, lambda rows: rows.append(rows[-1])], ids=["reversed", "repeated"])
+    def test_json_rows_in_key_order_are_required_when_asked(self, fixture_f, rewrite):
+        doc = fixture_f.to_json_dict()
+        assert Table.from_json_dict(doc, in_key_order=True) == fixture_f
+        rewrite(doc["rows"])
+        with pytest.raises(SchemaMismatch, match="not in strictly increasing key order"):
+            Table.from_json_dict(doc, in_key_order=True)
+
     @pytest.mark.parametrize(
         "rewrite",
         [
