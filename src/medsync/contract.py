@@ -16,9 +16,17 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Optional, Union
 
-from .relational import Schema, ZERO_DIGEST, canonical_json
+from .relational import Schema, ZERO_DIGEST, canonical_json, names_of
 
 Principal = str
+
+
+def _typed(what: str, strs: tuple[object, ...], ints: tuple[object, ...] = ()) -> None:
+    """Refuse a decoded `what` unless each of `strs` is a string and each of
+    `ints` an int (a bool is none): a value equal under `==` but of another
+    JSON type re-encodes to the JSON it came from, so no later check sees it."""
+    if not (all(isinstance(s, str) for s in strs) and all(type(n) is int for n in ints)):
+        raise ValueError(f"{what} holds a value of the wrong JSON type")
 
 
 class RejectReason(str, Enum):
@@ -56,9 +64,13 @@ class Verdict:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Verdict":
+        if type(d["ok"]) is not bool:  # 1 would pass as true
+            raise ValueError("a verdict's ok must be true or false")
         if d["ok"]:
             return cls.accept()
-        return cls.reject(RejectReason(d["reason"]), d.get("detail", ""))
+        detail = d.get("detail", "")
+        _typed("a verdict", (detail,))
+        return cls.reject(RejectReason(d["reason"]), detail)
 
 
 ACCEPT = Verdict.accept()
@@ -91,15 +103,17 @@ class SharedTableMetadata:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SharedTableMetadata":
+        shared_id, authority, digest = d["shared_id"], d["authority"], d["digest"]
+        _typed("a registry entry", (shared_id, authority, digest), (d["latest_update_time"], d["version"]))
         return cls(
-            shared_id=d["shared_id"],
+            shared_id=shared_id,
             view_schema=Schema.from_json_dict(d["schema"]),
-            peers=frozenset(d["peers"]),
-            perm={a: frozenset(p) for a, p in d["perm"].items()},
-            authority=d["authority"],
+            peers=frozenset(names_of(d["peers"], "peers")),
+            perm={a: frozenset(names_of(p, f"perm[{a}]")) for a, p in d["perm"].items()},
+            authority=authority,
             latest_update_time=d["latest_update_time"],
             version=d["version"],
-            content_digest=d["digest"],
+            content_digest=digest,
         )
 
 
@@ -161,12 +175,17 @@ def tx_submitter(tx: Transaction) -> Principal:
     return tx.deployer if isinstance(tx, DeployTx) else tx.requester
 
 
+# Each transaction class's "type" in its JSON form.
+TX_TYPES: Mapping[type, str] = {DeployTx: "deploy", UpdateTx: "update", PermChangeTx: "perm_change"}
+
+
 def tx_to_json_dict(tx: Transaction) -> dict:
+    kind = TX_TYPES[type(tx)]
     if isinstance(tx, DeployTx):
-        return {"type": "deploy", "meta": tx.meta.to_json_dict(), "deployer": tx.deployer}
+        return {"type": kind, "meta": tx.meta.to_json_dict(), "deployer": tx.deployer}
     if isinstance(tx, UpdateTx):
         return {
-            "type": "update",
+            "type": kind,
             "shared_id": tx.shared_id,
             "requester": tx.requester,
             "changed_attrs": sorted(tx.changed_attrs),
@@ -174,7 +193,7 @@ def tx_to_json_dict(tx: Transaction) -> dict:
             "new_digest": tx.new_digest,
         }
     return {
-        "type": "perm_change",
+        "type": kind,
         "shared_id": tx.shared_id,
         "requester": tx.requester,
         "attr": tx.attr,
@@ -185,14 +204,17 @@ def tx_to_json_dict(tx: Transaction) -> dict:
 def tx_from_json_dict(d: Mapping) -> Transaction:
     kind = d["type"]
     if kind == "deploy":
+        _typed("a deploy transaction", (d["deployer"],))
         return DeployTx(SharedTableMetadata.from_json_dict(d["meta"]), d["deployer"])
     if kind == "update":
-        return UpdateTx(
-            d["shared_id"], d["requester"], frozenset(d["changed_attrs"]),
-            d["base_version"], d["new_digest"],
-        )
+        shared_id, requester, base, new_digest = d["shared_id"], d["requester"], d["base_version"], d["new_digest"]
+        _typed("an update transaction", (shared_id, requester, new_digest), (base,))
+        changed = frozenset(names_of(d["changed_attrs"], "changed_attrs"))
+        return UpdateTx(shared_id, requester, changed, base, new_digest)
     if kind == "perm_change":
-        return PermChangeTx(d["shared_id"], d["requester"], d["attr"], frozenset(d["new_principals"]))
+        shared_id, requester, attr = d["shared_id"], d["requester"], d["attr"]
+        _typed("a permission change", (shared_id, requester, attr))
+        return PermChangeTx(shared_id, requester, attr, frozenset(names_of(d["new_principals"], "new_principals")))
     raise ValueError(f"unknown transaction type {kind!r}")
 
 

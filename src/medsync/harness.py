@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .contract import (
+    TX_TYPES,
     ContractState,
     DeployTx,
     Notification,
@@ -364,7 +365,7 @@ def _propose_event(tx: Transaction) -> tuple[str, str, dict]:
 
 
 def _verdict_payload(tx: Transaction, verdict: Verdict) -> dict:
-    payload: dict[str, object] = {"shared_id": tx_shared_id(tx), "tx": tx_to_json_dict(tx)["type"], "ok": verdict.ok}
+    payload: dict[str, object] = {"shared_id": tx_shared_id(tx), "tx": TX_TYPES[type(tx)], "ok": verdict.ok}
     if not verdict.ok:
         payload["reason"] = verdict.reason.value
     return payload
@@ -547,8 +548,11 @@ class World:
 
         deploys: list[DeployTx] = []
         for share in sorted(scenario.shares, key=lambda s: s.shared_id):
+            first, second = (self.peers[p] for p in share.lens_by_peer)
             try:
-                initial, other = (self.peers[p].install_share(share.shared_id) for p in share.lens_by_peer)
+                initial = first.install_share(share.shared_id)
+                # The second peer holds `initial` itself when its own view equals it.
+                other = second.install_share(share.shared_id, agreed=initial)
             except LensError as exc:
                 raise ValidationError(f"share {share.shared_id!r}: {exc}") from exc
             if initial != other:
@@ -812,7 +816,9 @@ def load_dump(dump_dir: str | Path) -> World:
     """Rebuild a (quiescent) world from a dump directory.
 
     A missing, unparseable or inconsistent file raises ValidationError, except
-    that a chain.json which fails its checks raises ChainCorrupt. The cyclic
+    that a chain.json which fails its checks raises ChainCorrupt. Table files
+    of identical text are decoded once and share one `Table`, as a quiescent
+    dump's two copies of a share do; each file's id is still checked. The cyclic
     collector is paused meanwhile, and left as it was found: the reload builds
     each object once and frees almost nothing, so a collector pass would only
     walk what was just built.
@@ -838,9 +844,14 @@ def _reload(root: Path) -> World:
             raise ValidationError(f"{where} holds keys or values a dump does not write")
         return obj
 
+    decoded: dict[str, Table] = {}  # file text -> its table: tables are immutable, so equal files share one
+
     def read_table(sub: str, principal: str, name: str) -> Table:
-        # The decoder refuses unread keys, and rows out of the order a dump writes.
-        table = Table.from_json_dict(read(sub, principal, f"{name}.json"), in_key_order=True)
+        text = root.joinpath(sub, principal, f"{name}.json").read_text(encoding="utf-8")
+        table = decoded.get(text)
+        if table is None:
+            # The decoder refuses unread keys, and rows out of the order a dump writes.
+            table = decoded[text] = Table.from_json_dict(json.loads(text), in_key_order=True)
         if table.id != name:
             raise ValidationError(f"{sub}/{principal}/{name}.json holds table {table.id!r}")
         return table

@@ -142,10 +142,14 @@ def compile_lens(spec: LensSpec, source_schema: Schema) -> Lens:
 class LensCache:
     """What one lens derived last: a source, its view, and the support index.
 
-    The support index maps each view key to the keys of the source rows that
-    carry it; it is kept only for a lens that fans out, since otherwise the
-    source key is part of the view key. `get` and `put` advance the cache to
-    the source they are given. A new cache holds the empty source and view.
+    The view is a table equal to the lens's view of the source, not
+    necessarily the object the lens built: a caller may set any equal table,
+    such as a counterpart's copy of the same view, and `put` adopts the view
+    it is given. The support index maps each view key to the keys of the
+    source rows that carry it; it is kept only for a lens that fans out, since
+    otherwise the source key is part of the view key. `get` and `put` advance
+    the cache to the source they are given. A new cache holds the empty source
+    and view.
     """
 
     __slots__ = ("source", "view", "support")

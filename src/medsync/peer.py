@@ -8,12 +8,15 @@ counterpart and verified against the contract digest. After merging a
 counterpart's update into a source table, the peer re-derives its other views
 over that source and proposes any that changed (the cascade).
 
-A share's lens cache holds the source its view was last derived from, that
-view, and the lens's support index, so regenerating a view and merging fetched
-data cost what the edit touched, not the table size. A share's unanswered
-count lets a stale response refetch only when it was the last one out. Both
-are working state: not dumped, and fresh in a reloaded peer; verification
-derives every view from its whole source.
+A share's lens cache holds the source its view was last derived from, a view
+equal to what the lens derived from it, and the lens's support index, so
+regenerating a view and merging fetched data cost what the edit touched, not
+the table size. The view need not be the object the lens built: the two peers
+of a share start from one initial view (`install_share`'s `agreed`), and a
+merge adopts the fetched view, so both peers' views share their chunks. A
+share's unanswered count lets a stale response refetch only when it was the
+last one out. Both are working state: not dumped, and fresh in a reloaded
+peer; verification derives every view from its whole source.
 """
 
 from __future__ import annotations
@@ -217,11 +220,20 @@ class PeerNode:
         share = self._share(shared_id)
         return lens_get(share.lens, self.tables[share.source_id], LensCache(share.lens, shared_id))
 
-    def install_share(self, shared_id: str) -> Table:
-        """Initialize the local copy of a share from the current source; version 0."""
+    def install_share(self, shared_id: str, agreed: Optional[Table] = None) -> Table:
+        """Initialize the local copy of a share from the current source; version 0.
+
+        `agreed` is a view the counterpart already holds. When it equals the
+        view derived here, the peer holds `agreed` itself, as its copy and as
+        its lens cache's view, so the two peers' views share every chunk (and
+        the hash states a digest keeps on them). Returns the copy.
+        """
         share = self._share(shared_id)
-        share.copy, share.version = self.regenerate_view(shared_id), 0
-        return share.copy
+        view = self.regenerate_view(shared_id)
+        if agreed is not None and agreed == view:
+            view = share.cache.view = agreed
+        share.copy, share.version = view, 0
+        return view
 
     # -- local operations -----------------------------------------------------
 

@@ -19,6 +19,15 @@ import medsync.peer as peer_module
 import medsync.relational as relational
 from conftest import iter_law_cases, make_edited_view, make_lens_case
 from medsync.contract import SharedTableMetadata, Verdict
+from medsync.harness import (
+    EditAction,
+    ProposeAction,
+    Scenario,
+    ScheduledAction,
+    ShareDeployment,
+    World,
+    verify_convergence,
+)
 from medsync.ledger import Receipt
 from medsync.lenses import FdViolation, LensCache, LensSpec, compile_lens, get, put
 from medsync.peer import DataResponse, Edit, PeerNode, ShareBinding
@@ -771,3 +780,31 @@ def test_a_fan_out_edit_checks_its_group_and_a_fan_out_merge_visits_one_group(co
     assert counted["spliced"] == {"wide": 10}  # the ten source rows behind M007
     assert counted["view_rows"] == 0 and counted["encoded"] == 0
     assert {r["mech"] for r in b.tables["wide"].rows if r["m"] == "M007"} == {"new"}
+
+
+def test_the_first_edit_of_a_share_in_a_world_diffs_chunks_not_views(counted):
+    # Two peers share S (the whole rows) and T (a view each of whose rows
+    # stands for ten source rows); B edits and proposes S, and A merges it.
+    lenses_ = {p: {"BY_ROW": compile_lens(BY_ROW, WIDE), "BY_MED": compile_lens(BY_MED, WIDE)} for p in "AB"}
+    perm = {spec.lens_id: dict.fromkeys(spec.view_attrs, frozenset({"A", "B"})) for spec in (BY_ROW, BY_MED)}
+    shares = tuple(
+        ShareDeployment(sid, "A", "A", dict.fromkeys("AB", spec.lens_id), perm[spec.lens_id])
+        for sid, spec in (("S", BY_ROW), ("T", BY_MED))
+    )
+    key = {"p": "P0500", "m": "M000"}
+    script = (
+        ScheduledAction(0, "B", EditAction("wide", Edit("update", key=key, changes={"dose": "b"}))),
+        ScheduledAction(0, "B", ProposeAction("S")),
+    )
+    world = World(Scenario("wide", ("A", "B"), {p: {"wide": wide_table()} for p in "AB"}, lenses_, shares, script))
+    counted.update(encoded=0)
+    counted["read"].clear()
+    world.run_to_quiescence()
+    assert world.contract.entries["S"].version == 1
+    assert world.peers["A"].tables["wide"].get_row(key)["dose"] == "b"
+    # B's view is the one A derived at genesis, so each diff of the edit, the
+    # proposal, the merge and the cascade check reads the chunks that differ.
+    assert counted["read"] and max(counted["read"]) <= 2 * relational.CHUNK
+    # B's first proposal hashes on from the states genesis's digest kept on those chunks.
+    assert 0 < counted["encoded"] <= relational.CHUNK
+    assert verify_convergence(world).ok

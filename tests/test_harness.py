@@ -99,6 +99,24 @@ def _one_letter_names(doc):
         _rename(old, old[0])(doc)
 
 
+def _relinked(blocks):
+    """The blocks, each after genesis linked to its predecessor and its digest recomputed."""
+    for prev, block in zip(blocks, blocks[1:]):
+        block["prev_digest"] = prev["block_digest"]
+        body = {k: v for k, v in block.items() if k != "block_digest"}
+        block["block_digest"] = sha256_hex(canonical_json(body))
+    return blocks
+
+
+# contract.json values of another JSON type than a dump writes, in D23's entry.
+CONTRACT_VALUES = {
+    "contract version true": ("version", True),
+    "contract latest_update_time a string": ("latest_update_time", "0"),
+    "contract digest null": ("digest", None),
+    "contract authority a number": ("authority", 7),
+    "contract peers a string": ("peers", "DoctorResearcher"),
+}
+
 KV_TABLE = {"id": "KV", "schema": {"attrs": ["k", "v"], "key": ["k"]}, "rows": [["1", "x"]]}
 
 
@@ -298,6 +316,16 @@ class TestRun:
         shares = [s for peer in world.peers.values() for s in peer.shares.values()]
         assert shares and all(s.staged is None and not s.unanswered for s in shares)
 
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_the_peers_of_a_share_start_from_one_view(self, name):
+        world = World(load_scenario(scenario_path(name)))
+        assert world.contract.entries
+        for sid, meta in world.contract.entries.items():
+            a, b = (world.peers[p].shares[sid] for p in sorted(meta.peers))
+            # The view whose digest genesis registers: each peer's copy and its lens cache's view.
+            assert a.copy is b.copy is a.cache.view is b.cache.view
+            assert a.copy.digest() == meta.content_digest
+
     def test_identical_runs_produce_identical_traces(self, update_flow):
         t1 = [e.to_json_dict() for e in run(update_flow).trace]
         t2 = [e.to_json_dict() for e in run(update_flow).trace]
@@ -494,6 +522,14 @@ class TestDump:
         assert f1 == f2
         for f in f1:
             assert (d1 / f).read_bytes() == (d2 / f).read_bytes(), f
+
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_a_reload_holds_one_copy_per_share(self, tmp_path, name):
+        world = load_dump(dump(run(load_scenario(scenario_path(name))), tmp_path / "d"))
+        assert world.contract.entries
+        for sid, meta in world.contract.entries.items():
+            a, b = (world.peers[p].shares[sid].copy for p in sorted(meta.peers))
+            assert a is b  # a quiescent dump's two copies of a share are the same bytes
 
     def test_one_file_per_table_per_peer(self, tmp_path, update_flow):
         world = run(update_flow)
@@ -901,6 +937,7 @@ class TestCli:
             "counterpart another peer",
             "event split over two lines",
             "two events on one line",
+            *CONTRACT_VALUES,
         ],
     )
     def test_dump_values_of_the_wrong_type_exit_2(self, tmp_path, capsys, target):
@@ -908,7 +945,14 @@ class TestCli:
 
         dump_dir = tmp_path / "dump"
         assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
-        if target in ("string clock", "share name a path", "lens_id a number", "counterpart another peer"):
+        if target in CONTRACT_VALUES:
+            path = dump_dir / "contract.json"
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            field, value = CONTRACT_VALUES[target]
+            assert doc["entries"]["D23"]["version"] == 1 and field in doc["entries"]["D23"]
+            doc["entries"]["D23"][field] = value
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        elif target in ("string clock", "share name a path", "lens_id a number", "counterpart another peer"):
             path = dump_dir / "world.json"
             doc = json.loads(path.read_text(encoding="utf-8"))
             patient = doc["peers"]["Patient"]
@@ -989,6 +1033,51 @@ class TestCli:
         capsys.readouterr()
         assert main(["verify", str(dump_dir)]) == 0
 
+    @pytest.mark.parametrize(
+        "change, code", [("reindented", 0), ("one cell differs", 1), ("another share's file", 2)]
+    )
+    def test_a_reload_decodes_each_distinct_table_file_once(self, tmp_path, capsys, monkeypatch, change, code):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
+        shared = dump_dir / "shared"
+        path = shared / "Patient" / "D13.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if change == "reindented":
+            path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+        elif change == "one cell differs":
+            at = next(i for i, a in enumerate(doc["schema"]["attrs"]) if a not in doc["schema"]["key"])
+            doc["rows"][0][at] = "tampered"
+            path.write_bytes(canonical_json(doc))
+        else:  # the same bytes as the Doctor's D13, already decoded when the Researcher's D23 is read
+            (shared / "Researcher" / "D23.json").write_bytes((shared / "Doctor" / "D13.json").read_bytes())
+        texts = {p.read_text(encoding="utf-8") for p in dump_dir.glob("*/*/*.json")}
+
+        decodes = []
+        from_json_dict = Table.from_json_dict.__func__
+
+        def counted(cls, *args, **kwargs):
+            decodes.append(args[0]["id"])
+            return from_json_dict(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Table, "from_json_dict", classmethod(counted))
+        if code == 2:
+            with pytest.raises(ValidationError, match="holds table 'D13'"):
+                load_dump(dump_dir)
+        else:
+            world = load_dump(dump_dir)
+            assert len(decodes) == len(texts)  # each distinct file once
+            patient, doctor = (world.peers[p].shares["D13"].copy for p in ("Patient", "Doctor"))
+            assert patient is not doctor and (patient == doctor) == (code == 0)
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == code
+        out, err = capsys.readouterr()
+        if code == 1:
+            assert "[FAIL] D13: copies-equal" in out
+        elif code == 2:
+            assert err.startswith("dump error: ")
+
     @pytest.mark.parametrize("field", ["index", "tick"])
     def test_a_block_index_or_tick_that_is_a_bool_exits_1(self, tmp_path, capsys, field):
         from medsync.cli import main
@@ -998,12 +1087,23 @@ class TestCli:
         path = dump_dir / "chain.json"
         blocks = json.loads(path.read_text(encoding="utf-8"))
         blocks[1][field] = bool(blocks[1][field])  # index 1 is true, tick 0 false
-        # Relink the digests, so that only the field's type is wrong.
-        for prev, block in zip(blocks, blocks[1:]):
-            block["prev_digest"] = prev["block_digest"]
-            body = {k: v for k, v in block.items() if k != "block_digest"}
-            block["block_digest"] = sha256_hex(canonical_json(body))
-        path.write_bytes(canonical_json(blocks))
+        path.write_bytes(canonical_json(_relinked(blocks)))
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == 1
+        assert "[FAIL] chain: malformed chain dump" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [False, 0.0], ids=["false", "0.0"])
+    def test_a_base_version_of_another_json_type_exits_1(self, tmp_path, capsys, value):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
+        path = dump_dir / "chain.json"
+        blocks = json.loads(path.read_text(encoding="utf-8"))
+        first = next(e for b in blocks for e in b["txs"] if e["tx"]["type"] == "update" and e["verdict"]["ok"])
+        assert first["tx"]["base_version"] == 0
+        first["tx"]["base_version"] = value  # equal to 0 under ==, so replay and the trace audit agree
+        path.write_bytes(canonical_json(_relinked(blocks)))
         capsys.readouterr()
         assert main(["verify", str(dump_dir)]) == 1
         assert "[FAIL] chain: malformed chain dump" in capsys.readouterr().out

@@ -225,6 +225,54 @@ class TestReplay:
         with pytest.raises(ChainCorrupt, match="integer index and tick, and string prev_digest and block_digest"):
             Chain.from_json_list(blocks)
 
+    @pytest.mark.parametrize(
+        "where, field, value",
+        [
+            ("update", "base_version", False),
+            ("update", "base_version", "0"),
+            ("update", "shared_id", 23),
+            ("update", "requester", None),
+            ("update", "new_digest", 1),
+            ("update", "changed_attrs", "a5"),
+            ("update", "changed_attrs", ["a5", 5]),
+            ("perm_change", "requester", ["Doctor"]),
+            ("perm_change", "attr", 4),
+            ("perm_change", "new_principals", "Doctor"),
+            ("verdict", "ok", 1),
+            ("verdict", "ok", "true"),
+            ("deploy", "deployer", 3),
+            ("meta", "version", False),
+            ("meta", "latest_update_time", 0.0),
+            ("meta", "shared_id", 13),
+            ("meta", "authority", None),
+            ("meta", "digest", 0),
+            ("meta", "peers", "DoctorPatient"),
+            ("meta", "peers", ["Doctor", 1]),
+            ("perm", "a4", "Doctor"),
+        ],
+    )
+    def test_a_transaction_or_verdict_field_of_the_wrong_type_is_corrupt(self, deployed, where, field, value):
+        chain, state = deployed
+        chain.submit(update("D23", "Researcher", {"a5"}, 0, "1"))
+        chain.submit(PermChangeTx("D13", "Doctor", "a4", frozenset({"Doctor", "Patient"})))
+        chain.produce_block(state, 1)
+        blocks = chain.to_json_list()
+        (deploy,), (updated, perm_change) = blocks[0]["txs"][:1], blocks[1]["txs"]
+        target = {
+            "update": updated["tx"],
+            "perm_change": perm_change["tx"],
+            "verdict": updated["verdict"],
+            "deploy": deploy["tx"],
+            "meta": deploy["tx"]["meta"],
+            "perm": deploy["tx"]["meta"]["perm"],
+        }[where]
+        assert field in target
+        target[field] = value
+        # Refused as it is decoded: `False == 0` and `1 == True`, so the
+        # re-encoding would equal the JSON it came from.
+        with pytest.raises(ChainCorrupt, match="malformed chain dump"):
+            Chain.from_json_list(blocks)
+
 
 class TestHistory:
     def test_share_history_in_chain_order(self, deployed):
