@@ -288,11 +288,16 @@ def apply_update(
     entry: SharedTableMetadata, tx: UpdateTx, tick: int
 ) -> tuple[SharedTableMetadata, list[Notification]]:
     """Apply an update `validate_update` accepted: bump the version, record the digest, notify."""
-    new_entry = replace(
-        entry,
+    # The constructor, not `dataclasses.replace`, which reads every field back by name.
+    new_entry = SharedTableMetadata(
+        entry.shared_id,
+        entry.view_schema,
+        entry.peers,
+        entry.perm,
+        entry.authority,
+        latest_update_time=tick,
         version=entry.version + 1,
         content_digest=tx.new_digest,
-        latest_update_time=tick,
     )
     notes = [
         Notification(

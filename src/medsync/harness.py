@@ -391,6 +391,8 @@ _PAYLOAD_KEYS = {
     "cascade": ({"after_merge_of", "shared_id"}, set()),
     "edit": ({"table", "op"}, {"key", "changes", "row"}),
 }
+# The payload key holding the share version an event of these kinds names.
+_VERSION_KEYS = {"data_req": "requested_version", "data_resp": "version", "put_applied": "version"}
 
 
 def _block_events(block: Block, notes: Sequence[Notification]) -> list[tuple[str, str, dict]]:
@@ -407,22 +409,25 @@ def trace_mismatch(world: World) -> Optional[str]:
 
     The chain (which must replay) is executed again, block by block, through
     `execute_block`. Each `block` event must open exactly the events the tick
-    loop emits for that block: the block itself (index, transaction count),
-    a `verdict` per transaction and a `notify` per notification the executor
-    derives. The `propose` events since the previous block must be that
-    block's transactions, in order. Each `data_req` and `data_resp` goes from
-    its actor to the share's other peer; a `data_req` asks for a version the
-    chain has registered, and a `data_resp` carries the digest the chain
-    registered for its share and version and answers an earlier `data_req`
-    of its recipient on that share that no other `data_resp` answered; no
-    `data_req` is left unanswered at the end. Each `put_applied` follows a
-    `data_resp` to its actor for that share and version, and names the
-    actor's source table of the share. Each `cascade` follows its actor's
-    `put_applied` of `after_merge_of` in the same tick and comes right before
-    the actor's `propose` of its share. An `edit` must name a table its actor
-    holds; what it changed is not checked, because the script is not in the
-    dump. Each of these five kinds holds exactly the payload keys the tick
-    loop writes. Event `seq` numbers must run 0..n-1, ticks must never
+    loop emits for that block: the block itself (index, transaction count), a
+    `verdict` per transaction and a `notify` per notification the executor
+    derives. The `propose` events since the previous block must be that block's
+    transactions, in order. These rebuilt events are compared with the trace's
+    by canonical JSON, not `==`, so a value of another JSON type that compares
+    equal (`1` for `true`, `1.0` for `1`) is a mismatch, and the version a
+    `data_req`, `data_resp` or `put_applied` names must be an integer. Each
+    `data_req` and `data_resp` goes from its actor to the share's other peer; a
+    `data_req` asks for a version the chain has registered, and a `data_resp`
+    carries the digest the chain registered for its share and version and
+    answers an earlier `data_req` of its recipient on that share that no other
+    `data_resp` answered; no `data_req` is left unanswered at the end. Each
+    `put_applied` follows a `data_resp` to its actor for that share and
+    version, and names the actor's source table of the share. Each `cascade`
+    follows its actor's `put_applied` of `after_merge_of` in the same tick and
+    comes right before the actor's `propose` of its share. An `edit` must name
+    a table its actor holds; what it changed is not checked, because the script
+    is not in the dump. Each of these five kinds holds exactly the payload keys
+    the tick loop writes. Event `seq` numbers must run 0..n-1, ticks must never
     decrease, and no other kind of event may occur.
     """
     trace = world.trace
@@ -448,19 +453,22 @@ def trace_mismatch(world: World) -> Optional[str]:
             required, optional = _PAYLOAD_KEYS[event.kind]
             if not required <= p.keys() <= required | optional:
                 return f"event {seq} holds payload keys the tick loop does not write"
+            if event.kind in _VERSION_KEYS and type(p[_VERSION_KEYS[event.kind]]) is not int:
+                return f"event {seq} names a version that is not an integer"
         try:
             if event.kind == "block":
                 block = next(blocks, None)
                 if block is None:
                     return f"event {seq} records a block the chain does not hold"
-                if proposed != [(block.tick, *_propose_event(tx)) for tx, _ in block.txs]:
+                if _encode(proposed) != _encode([(block.tick, *_propose_event(tx)) for tx, _ in block.txs]):
                     return f"the propose events before event {seq} are not block {block.index}'s transactions"
                 proposed = []
                 state, _, notes = execute_block(state, [tx for tx, _ in block.txs], block.tick)
                 for note in notes:
                     registered[note.shared_id, note.new_version] = state.entries[note.shared_id].content_digest
                 expected = [(block.tick, *e) for e in _block_events(block, notes)]
-                if [(e.tick, e.actor, e.kind, e.payload) for e in trace[seq : seq + len(expected)]] != expected:
+                found = [(e.tick, e.actor, e.kind, e.payload) for e in trace[seq : seq + len(expected)]]
+                if _encode(found) != _encode(expected):
                     return f"the events from {seq} on do not match block {block.index}"
                 seq += len(expected)
                 continue
@@ -746,7 +754,7 @@ def write_trace(trace: Sequence[TraceEvent], path: str | Path) -> None:
     path.write_bytes(_trace_bytes(trace))
 
 
-_decode_at = json.JSONDecoder().raw_decode
+_decoder = json.JSONDecoder()
 _line_space = re.compile(r"[ \t]*").match  # JSON whitespace within a line
 
 
@@ -756,27 +764,30 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
     The text is read with universal newlines, so lines end at "\n", "\r\n"
     or "\r", and at nothing else: canonical JSON leaves U+2028, U+2029 and
     U+0085 unescaped, and str.splitlines would split inside a string there.
-    Each event is decoded in place in the whole text and must end on its own
+    Each event is decoded in place in the whole text by the decoder's scanner,
+    which raises StopIteration where no value starts, and must end on its own
     line, with only spaces and tabs around it; lines of whitespace alone are
     skipped.
     """
     text = Path(path).read_text(encoding="utf-8")
+    scan, decode_at, event = _decoder.scan_once, _decoder.raw_decode, TraceEvent.from_json_dict
     events = []
+    append = events.append
     pos = 0
     while pos < len(text):
         end = text.find("\n", pos)
         if end < 0:
             end = len(text)
         try:
-            doc, stop = _decode_at(text, pos)
-        except json.JSONDecodeError:  # leading whitespace, a blank line, or no event at all
+            doc, stop = scan(text, pos)
+        except StopIteration:  # leading whitespace, a blank line, or no event at all
             if not text[pos:end].strip():
                 pos = end + 1
                 continue
-            doc, stop = _decode_at(text, _line_space(text, pos).end())
+            doc, stop = decode_at(text, _line_space(text, pos).end())
         if stop != end and _line_space(text, stop).end() != end:
             raise ValueError(f"trace line at character {pos} does not hold exactly one event")
-        events.append(TraceEvent.from_json_dict(doc))
+        append(event(doc))
         pos = end + 1
     return events
 

@@ -60,7 +60,24 @@ ZERO_DIGEST = "0" * 64
 CHUNK = 32
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+def _make_encode() -> Callable[[object], str]:
+    """The canonical encoder: `json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)`.
+
+    `JSONEncoder.encode` builds a new C encoder on every call; this builds it
+    once, as `JSONEncoder.iterencode` would (markers, default, string encoder,
+    indent, key and item separators, sort_keys, skipkeys, allow_nan). Without
+    a markers dict nothing outlives a call, so a failed encode leaves no state
+    behind; a cyclic value, which no caller builds, hits the recursion limit.
+    """
+    make = json.encoder.c_make_encoder
+    if make is None:  # no C accelerator: the pure-Python encoder, as the stdlib falls back
+        return json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+    chunks = make(None, json.JSONEncoder().default, json.encoder.encode_basestring, None, ":", ",", True, False, True)
+    join = "".join
+    return lambda obj: join(chunks(obj, 0))
+
+
+_encode = _make_encode()
 
 
 def canonical_json(obj: object) -> bytes:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import medsync.harness
+import medsync.relational
 from conftest import BUNDLED_SCENARIOS, scenario_path
 from medsync.harness import (
     CascadeOverflow,
@@ -32,7 +33,7 @@ from medsync.harness import (
     verify_convergence,
     write_trace,
 )
-from medsync.relational import Table, canonical_json, sha256_hex
+from medsync.relational import Table, _encode, canonical_json, sha256_hex
 
 
 @pytest.fixture(scope="module")
@@ -620,6 +621,31 @@ def test_the_trace_codec_writes_canonical_json_and_reads_it_back(tmp_path_factor
     assert read_trace(path) == trace
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_values | st.dictionaries(_texts, _values, max_size=4))
+def test_the_canonical_encoder_is_json_dumps_with_sorted_keys(value):
+    assert _encode(value) == json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def test_the_canonical_encoder_fails_as_json_dumps_and_recovers(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    fallback = medsync.relational._make_encode()  # the encoder where the C accelerator is missing
+    for value in ("a\u2028é", None, 10**30, {"b": [1.5, True], "a": "\x00"}):
+        dumped = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert _encode(value) == fallback(value) == dumped
+    bad = {"a": [{1}]}
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(bad)
+    # A failed encode leaves no state behind: a markers dict kept across calls
+    # would still hold `bad` and its list, and report them as a cycle.
+    for _ in range(2):
+        with pytest.raises(TypeError) as raised:
+            _encode(bad)
+        assert str(raised.value) == str(stdlib.value)
+    bad["a"].pop()
+    assert _encode(bad) == '{"a":[]}'
+
+
 class TestVerifyConvergence:
     def test_all_checks_pass_after_run(self, update_flow):
         report = verify_convergence(run(update_flow))
@@ -829,6 +855,13 @@ class TestCli:
             "data_resp duplicated",
             "data_req key smuggled",
             "edit key smuggled",
+            "verdict ok set to 1",
+            "block index set to a float",
+            "notify new_version set to a float",
+            "propose base_version set to a float",
+            "data_req requested_version set to a float",
+            "data_resp version set to a float",
+            "put_applied version set to a float",
         ],
     )
     def test_forged_trace_fails_verify(self, tmp_path, capsys, forgery):
@@ -885,6 +918,14 @@ class TestCli:
             for e in events:
                 if e["kind"] == "edit":
                     e["payload"]["table"] = "forged"
+        elif forgery == "verdict ok set to 1":
+            next(e for e in events if e["kind"] == "verdict" and e["payload"]["ok"])["payload"]["ok"] = 1
+        elif forgery.endswith("set to a float"):
+            # another JSON type whose value compares equal to the integer
+            kind, key = forgery.split()[:2]
+            payload = next(e["payload"] for e in events if e["kind"] == kind and key in e["payload"])
+            assert type(payload[key]) is int
+            payload[key] = float(payload[key])
         elif forgery.endswith("key smuggled"):
             kind = forgery.split()[0]
             next(e for e in events if e["kind"] == kind)["payload"]["smuggled"] = "x"
@@ -984,7 +1025,7 @@ class TestCli:
         assert main(["verify", str(dump_dir)]) == 2
         assert capsys.readouterr().err.startswith("dump error: ")
 
-    @pytest.mark.parametrize("layout", ["CRLF endings", "blank lines"])
+    @pytest.mark.parametrize("layout", ["CRLF endings", "blank lines", "leading and trailing spaces"])
     def test_a_trace_with_crlf_endings_or_blank_lines_verifies(self, tmp_path, capsys, layout):
         from medsync.cli import main
 
@@ -994,6 +1035,8 @@ class TestCli:
         lines = path.read_bytes().split(b"\n")[:-1]
         if layout == "CRLF endings":
             path.write_bytes(b"".join(line + b"\r\n" for line in lines))
+        elif layout == "leading and trailing spaces":
+            path.write_bytes(b"".join(b" \t" + line + b"\t \n" for line in lines))
         else:
             path.write_bytes(b"\n" + b"\n \t\n".join(lines) + b"\n\n")
         capsys.readouterr()
