@@ -16,17 +16,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Optional, Union
 
-from .relational import Schema, ZERO_DIGEST, canonical_json, names_of
+from .relational import Schema, ZERO_DIGEST, _typed, canonical_json, names_of
 
 Principal = str
-
-
-def _typed(what: str, strs: tuple[object, ...], ints: tuple[object, ...] = ()) -> None:
-    """Refuse a decoded `what` unless each of `strs` is a string and each of
-    `ints` an int (a bool is none): a value equal under `==` but of another
-    JSON type re-encodes to the JSON it came from, so no later check sees it."""
-    if not (all(isinstance(s, str) for s in strs) and all(type(n) is int for n in ints)):
-        raise ValueError(f"{what} holds a value of the wrong JSON type")
 
 
 class RejectReason(str, Enum):
@@ -68,9 +60,8 @@ class Verdict:
             raise ValueError("a verdict's ok must be true or false")
         if d["ok"]:
             return cls.accept()
-        detail = d.get("detail", "")
-        _typed("a verdict", (detail,))
-        return cls.reject(RejectReason(d["reason"]), detail)
+        _typed(d, "a verdict", ("detail",))
+        return cls.reject(RejectReason(d["reason"]), d["detail"])
 
 
 ACCEPT = Verdict.accept()
@@ -103,17 +94,16 @@ class SharedTableMetadata:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SharedTableMetadata":
-        shared_id, authority, digest = d["shared_id"], d["authority"], d["digest"]
-        _typed("a registry entry", (shared_id, authority, digest), (d["latest_update_time"], d["version"]))
+        _typed(d, "a registry entry", ("shared_id", "authority", "digest"), ("latest_update_time", "version"))
         return cls(
-            shared_id=shared_id,
+            shared_id=d["shared_id"],
             view_schema=Schema.from_json_dict(d["schema"]),
             peers=frozenset(names_of(d["peers"], "peers")),
             perm={a: frozenset(names_of(p, f"perm[{a}]")) for a, p in d["perm"].items()},
-            authority=authority,
+            authority=d["authority"],
             latest_update_time=d["latest_update_time"],
             version=d["version"],
-            content_digest=digest,
+            content_digest=d["digest"],
         )
 
 
@@ -204,17 +194,16 @@ def tx_to_json_dict(tx: Transaction) -> dict:
 def tx_from_json_dict(d: Mapping) -> Transaction:
     kind = d["type"]
     if kind == "deploy":
-        _typed("a deploy transaction", (d["deployer"],))
+        _typed(d, "a deploy transaction", ("deployer",))
         return DeployTx(SharedTableMetadata.from_json_dict(d["meta"]), d["deployer"])
     if kind == "update":
-        shared_id, requester, base, new_digest = d["shared_id"], d["requester"], d["base_version"], d["new_digest"]
-        _typed("an update transaction", (shared_id, requester, new_digest), (base,))
+        _typed(d, "an update transaction", ("shared_id", "requester", "new_digest"), ("base_version",))
         changed = frozenset(names_of(d["changed_attrs"], "changed_attrs"))
-        return UpdateTx(shared_id, requester, changed, base, new_digest)
+        return UpdateTx(d["shared_id"], d["requester"], changed, d["base_version"], d["new_digest"])
     if kind == "perm_change":
-        shared_id, requester, attr = d["shared_id"], d["requester"], d["attr"]
-        _typed("a permission change", (shared_id, requester, attr))
-        return PermChangeTx(shared_id, requester, attr, frozenset(names_of(d["new_principals"], "new_principals")))
+        _typed(d, "a permission change", ("shared_id", "requester", "attr"))
+        principals = frozenset(names_of(d["new_principals"], "new_principals"))
+        return PermChangeTx(d["shared_id"], d["requester"], d["attr"], principals)
     raise ValueError(f"unknown transaction type {kind!r}")
 
 

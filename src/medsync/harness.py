@@ -18,6 +18,7 @@ import gc
 import json
 import re
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -41,6 +42,7 @@ from .contract import (
 from .ledger import Block, Chain, Receipt, execute_block
 from .lenses import Lens, LensError, LensSpec, compile_lens
 from .peer import (
+    EDIT_KEYS,
     RETRY,
     DataRequest,
     DataResponse,
@@ -50,7 +52,7 @@ from .peer import (
     PeerNode,
     ShareBinding,
 )
-from .relational import RelationalError, Table, _encode, _only_keys, canonical_json, names_of
+from .relational import NotFound, RelationalError, Table, _encode, _only_keys, _typed, canonical_json, names_of
 
 
 class ScenarioError(Exception):
@@ -152,8 +154,8 @@ def _plain(name: object) -> bool:
     return isinstance(name, str) and name not in ("", ".", "..") and "/" not in name and "\\" not in name
 
 
-# The keys of each scenario object. Every scenario key is optional; an edit's
-# keys depend on its op; `config` alone is open.
+# The keys of each scenario object. Every scenario key is optional; an edit
+# action holds its edit's keys and `kind`; `config` alone is open.
 _SCENARIO_KEYS = frozenset({"name", "principals", "tables", "lenses", "shares", "script", "config"})
 _SHARE_KEYS = frozenset({"shared_id", "deployer", "authority", "peers", "perm"})
 _SCHEDULED_KEYS = frozenset({"tick", "principal", "action"})
@@ -161,8 +163,7 @@ _ACTION_KEYS = {
     "propose": frozenset({"kind", "shared_id"}),
     "change_permission": frozenset({"kind", "shared_id", "attr", "principals"}),
 }
-_EDIT_FIELDS = {"insert": ("row",), "update": ("key", "changes"), "delete": ("key",)}
-_EDIT_KEYS = {op: frozenset({"kind", "table", "op", *fields}) for op, fields in _EDIT_FIELDS.items()}
+_EDIT_ACTION_KEYS = {op: keys | {"kind"} for op, keys in EDIT_KEYS.items()}
 
 
 def _object(doc: object, where: str) -> dict:
@@ -201,9 +202,8 @@ def _read_lens(d: Mapping, tables: Mapping[str, Table], principal: str) -> Lens:
 
 def _read_share(d: Mapping, lenses: Mapping[str, Mapping[str, Lens]]) -> ShareDeployment:
     _only_keys(d, _SHARE_KEYS, "a share")
+    _typed(d, "a share", ("shared_id", "deployer", "authority"))
     shared_id, deployer, authority = d["shared_id"], d["deployer"], d["authority"]
-    if not all(isinstance(n, str) for n in (shared_id, deployer, authority)):
-        raise ValidationError("shared_id, deployer and authority must be strings")
     if not _plain(shared_id):
         raise ValidationError(f"the shared_id must be {_PLAIN}, got {shared_id!r}")
     peers = _object(d["peers"], "peers")  # dict() would also take a list of pairs
@@ -227,14 +227,10 @@ def _read_action(
     """One action of `principal`, whose tables are `tables`."""
     kind = _object(d, "an action").get("kind")
     if kind == "edit":
-        op = d.get("op")
-        if not isinstance(op, str) or op not in _EDIT_FIELDS:
-            raise ValidationError(f"edit op must be insert/update/delete, got {op!r}")
-        _only_keys(d, _EDIT_KEYS[op], f"an edit of op {op}")
-        fields = {name: _object(d[name], f"edit {name}") for name in _EDIT_FIELDS[op]}
-        if not isinstance(d["table"], str) or d["table"] not in tables:
-            raise ValidationError(f"{principal!r} has no table {d['table']!r}")
-        return EditAction(d["table"], Edit(op, **fields))
+        table_id, edit = Edit.from_json_dict(d, _EDIT_ACTION_KEYS)
+        if table_id not in tables:
+            raise ValidationError(f"{principal!r} has no table {table_id!r}")
+        return EditAction(table_id, edit)
     if not isinstance(kind, str) or kind not in _ACTION_KEYS:
         raise ValidationError(f"unknown action kind {kind!r}")
     _only_keys(d, _ACTION_KEYS[kind], f"a {kind} action")
@@ -246,8 +242,7 @@ def _read_action(
         if principal not in share.lens_by_peer:
             raise ValidationError(f"{principal!r} does not share {shared_id!r}")
         return ProposeAction(shared_id)
-    if not isinstance(d["attr"], str):
-        raise ValidationError("change_permission needs a string attr")
+    _typed(d, "a change_permission action", ("attr",))
     return PermChangeAction(shared_id, d["attr"], frozenset(names_of(d["principals"], "principals")))
 
 
@@ -269,11 +264,10 @@ def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
     doc = {"name": name, "principals": [], "tables": {}, "lenses": {}, "shares": [], "script": [], "config": {}, **doc}
     try:
         _only_keys(doc, _SCENARIO_KEYS, "a scenario (each key optional)")  # a misspelt key would otherwise be dropped
+        _typed(doc, "a scenario", ("name",))
         principals = names_of(doc["principals"], "principals")
     except RelationalError as exc:
         raise ValidationError(str(exc)) from exc
-    if not isinstance(doc["name"], str):
-        raise ValidationError(f"name must be a string, got {doc['name']!r}")
     if not principals or not all(map(_plain, principals)) or len(set(principals)) != len(principals):
         raise ValidationError(f"principals must be a non-empty list of unique names, each {_PLAIN}")
 
@@ -338,13 +332,7 @@ class TraceEvent(NamedTuple):
     payload: Mapping[str, object]
 
     def to_json_dict(self) -> dict:
-        return {
-            "tick": self.tick,
-            "seq": self.seq,
-            "actor": self.actor,
-            "kind": self.kind,
-            "payload": dict(self.payload),
-        }
+        return {**self._asdict(), "payload": dict(self.payload)}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "TraceEvent":
@@ -381,18 +369,13 @@ def _notify_payload(note: Notification) -> dict:
     }
 
 
-# The payload keys the tick loop writes for the event kinds the audit does not
-# rebuild whole: the keys every such event holds, and those it may hold (an
-# edit holds the fields its Edit sets).
-_PAYLOAD_KEYS = {
-    "data_req": ({"shared_id", "from", "to", "requested_version"}, set()),
-    "data_resp": ({"shared_id", "from", "to", "version", "digest"}, set()),
-    "put_applied": ({"shared_id", "source_table", "version"}, set()),
-    "cascade": ({"after_merge_of", "shared_id"}, set()),
-    "edit": ({"table", "op"}, {"key", "changes", "row"}),
+# The string and the integer payload keys of each kind the audit neither rebuilds nor reads as an `Edit`.
+_PAYLOAD_TYPES = {
+    "data_req": (("shared_id", "from", "to"), ("requested_version",)),
+    "data_resp": (("shared_id", "from", "to", "digest"), ("version",)),
+    "put_applied": (("shared_id", "source_table"), ("version",)),
+    "cascade": (("after_merge_of", "shared_id"), ()),
 }
-# The payload key holding the share version an event of these kinds names.
-_VERSION_KEYS = {"data_req": "requested_version", "data_resp": "version", "put_applied": "version"}
 
 
 def _block_events(block: Block, notes: Sequence[Notification]) -> list[tuple[str, str, dict]]:
@@ -414,21 +397,22 @@ def trace_mismatch(world: World) -> Optional[str]:
     derives. The `propose` events since the previous block must be that block's
     transactions, in order. These rebuilt events are compared with the trace's
     by canonical JSON, not `==`, so a value of another JSON type that compares
-    equal (`1` for `true`, `1.0` for `1`) is a mismatch, and the version a
-    `data_req`, `data_resp` or `put_applied` names must be an integer. Each
-    `data_req` and `data_resp` goes from its actor to the share's other peer; a
-    `data_req` asks for a version the chain has registered, and a `data_resp`
-    carries the digest the chain registered for its share and version and
-    answers an earlier `data_req` of its recipient on that share that no other
-    `data_resp` answered; no `data_req` is left unanswered at the end. Each
-    `put_applied` follows a `data_resp` to its actor for that share and
-    version, and names the actor's source table of the share. Each `cascade`
-    follows its actor's `put_applied` of `after_merge_of` in the same tick and
-    comes right before the actor's `propose` of its share. An `edit` must name
-    a table its actor holds; what it changed is not checked, because the script
-    is not in the dump. Each of these five kinds holds exactly the payload keys
-    the tick loop writes. Event `seq` numbers must run 0..n-1, ticks must never
-    decrease, and no other kind of event may occur.
+    equal (`1` for `true`, `1.0` for `1`) is a mismatch. A `data_req`,
+    `data_resp`, `put_applied` or `cascade` payload holds exactly its kind's
+    string and integer keys. Each `data_req` and `data_resp` goes from its actor
+    to the share's other peer; a `data_req` asks for a version the chain has
+    registered, and a `data_resp` carries the digest the chain registered for
+    its share and version and answers an earlier `data_req` of its recipient on
+    that share that no other `data_resp` answered; no `data_req` is left
+    unanswered at the end. Each `put_applied` follows a `data_resp` to its actor
+    for that share and version, and names the actor's source table of the
+    share. Each `cascade` follows its actor's `put_applied` of `after_merge_of`
+    in the same tick and comes right before the actor's `propose` of its share.
+    An `edit` is read as the scenario parser reads an edit action (`Edit`), and
+    must fit the schema of the actor's table it names; what it changed is not
+    checked, because the script is not in the dump. Event `seq`
+    numbers must run 0..n-1, ticks must never decrease, and no other kind of
+    event may occur.
     """
     trace = world.trace
     for seq, event in enumerate(trace):
@@ -449,13 +433,12 @@ def trace_mismatch(world: World) -> Optional[str]:
     while seq < len(trace):
         event = trace[seq]
         p = event.payload
-        if event.kind in _PAYLOAD_KEYS:
-            required, optional = _PAYLOAD_KEYS[event.kind]
-            if not required <= p.keys() <= required | optional:
-                return f"event {seq} holds payload keys the tick loop does not write"
-            if event.kind in _VERSION_KEYS and type(p[_VERSION_KEYS[event.kind]]) is not int:
-                return f"event {seq} names a version that is not an integer"
         try:
+            if event.kind in _PAYLOAD_TYPES:
+                strs, ints = _PAYLOAD_TYPES[event.kind]
+                if len(p) != len(strs) + len(ints):  # each key is read just below
+                    return f"event {seq} holds payload keys the tick loop does not write"
+                _typed(p, f"a {event.kind} payload", strs, ints)
             if event.kind == "block":
                 block = next(blocks, None)
                 if block is None:
@@ -506,12 +489,15 @@ def trace_mismatch(world: World) -> Optional[str]:
                 if following != [(event.actor, "propose", p["shared_id"])]:
                     return f"event {seq} is not followed by its actor's propose of its share"
             elif event.kind == "edit":
-                if event.actor not in world.peers or p["table"] not in world.peers[event.actor].tables:
+                table_id, edit = Edit.from_json_dict(p)
+                if event.actor not in world.peers or table_id not in world.peers[event.actor].tables:
                     return f"event {seq} edits a table its actor does not hold"
+                with suppress(NotFound):  # on no rows, an edit's fit to the table's schema is all that is checked
+                    edit.applied_to(Table.empty(table_id, world.peers[event.actor].tables[table_id].schema))
             else:
                 return f"event {seq} has an unknown kind {event.kind!r}"
-        except (LookupError, TypeError):  # a payload of the wrong shape, or naming another's share
-            return f"event {seq} has a malformed payload"
+        except (LookupError, TypeError, RelationalError) as exc:  # a payload of the wrong shape, or another's share
+            return f"event {seq} has a malformed payload: {exc}"
         seq += 1
     if proposed:
         return "the trace proposes transactions no block holds"
@@ -634,11 +620,7 @@ class World:
         action = scheduled.action
         if isinstance(action, EditAction):
             peer.local_edit(action.table_id, action.edit)
-            payload: dict[str, object] = {"table": action.table_id, "op": action.edit.op}
-            for name in ("key", "changes", "row"):
-                if getattr(action.edit, name) is not None:
-                    payload[name] = dict(getattr(action.edit, name))
-            self._trace(peer.principal, "edit", payload)
+            self._trace(peer.principal, "edit", action.edit.to_json_dict(action.table_id))
         elif isinstance(action, ProposeAction):
             tx = peer.regenerate_and_propose(action.shared_id)
             if tx is not None:
@@ -869,8 +851,7 @@ def _reload(root: Path) -> World:
 
     try:
         manifest = read("world.json")
-        if not isinstance(manifest["name"], str) or type(manifest["clock"]) is not int:
-            raise ValidationError("world.json's name must be a string and its clock an integer")
+        _typed(manifest, "world.json", ("name",), ("clock",))
         contract_doc = read("contract.json")
         contract = ContractState.from_json_dict(contract_doc)
         if contract_doc.keys() != {"entries"}:
@@ -886,8 +867,7 @@ def _reload(root: Path) -> World:
             info = manifest["peers"][principal]
             if not all(map(_plain, [principal, *info["tables"], *info["versions"]])):
                 raise ValidationError(f"world.json's principal, table and share names must each be {_PLAIN}")
-            if not all(type(v) is int for v in info["versions"].values()):  # a bool is no version either
-                raise ValidationError(f"world.json's share versions of {principal} must be integers")
+            _typed(info["versions"], f"world.json's share versions of {principal}", (), tuple(info["versions"]))
             tables = {tid: read_table("tables", principal, tid) for tid in info["tables"]}
             copies = {sid: read_table("shared", principal, sid) for sid in info["versions"]}
             peer = PeerNode.from_json_dict(principal, info, tables, copies)

@@ -37,7 +37,7 @@ from .contract import (
     validate_perm_change,
     validate_update,
 )
-from .relational import ZERO_DIGEST, canonical_json, sha256_hex
+from .relational import ZERO_DIGEST, _typed, canonical_json, sha256_hex
 
 
 class ChainCorrupt(Exception):
@@ -92,14 +92,10 @@ class Block:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Block":
-        index, tick, prev_digest, block_digest = d["index"], d["tick"], d["prev_digest"], d["block_digest"]
         # A bool is no index or tick: `true` would pass as block 1, under a digest over `true`.
-        if not (type(index) is type(tick) is int and isinstance(prev_digest, str) and isinstance(block_digest, str)):
-            raise ValueError("a block has integer index and tick, and string prev_digest and block_digest")
-        txs = tuple(
-            (tx_from_json_dict(e["tx"]), Verdict.from_json_dict(e["verdict"])) for e in d["txs"]
-        )
-        return cls(index, tick, txs, prev_digest, block_digest)
+        _typed(d, "a block", ("prev_digest", "block_digest"), ("index", "tick"))
+        txs = tuple((tx_from_json_dict(e["tx"]), Verdict.from_json_dict(e["verdict"])) for e in d["txs"])
+        return cls(d["index"], d["tick"], txs, d["prev_digest"], d["block_digest"])
 
 
 def execute_block(

@@ -45,6 +45,7 @@ from .relational import (
     UnknownAttribute,
     Value,
     _only_keys,
+    _typed,
     names_of,
     replaced,
     tuple_getter,
@@ -94,8 +95,7 @@ class LensSpec:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "LensSpec":
         _only_keys(d, _LENS_KEYS, "a lens")
-        if not (isinstance(d["lens_id"], str) and isinstance(d["source"], str)):
-            raise SchemaMismatch("a lens's lens_id and source must be strings")
+        _typed(d, "a lens", ("lens_id", "source"))
         view_attrs, view_key = names_of(d["view_attrs"], "view_attrs"), names_of(d["view_key"], "view_key")
         return cls(d["lens_id"], d["source"], view_attrs, view_key)
 

@@ -22,12 +22,12 @@ peer; verification derives every view from its whole source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .contract import Notification, Principal, RejectReason, SharedTableMetadata, UpdateTx
 from .ledger import Receipt
 from .lenses import Lens, LensCache, LensSpec, compile_lens, get as lens_get, put as lens_put
-from .relational import Table, Value
+from .relational import _CELL_TYPES, SchemaMismatch, Table, Value, _only_keys
 
 
 class PeerError(Exception):
@@ -84,14 +84,46 @@ class DataResponse:
 Message = Union[Notification, Receipt, DataRequest, DataResponse]
 
 
-@dataclass(frozen=True)
-class Edit:
-    """One local CRUD operation against a peer's own table."""
+# The fields each edit op sets: the one definition of an edit's JSON form, with its `table` and `op`.
+EDIT_FIELDS = {"insert": ("row",), "update": ("key", "changes"), "delete": ("key",)}
+EDIT_KEYS = {op: frozenset({"table", "op", *fields}) for op, fields in EDIT_FIELDS.items()}
+
+
+class Edit(NamedTuple):
+    """One local CRUD operation on a peer's own table, setting the fields of its op; a tuple, cheap to build."""
 
     op: str  # "insert" | "update" | "delete"
     row: Optional[Mapping[str, Value]] = None
     key: Optional[Mapping[str, Value]] = None
     changes: Optional[Mapping[str, Value]] = None
+
+    def to_json_dict(self, table_id: str) -> dict:
+        """The edit of table `table_id` as the trace records it."""
+        return {"table": table_id, "op": self.op, **{name: dict(getattr(self, name)) for name in EDIT_FIELDS[self.op]}}
+
+    @classmethod
+    def from_json_dict(cls, d: Mapping, keys: Mapping[str, frozenset[str]] = EDIT_KEYS) -> tuple[str, "Edit"]:
+        """The table id and edit of a JSON edit holding exactly the keys `keys` gives its op: a
+        string `table`, and each field of the op an object of text-or-null cells."""
+        op = d.get("op")
+        fields = EDIT_FIELDS.get(op) if type(op) is str else None
+        if fields is None or type(d.get("table")) is not str:
+            raise SchemaMismatch(f"an edit has a string table and an op of insert, update or delete, got {op!r}")
+        _only_keys(d, keys[op], f"an edit of op {op}")
+        for name in fields:
+            if type(d[name]) is not dict or not _CELL_TYPES.issuperset(map(type, d[name].values())):
+                raise SchemaMismatch(f"edit {name} must be an object of text or null cells, got {d[name]!r}")
+        return d["table"], cls(op, d.get("row"), d.get("key"), d.get("changes"))  # other ops' fields are absent
+
+    def applied_to(self, table: Table) -> Table:
+        """`table` after this edit; the table refuses an edit that does not fit its schema or rows."""
+        if self.op == "insert":
+            return table.insert_row(self.row)
+        if self.op == "update":
+            return table.update_row(self.key, self.changes)
+        if self.op == "delete":
+            return table.delete_row(self.key)
+        raise ValueError(f"unknown edit op {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -242,15 +274,7 @@ class PeerNode:
         table = self.tables.get(table_id)
         if table is None:
             raise UnknownTable(f"{self.principal!r} has no table {table_id!r}")
-        if edit.op == "insert":
-            new = table.insert_row(edit.row or {})
-        elif edit.op == "update":
-            new = table.update_row(edit.key or {}, edit.changes or {})
-        elif edit.op == "delete":
-            new = table.delete_row(edit.key or {})
-        else:
-            raise ValueError(f"unknown edit op {edit.op!r}")
-        self.tables[table_id] = new
+        self.tables[table_id] = edit.applied_to(table)
 
     def read_shared(self, shared_id: str) -> Table:
         """Local query of a shared copy; no messages, no ledger interaction."""

@@ -186,6 +186,16 @@ def _only_keys(d: object, keys: frozenset[str], what: str) -> None:
         raise SchemaMismatch(f"{what} is an object with exactly the keys {', '.join(sorted(keys))}")
 
 
+def _typed(d: Mapping, what: str, strs: Sequence[str] = (), ints: Sequence[str] = ()) -> None:
+    """Refuse the decoded `what` unless `d` holds a string at each of `strs` and an int, not a
+    bool, at each of `ints`: a value of another JSON type that compares equal would pass later checks."""
+    for keys, kind in ((strs, str), (ints, int)):
+        for k in keys:
+            if type(d[k]) is not kind:
+                named = [f"{name} {' and '.join(ks)}" for name, ks in (("integer", ints), ("string", strs)) if ks]
+                raise SchemaMismatch(f"{what} has {', and '.join(named)}")
+
+
 def names_of(doc: object, what: str) -> tuple[str, ...]:
     """A JSON list of strings as a tuple; a string would otherwise split into characters."""
     if type(doc) is not list or not all(isinstance(name, str) for name in doc):

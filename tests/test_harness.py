@@ -109,6 +109,26 @@ def _relinked(blocks):
     return blocks
 
 
+def _leaves(doc, path=()):
+    """(path, value) of every value in a JSON document that is no object or list."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _leaves(value, (*path, key))
+    else:
+        yield path, doc
+
+
+def _swapped(value, strings):
+    """The values of another JSON type a swap puts in place of `value`: an int's
+    float, and also its bool when it is 0 or 1; a bool's int; with `strings`,
+    0 for a string or null."""
+    if type(value) is bool:
+        return [int(value)]
+    if type(value) is int:
+        return [float(value), bool(value)] if value in (0, 1) else [float(value)]
+    return [0] if strings and (value is None or type(value) is str) else []
+
+
 # contract.json values of another JSON type than a dump writes, in D23's entry.
 CONTRACT_VALUES = {
     "contract version true": ("version", True),
@@ -862,6 +882,15 @@ class TestCli:
             "data_req requested_version set to a float",
             "data_resp version set to a float",
             "put_applied version set to a float",
+            # an edit is read as the scenario parser reads an edit action
+            "update edit op set to 0",
+            "update edit key cell set to 0",
+            "update edit changes dropped",
+            "update edit row added",
+            "update edit changes set to []",
+            # read as an edit, but not one the edited table's schema admits
+            "update edit key attribute renamed",
+            "update edit changes naming an unknown attribute",
         ],
     )
     def test_forged_trace_fails_verify(self, tmp_path, capsys, forgery):
@@ -926,6 +955,22 @@ class TestCli:
             payload = next(e["payload"] for e in events if e["kind"] == kind and key in e["payload"])
             assert type(payload[key]) is int
             payload[key] = float(payload[key])
+        elif forgery.startswith("update edit"):
+            payload = next(e["payload"] for e in events if e["kind"] == "edit" and e["payload"]["op"] == "update")
+            if forgery.endswith("op set to 0"):
+                payload["op"] = 0
+            elif forgery.endswith("key cell set to 0"):
+                payload["key"][next(iter(payload["key"]))] = 0
+            elif forgery.endswith("changes dropped"):
+                del payload["changes"]
+            elif forgery.endswith("row added"):
+                payload["row"] = {**payload["key"], **payload["changes"]}
+            elif forgery.endswith("key attribute renamed"):
+                payload["key"]["renamed"] = payload["key"].pop(next(iter(payload["key"])))
+            elif forgery.endswith("unknown attribute"):
+                payload["changes"]["unknown"] = "x"
+            else:
+                payload["changes"] = []
         elif forgery.endswith("key smuggled"):
             kind = forgery.split()[0]
             next(e for e in events if e["kind"] == kind)["payload"]["smuggled"] = "x"
@@ -942,6 +987,42 @@ class TestCli:
         capsys.readouterr()
         assert main(["verify", str(dump_dir)]) == 1
         assert "[FAIL] trace-matches-chain" in capsys.readouterr().out
+
+    def test_every_type_swapped_dump_value_fails_verify(self, tmp_path, capsys):
+        from medsync.cli import main
+
+        # Every number and bool in the chain, contract, world.json and trace of
+        # each bundled dump, and every string and null of update_flow's files
+        # and of each edit event, swapped for a value of another JSON type, one
+        # mutant at a time, written over the file and restored after. A chain
+        # mutant is relinked, so only the decoders can refuse it, unless the
+        # swap is in a link itself.
+        mutants, verified = 0, []
+        for name in BUNDLED_SCENARIOS:
+            dump_dir = dump(run(load_scenario(scenario_path(name))), tmp_path / name)
+            for file in ("chain.json", "contract.json", "world.json", "trace.jsonl"):
+                path = dump_dir / file
+                original = path.read_bytes()
+                lines = file == "trace.jsonl"
+                text = b"[" + b",".join(original.splitlines()) + b"]" if lines else original
+                doc = json.loads(text)
+                for where, value in _leaves(doc):
+                    strings = name == "update_flow" or (lines and doc[where[0]]["kind"] == "edit")
+                    relink = file == "chain.json" and where[-1] not in ("prev_digest", "block_digest")
+                    for swapped in _swapped(value, strings):
+                        mutant = json.loads(text)
+                        _set(where, swapped)(mutant)
+                        if lines:
+                            path.write_text("".join(json.dumps(e) + "\n" for e in mutant), encoding="utf-8")
+                        else:
+                            path.write_bytes(canonical_json(_relinked(mutant) if relink else mutant))
+                        mutants += 1
+                        if main(["verify", str(dump_dir)]) not in (1, 2):
+                            verified.append((name, file, where, swapped))
+                path.write_bytes(original)
+        capsys.readouterr()
+        assert mutants == 1006
+        assert verified == []
 
     def test_line_separators_in_cells_survive_a_dump(self, tmp_path, capsys):
         from medsync.cli import main
