@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import json
 import re
 from collections import Counter
@@ -390,36 +391,36 @@ def _block_events(block: Block, notes: Sequence[Notification]) -> list[tuple[str
 def trace_mismatch(world: World) -> Optional[str]:
     """How the world's trace disagrees with its chain, or None when it agrees.
 
-    The chain (which must replay) is executed again, block by block, through
-    `execute_block`. Each `block` event must open exactly the events the tick
-    loop emits for that block: the block itself (index, transaction count), a
+    Every tick seals one block, so the trace is read one tick at a time against
+    the chain's blocks after genesis, in order, each executed again through
+    `execute_block`. A tick's events must end with exactly the events the tick
+    loop emits for its block: the block itself (index, transaction count), a
     `verdict` per transaction and a `notify` per notification the executor
-    derives. The `propose` events since the previous block must be that block's
-    transactions, in order. These rebuilt events are compared with the trace's
-    by canonical JSON, not `==`, so a value of another JSON type that compares
-    equal (`1` for `true`, `1.0` for `1`) is a mismatch. A `data_req`,
-    `data_resp`, `put_applied` or `cascade` payload holds exactly its kind's
-    string and integer keys. Each `data_req` and `data_resp` goes from its actor
-    to the share's other peer; a `data_req` asks for a version the chain has
-    registered, and a `data_resp` carries the digest the chain registered for
-    its share and version and answers an earlier `data_req` of its recipient on
-    that share that no other `data_resp` answered; no `data_req` is left
-    unanswered at the end. Each `put_applied` follows a `data_resp` to its actor
-    for that share and version, and names the actor's source table of the
-    share. Each `cascade` follows its actor's `put_applied` of `after_merge_of`
-    in the same tick and comes right before the actor's `propose` of its share.
-    An `edit` is read as the scenario parser reads an edit action (`Edit`), and
-    must fit the schema of the actor's table it names; what it changed is not
-    checked, because the script is not in the dump. Event `seq`
-    numbers must run 0..n-1, ticks must never decrease, and no other kind of
-    event may occur.
+    derives; no `block`, `verdict` or `notify` event comes earlier, and no tick
+    comes after the last block or leaves a block out. The tick's `propose`
+    events must be its block's transactions, in order. These rebuilt events are
+    compared with the trace's by canonical JSON, not `==`, so a value of another
+    JSON type that compares equal (`1` for `true`, `1.0` for `1`) is a mismatch.
+    A `data_req`, `data_resp`, `put_applied` or `cascade` payload holds exactly
+    its kind's string and integer keys. Each `data_req` and `data_resp` goes
+    from its actor to the share's other peer; a `data_req` asks for a version
+    an earlier block registered, and a `data_resp` carries the digest the chain
+    registered for its share and version and answers an earlier `data_req` of
+    its recipient on that share that no other `data_resp` answered; no
+    `data_req` is left unanswered at the end. Each `put_applied` follows a
+    `data_resp` to its actor for that share and version, and names the actor's
+    source table of the share. Each `cascade` follows its actor's `put_applied`
+    of `after_merge_of` in its tick and comes right before the actor's
+    `propose` of its share. An `edit` is read as the scenario parser reads an
+    edit action (`Edit`), and must fit the schema of the actor's table it
+    names; what it changed is not checked, because the script is not in the
+    dump. Event `seq` numbers must run 0..n-1, and no other kind of event may
+    occur.
     """
     trace = world.trace
     for seq, event in enumerate(trace):
         if event.seq != seq:
             return f"event {seq} carries seq {event.seq}"
-        if seq and event.tick < trace[seq - 1].tick:
-            return f"event {seq} goes back from tick {trace[seq - 1].tick} to {event.tick}"
 
     blocks = iter(world.chain.blocks)
     genesis = next(blocks)  # the deployments; genesis events are not traced
@@ -427,84 +428,70 @@ def trace_mismatch(world: World) -> Optional[str]:
     registered = {(sid, 0): e.content_digest for sid, e in state.entries.items()}  # (share, version) -> digest
     requests: Counter = Counter()  # (requester, share) of data_req events not yet answered
     responses: Counter = Counter()  # (to, share, version) of data_resp events not yet applied
-    merged: set[tuple[int, str, str]] = set()  # (tick, actor, share) of put_applied events
-    proposed: list[tuple] = []  # the propose events since the last block event
-    seq = 0
-    while seq < len(trace):
-        event = trace[seq]
-        p = event.payload
-        try:
-            if event.kind in _PAYLOAD_TYPES:
-                strs, ints = _PAYLOAD_TYPES[event.kind]
-                if len(p) != len(strs) + len(ints):  # each key is read just below
-                    return f"event {seq} holds payload keys the tick loop does not write"
-                _typed(p, f"a {event.kind} payload", strs, ints)
-            if event.kind == "block":
-                block = next(blocks, None)
-                if block is None:
-                    return f"event {seq} records a block the chain does not hold"
-                if _encode(proposed) != _encode([(block.tick, *_propose_event(tx)) for tx, _ in block.txs]):
-                    return f"the propose events before event {seq} are not block {block.index}'s transactions"
-                proposed = []
-                state, _, notes = execute_block(state, [tx for tx, _ in block.txs], block.tick)
-                for note in notes:
-                    registered[note.shared_id, note.new_version] = state.entries[note.shared_id].content_digest
-                expected = [(block.tick, *e) for e in _block_events(block, notes)]
-                found = [(e.tick, e.actor, e.kind, e.payload) for e in trace[seq : seq + len(expected)]]
-                if _encode(found) != _encode(expected):
-                    return f"the events from {seq} on do not match block {block.index}"
-                seq += len(expected)
-                continue
-            if event.kind == "propose":
-                proposed.append((event.tick, event.actor, event.kind, p))
-            elif event.kind in ("verdict", "notify"):
-                return f"event {seq} is a {event.kind} outside its block's events"
-            elif event.kind in ("data_req", "data_resp"):
-                sid = p["shared_id"]
-                if p["from"] != event.actor or {event.actor, p["to"]} != state.entries[sid].peers:
-                    return f"event {seq} is not sent from its actor to the share's other peer"
-                if event.kind == "data_resp":
-                    if registered.get((sid, p["version"])) != p["digest"]:
-                        return f"event {seq} carries a digest the chain does not register for its version"
-                    if not requests[p["to"], sid]:
-                        return f"event {seq} answers no unanswered data_req"
-                    requests[p["to"], sid] -= 1
-                    responses[p["to"], sid, p["version"]] += 1
-                elif (sid, p["requested_version"]) not in registered:
-                    return f"event {seq} requests a version the chain has not registered"
-                else:
-                    requests[event.actor, sid] += 1
-            elif event.kind == "put_applied":
-                key = (event.actor, p["shared_id"], p["version"])
-                if not responses[key]:
-                    return f"event {seq} applies data no data_resp event carried"
-                if p["source_table"] != world.peers[event.actor].shares[p["shared_id"]].source_id:
-                    return f"event {seq} names a table other than the share's source at its actor"
-                responses[key] -= 1
-                merged.add((event.tick, event.actor, p["shared_id"]))
-            elif event.kind == "cascade":
-                if (event.tick, event.actor, p["after_merge_of"]) not in merged:
-                    return f"event {seq} cascades from no merge of its actor in its tick"
-                following = [(e.actor, e.kind, e.payload.get("shared_id")) for e in trace[seq + 1 : seq + 2]]
-                if following != [(event.actor, "propose", p["shared_id"])]:
-                    return f"event {seq} is not followed by its actor's propose of its share"
-            elif event.kind == "edit":
-                table_id, edit = Edit.from_json_dict(p)
-                if event.actor not in world.peers or table_id not in world.peers[event.actor].tables:
-                    return f"event {seq} edits a table its actor does not hold"
-                with suppress(NotFound):  # on no rows, an edit's fit to the table's schema is all that is checked
-                    edit.applied_to(Table.empty(table_id, world.peers[event.actor].tables[table_id].schema))
-            else:
-                return f"event {seq} has an unknown kind {event.kind!r}"
-        except (LookupError, TypeError, RelationalError) as exc:  # a payload of the wrong shape, or another's share
-            return f"event {seq} has a malformed payload: {exc}"
-        seq += 1
-    if proposed:
-        return "the trace proposes transactions no block holds"
-    if any(requests.values()):
-        return "the trace leaves a data_req unanswered"
-    missing = next(blocks, None)
-    return None if missing is None else f"the trace ends before block {missing.index}"
+    ticks = [(tick, list(events)) for tick, events in itertools.groupby(trace, key=lambda e: e.tick)]
+    if len(ticks) != len(world.chain.blocks) - 1:
+        return f"the trace holds {len(ticks)} ticks, not one for each of the chain's blocks after genesis"
+    for (tick, events), block in zip(ticks, blocks):
+        after, _, notes = execute_block(state, [tx for tx, _ in block.txs], block.tick)
+        closing = [(block.tick, *e) for e in _block_events(block, notes)]
+        body = events[: len(events) - len(closing)]
+        if _encode([(e.tick, e.actor, e.kind, e.payload) for e in events[len(body) :]]) != _encode(closing):
+            return f"the events of tick {tick} do not end with block {block.index}'s"
+        proposed = [(e.actor, e.kind, e.payload) for e in body if e.kind == "propose"]
+        if _encode(proposed) != _encode([_propose_event(tx) for tx, _ in block.txs]):
+            return f"the propose events of tick {tick} are not block {block.index}'s transactions"
+        merged: set[tuple[str, str]] = set()  # (actor, share) of this tick's put_applied events
+        for i, event in enumerate(body):
+            seq, p = event.seq, event.payload
+            try:
+                if event.kind in _PAYLOAD_TYPES:
+                    strs, ints = _PAYLOAD_TYPES[event.kind]
+                    if len(p) != len(strs) + len(ints):  # each key is read just below
+                        return f"event {seq} holds payload keys the tick loop does not write"
+                    _typed(p, f"a {event.kind} payload", strs, ints)
+                if event.kind in ("data_req", "data_resp"):
+                    sid = p["shared_id"]
+                    if p["from"] != event.actor or {event.actor, p["to"]} != state.entries[sid].peers:
+                        return f"event {seq} is not sent from its actor to the share's other peer"
+                    if event.kind == "data_resp":
+                        if registered.get((sid, p["version"])) != p["digest"]:
+                            return f"event {seq} carries a digest the chain does not register for its version"
+                        if not requests[p["to"], sid]:
+                            return f"event {seq} answers no unanswered data_req"
+                        requests[p["to"], sid] -= 1
+                        responses[p["to"], sid, p["version"]] += 1
+                    elif (sid, p["requested_version"]) not in registered:
+                        return f"event {seq} requests a version the chain has not registered"
+                    else:
+                        requests[event.actor, sid] += 1
+                elif event.kind == "put_applied":
+                    key = (event.actor, p["shared_id"], p["version"])
+                    if not responses[key]:
+                        return f"event {seq} applies data no data_resp event carried"
+                    if p["source_table"] != world.peers[event.actor].shares[p["shared_id"]].source_id:
+                        return f"event {seq} names a table other than the share's source at its actor"
+                    responses[key] -= 1
+                    merged.add((event.actor, p["shared_id"]))
+                elif event.kind == "cascade":
+                    if (event.actor, p["after_merge_of"]) not in merged:
+                        return f"event {seq} cascades from no merge of its actor in its tick"
+                    following = [(e.actor, e.kind, e.payload.get("shared_id")) for e in body[i + 1 : i + 2]]
+                    if following != [(event.actor, "propose", p["shared_id"])]:
+                        return f"event {seq} is not followed by its actor's propose of its share"
+                elif event.kind == "edit":
+                    table_id, edit = Edit.from_json_dict(p)
+                    if event.actor not in world.peers or table_id not in world.peers[event.actor].tables:
+                        return f"event {seq} edits a table its actor does not hold"
+                    with suppress(NotFound):  # on no rows, an edit's fit to the table's schema is all that is checked
+                        edit.applied_to(Table.empty(table_id, world.peers[event.actor].tables[table_id].schema))
+                elif event.kind != "propose":  # checked with the tick's block; its events close the tick
+                    return f"event {seq} has kind {event.kind!r}, which no event before its tick's block has"
+            except (LookupError, TypeError, RelationalError) as exc:  # a payload of the wrong shape, or another's share
+                return f"event {seq} has a malformed payload: {exc}"
+        state = after
+        for note in notes:
+            registered[note.shared_id, note.new_version] = state.entries[note.shared_id].content_digest
+    return "the trace leaves a data_req unanswered" if any(requests.values()) else None
 
 
 # --- the world ----------------------------------------------------------------
@@ -774,6 +761,16 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
     return events
 
 
+def _manifest(world: World) -> dict:
+    """`world.json`: the world's name and clock, and each peer's dump entry."""
+    return {
+        "name": world.name,
+        "clock": world.clock,
+        "principals": sorted(world.peers),
+        "peers": {p: world.peers[p].to_json_dict() for p in sorted(world.peers)},
+    }
+
+
 def dump(world: World, out_dir: str | Path) -> Path:
     """Write the world's state in canonical form: tables, copies, contract, chain, trace.
 
@@ -792,13 +789,7 @@ def dump(world: World, out_dir: str | Path) -> Path:
             (out / sub / principal).mkdir(exist_ok=True)
             for name, table in by_id.items():
                 _write(out / sub / principal / f"{name}.json", table.canonical_bytes())
-    manifest = {
-        "name": world.name,
-        "clock": world.clock,
-        "principals": sorted(world.peers),
-        "peers": {peer.principal: peer.to_json_dict() for peer in peers},
-    }
-    _write(out / "world.json", canonical_json(manifest))
+    _write(out / "world.json", canonical_json(_manifest(world)))
     _write(out / "contract.json", world.contract.canonical_bytes())
     _write(out / "chain.json", world.chain.dumps())
     (out / "trace.jsonl").write_bytes(_trace_bytes(world.trace))
@@ -809,7 +800,9 @@ def load_dump(dump_dir: str | Path) -> World:
     """Rebuild a (quiescent) world from a dump directory.
 
     A missing, unparseable or inconsistent file raises ValidationError, except
-    that a chain.json which fails its checks raises ChainCorrupt. Table files
+    that a chain.json which fails its checks raises ChainCorrupt. world.json
+    and contract.json are accepted only when the world and contract rebuilt
+    from them re-encode to the JSON that was read. Table files
     of identical text are decoded once and share one `Table`, as a quiescent
     dump's two copies of a share do; each file's id is still checked. The cyclic
     collector is paused meanwhile, and left as it was found: the reload builds
@@ -831,12 +824,6 @@ def _reload(root: Path) -> World:
     def read(*parts: str):
         return json.loads(root.joinpath(*parts).read_text(encoding="utf-8"))
 
-    def check(obj, doc, where: str):
-        # Keys or values the decoder ignores would pass every later check.
-        if obj.to_json_dict() != doc:
-            raise ValidationError(f"{where} holds keys or values a dump does not write")
-        return obj
-
     decoded: dict[str, Table] = {}  # file text -> its table: tables are immutable, so equal files share one
 
     def read_table(sub: str, principal: str, name: str) -> Table:
@@ -854,10 +841,9 @@ def _reload(root: Path) -> World:
         _typed(manifest, "world.json", ("name",), ("clock",))
         contract_doc = read("contract.json")
         contract = ContractState.from_json_dict(contract_doc)
-        if contract_doc.keys() != {"entries"}:
-            raise ValidationError("contract.json holds keys a dump does not write")
-        for sid, entry in contract_doc["entries"].items():
-            check(contract.entries[sid], entry, "contract.json")
+        # Keys or values the decoders ignore would pass every later check.
+        if contract.to_json_dict() != contract_doc:
+            raise ValidationError("contract.json holds keys or values a dump does not write")
         chain = Chain.loads((root / "chain.json").read_bytes())
         trace = read_trace(root / "trace.jsonl")
         # A world with no principals and an empty script, given the dumped state.
@@ -870,13 +856,11 @@ def _reload(root: Path) -> World:
             _typed(info["versions"], f"world.json's share versions of {principal}", (), tuple(info["versions"]))
             tables = {tid: read_table("tables", principal, tid) for tid in info["tables"]}
             copies = {sid: read_table("shared", principal, sid) for sid in info["versions"]}
-            peer = PeerNode.from_json_dict(principal, info, tables, copies)
-            world.peers[principal] = check(peer, info, "world.json")
+            peer = world.peers[principal] = PeerNode.from_json_dict(principal, info, tables, copies)
             for sid, share in peer.shares.items():
                 if contract.entries[sid].peers != {principal, share.binding.counterpart}:
                     raise ValidationError(f"world.json: {principal}'s counterpart on {sid} is not its other peer")
-        # name, clock, principals and peers, each read above, and nothing else
-        if len(manifest) != 4 or manifest["principals"] != sorted(manifest["peers"]):
+        if _manifest(world) != manifest:
             raise ValidationError("world.json holds keys or values a dump does not write")
     except (OSError, ValueError, LookupError, TypeError, AttributeError, RelationalError, LensError, PeerError) as exc:
         raise ValidationError(f"unreadable dump at {root}: {exc}") from exc
@@ -928,17 +912,14 @@ def verify_convergence(world: World) -> Report:
                 checks.append(CheckResult(sid, f"copy-present[{p}]", False, f"{p} holds no copy"))
             else:
                 copies[p] = copy
-        agreed = None  # the digest of both copies, once they compare equal
         if len(copies) == 2:
             a, b = (copies[p] for p in holders)
             ok = a == b
             checks.append(CheckResult(sid, "copies-equal", ok, "" if ok else "peers' copies differ"))
-            if ok:  # equal tables, each under the share's id, have the same canonical bytes
-                agreed = a.digest()
         for p, copy in copies.items():
             version = world.peers[p].shares[sid].version
             wrong = []
-            digest = agreed or copy.digest()
+            digest = copy.digest()
             if digest != meta.content_digest:
                 wrong.append(f"copy digest {digest[:12]} != contract digest")
             if version != meta.version:

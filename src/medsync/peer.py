@@ -357,10 +357,12 @@ class PeerNode:
     def on_data_response(self, resp: DataResponse, meta: SharedTableMetadata) -> MergeOutcome:
         """Verify fetched data against the contract entry and merge it into the source.
 
-        On a digest or version mismatch the response is discarded. A fresh
-        request for the registered version is sent only if no other request
-        for the share is still unanswered; otherwise that request's answer is
-        awaited, and the last stale answer refetches, so a run cannot stall.
+        On a digest or version mismatch the response is discarded. Only a
+        stale answer (an older version) refetches, if no other request for the
+        share is still unanswered; otherwise that request's answer is awaited,
+        and the last stale answer refetches, so a run cannot stall. Any other
+        mismatch is a lie (an honest copy carries its version's digest), so
+        asking again would loop: it is dropped without a refetch.
         After a merge, every other share derived from the same source is
         regenerated; views that changed become cascade proposals.
         """
@@ -368,7 +370,7 @@ class PeerNode:
         # The count stays at zero for a response to no counted request.
         share.unanswered = max(share.unanswered - 1, 0)
         if resp.table.digest() != meta.content_digest or resp.version != meta.version:
-            if not share.unanswered:
+            if resp.version < meta.version and not share.unanswered:
                 self._fetch(share, meta.version)
             return MergeOutcome(applied=False)
 

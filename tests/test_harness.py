@@ -741,6 +741,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[PASS] replay-matches-contract" in out
 
+    def test_forging_server_quiesces_and_fails(self, tmp_path, capsys, monkeypatch):
+        from medsync.cli import main
+        from medsync.peer import PeerNode
+
+        serve = PeerNode.on_data_request
+
+        def forging(node, req):
+            # The Patient answers D13 at the version it serves, with one non-key cell changed.
+            outcome = serve(node, req)
+            if node.principal == "Patient" and req.shared_id == "D13" and node.outbox:
+                honest = node.outbox.pop()
+                table = honest.table
+                attr = next(a for a in table.schema.attrs if a not in table.schema.key)
+                row = table.rows[0]
+                forged = table.update_row({k: row[k] for k in table.schema.key}, {attr: f"forged {row[attr]}"})
+                node.outbox.append(replace(honest, table=forged))
+            return outcome
+
+        monkeypatch.setattr(PeerNode, "on_data_request", forging)
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("permission_grant"), "--dump", str(dump_dir)]) == 1
+        # The forged answer is dropped, not asked for again: the run quiesces, and its report fails D13.
+        out = capsys.readouterr().out
+        assert "quiescent after 9 ticks" in out
+        assert "[FAIL] D13: copies-equal" in out
+        assert "[FAIL] D13: digest-matches-contract[Doctor]" in out
+        assert main(["verify", str(dump_dir)]) == 1
+        out = capsys.readouterr().out
+        forged = next(e for e in load_dump(dump_dir).trace if e.kind == "data_resp" and e.actor == "Patient")
+        assert f"[FAIL] trace-matches-chain: event {forged.seq} " in out
+
     def test_scenario_errors_exit_2(self, tmp_path, capsys):
         from medsync.cli import main
 
@@ -873,6 +904,8 @@ class TestCli:
             "data_req dropped",
             "data_req duplicated",
             "data_resp duplicated",
+            "edit moved after its tick's block",
+            "data_req moved after its tick's block",
             "data_req key smuggled",
             "edit key smuggled",
             "verdict ok set to 1",
@@ -974,10 +1007,14 @@ class TestCli:
         elif forgery.endswith("key smuggled"):
             kind = forgery.split()[0]
             next(e for e in events if e["kind"] == kind)["payload"]["smuggled"] = "x"
-        elif forgery in ("data_req dropped", "data_req duplicated", "data_resp duplicated"):
-            kind, change = forgery.split()
+        elif forgery.split()[1] in ("dropped", "duplicated", "moved"):
+            kind, change = forgery.split()[:2]
             at = next(i for i, e in enumerate(events) if e["kind"] == kind)
-            events[at : at + 1] = [] if change == "dropped" else [events[at], dict(events[at])]
+            if change == "moved":  # to just after the last event of its tick, its block's events
+                moved = events.pop(at)
+                events.insert(max(i for i, e in enumerate(events) if e["tick"] == moved["tick"]) + 1, moved)
+            else:
+                events[at : at + 1] = [] if change == "dropped" else [events[at], dict(events[at])]
             for seq, e in enumerate(events):
                 e["seq"] = seq
         else:

@@ -270,7 +270,7 @@ class TestOnDataResponse:
         assert cascade.changed_attrs == {"a0", "a1", "a2", "a4"}
         assert len(node.tables["D3"].rows) == 1
 
-    def test_digest_mismatch_discards_and_rerequests(self):
+    def test_digest_mismatch_discards_without_refetch(self):
         node = doctor()
         incoming = node.read_shared("D23").update_row({"a1": "MedX"}, {"a5": "MeA2"})
         meta = meta_for(node, "D23", version=1)  # digest of the *old* copy
@@ -280,9 +280,8 @@ class TestOnDataResponse:
         )
         assert not outcome.applied
         assert node.tables["D3"] == before
-        (req,) = node.outbox
-        assert isinstance(req, DataRequest)
-        assert req.requested_version == 1
+        # Other bytes at the registered version are a lie; asking the liar again would loop.
+        assert node.outbox == []
 
     def two_requests_out(self) -> tuple[PeerNode, DataResponse, SharedTableMetadata]:
         """A Doctor notified of D23 versions 1 and 2, and version 1's answer, now stale."""
@@ -301,12 +300,17 @@ class TestOnDataResponse:
         assert node.outbox == []  # the request for version 2 is still out
 
     @pytest.mark.parametrize("mismatch", ["stale version", "digest"])
-    def test_last_unanswered_response_refetches_once(self, mismatch):
+    def test_last_unanswered_response_refetches_only_if_stale(self, mismatch):
         node, resp, meta = self.two_requests_out()
+        before = node.tables["D3"]
         node.on_data_response(resp, meta)
         if mismatch == "digest":
             resp = DataResponse("D23", 2, resp.table, "Researcher", "Doctor")
         assert not node.on_data_response(resp, meta).applied
+        assert node.tables["D3"] == before
+        if mismatch == "digest":
+            assert node.outbox == []  # the registered version with other bytes: a lie, not refetched
+            return
         (req,) = node.outbox
         assert isinstance(req, DataRequest)
         assert (req.shared_id, req.requested_version, req.to) == ("D23", meta.version, "Researcher")
