@@ -259,6 +259,8 @@ def validate_update(state: ContractState, tx: UpdateTx) -> Verdict:
         return Verdict.reject(RejectReason.UNKNOWN_SHARED, f"no shared table {tx.shared_id!r}")
     if tx.requester not in entry.peers:
         return Verdict.reject(RejectReason.NOT_A_PEER, f"{tx.requester!r} does not share {tx.shared_id!r}")
+    if not tx.changed_attrs:
+        return Verdict.reject(RejectReason.PERMISSION_DENIED, f"{tx.requester!r} declares no attribute to update")
     for attr in sorted(tx.changed_attrs):
         if tx.requester not in entry.perm.get(attr, frozenset()):
             return Verdict.reject(

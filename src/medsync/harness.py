@@ -17,7 +17,6 @@ import functools
 import gc
 import itertools
 import json
-import re
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -391,14 +390,15 @@ def _block_events(block: Block, notes: Sequence[Notification]) -> list[tuple[str
 def trace_mismatch(world: World) -> Optional[str]:
     """How the world's trace disagrees with its chain, or None when it agrees.
 
-    Every tick seals one block, so the trace is read one tick at a time against
-    the chain's blocks after genesis, in order, each executed again through
-    `execute_block`. A tick's events must end with exactly the events the tick
-    loop emits for its block: the block itself (index, transaction count), a
-    `verdict` per transaction and a `notify` per notification the executor
-    derives; no `block`, `verdict` or `notify` event comes earlier, and no tick
-    comes after the last block or leaves a block out. The tick's `propose`
-    events must be its block's transactions, in order. These rebuilt events are
+    Tick t seals block t + 1, so the trace's ticks, in order, must be exactly
+    0, 1, ..., n-1 for the chain's n blocks after genesis, and each tick is read
+    against its block, executed again through `execute_block`. A tick's events
+    must end with exactly the events the tick loop emits for its block: the
+    block itself (index, transaction count), a `verdict` per transaction and a
+    `notify` per notification the executor derives, each at the block's tick,
+    which is thereby the tick's own; no `block`, `verdict` or `notify` event
+    comes earlier. The tick's `propose` events must be its block's
+    transactions, in order. These rebuilt events are
     compared with the trace's by canonical JSON, not `==`, so a value of another
     JSON type that compares equal (`1` for `true`, `1.0` for `1`) is a mismatch.
     A `data_req`, `data_resp`, `put_applied` or `cascade` payload holds exactly
@@ -429,8 +429,8 @@ def trace_mismatch(world: World) -> Optional[str]:
     requests: Counter = Counter()  # (requester, share) of data_req events not yet answered
     responses: Counter = Counter()  # (to, share, version) of data_resp events not yet applied
     ticks = [(tick, list(events)) for tick, events in itertools.groupby(trace, key=lambda e: e.tick)]
-    if len(ticks) != len(world.chain.blocks) - 1:
-        return f"the trace holds {len(ticks)} ticks, not one for each of the chain's blocks after genesis"
+    if [tick for tick, _ in ticks] != list(range(len(world.chain.blocks) - 1)):
+        return f"the trace's ticks are not 0 to {len(world.chain.blocks) - 2}, one per block after genesis"
     for (tick, events), block in zip(ticks, blocks):
         after, _, notes = execute_block(state, [tx for tx, _ in block.txs], block.tick)
         closing = [(block.tick, *e) for e in _block_events(block, notes)]
@@ -723,41 +723,32 @@ def write_trace(trace: Sequence[TraceEvent], path: str | Path) -> None:
     path.write_bytes(_trace_bytes(trace))
 
 
-_decoder = json.JSONDecoder()
-_line_space = re.compile(r"[ \t]*").match  # JSON whitespace within a line
+_scan = json.JSONDecoder().scan_once  # raises StopIteration where no value starts
 
 
 def read_trace(path: str | Path) -> list[TraceEvent]:
     """Read a trace written by `write_trace`: one JSON event per line.
 
-    The text is read with universal newlines, so lines end at "\n", "\r\n"
-    or "\r", and at nothing else: canonical JSON leaves U+2028, U+2029 and
-    U+0085 unescaped, and str.splitlines would split inside a string there.
-    Each event is decoded in place in the whole text by the decoder's scanner,
-    which raises StopIteration where no value starts, and must end on its own
-    line, with only spaces and tabs around it; lines of whitespace alone are
-    skipped.
+    The file is read line by line with universal newlines, so lines end at
+    "\n", "\r\n" or "\r", and at nothing else: canonical JSON leaves U+2028,
+    U+2029 and U+0085 unescaped, and str.splitlines would split inside a string
+    there. A line of spaces and tabs alone is skipped; any other line, with its
+    spaces and tabs stripped, must hold exactly one event.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    scan, decode_at, event = _decoder.scan_once, _decoder.raw_decode, TraceEvent.from_json_dict
+    event = TraceEvent.from_json_dict
     events = []
-    append = events.append
-    pos = 0
-    while pos < len(text):
-        end = text.find("\n", pos)
-        if end < 0:
-            end = len(text)
-        try:
-            doc, stop = scan(text, pos)
-        except StopIteration:  # leading whitespace, a blank line, or no event at all
-            if not text[pos:end].strip():
-                pos = end + 1
+    with open(path, encoding="utf-8") as lines:
+        for number, line in enumerate(lines, 1):
+            line = line.strip(" \t\n")
+            if not line:
                 continue
-            doc, stop = decode_at(text, _line_space(text, pos).end())
-        if stop != end and _line_space(text, stop).end() != end:
-            raise ValueError(f"trace line at character {pos} does not hold exactly one event")
-        append(event(doc))
-        pos = end + 1
+            try:
+                doc, end = _scan(line, 0)
+            except StopIteration:
+                end = None
+            if end != len(line):
+                raise ValueError(f"trace line {number} does not hold exactly one event")
+            events.append(event(doc))
     return events
 
 
@@ -802,7 +793,8 @@ def load_dump(dump_dir: str | Path) -> World:
     A missing, unparseable or inconsistent file raises ValidationError, except
     that a chain.json which fails its checks raises ChainCorrupt. world.json
     and contract.json are accepted only when the world and contract rebuilt
-    from them re-encode to the JSON that was read. Table files
+    from them re-encode to the JSON that was read; the rebuilt world's clock
+    is the chain's, one tick per block after genesis. Table files
     of identical text are decoded once and share one `Table`, as a quiescent
     dump's two copies of a share do; each file's id is still checked. The cyclic
     collector is paused meanwhile, and left as it was found: the reload builds
@@ -848,7 +840,8 @@ def _reload(root: Path) -> World:
         trace = read_trace(root / "trace.jsonl")
         # A world with no principals and an empty script, given the dumped state.
         world = World(Scenario(manifest["name"], (), {}, {}, (), ()))
-        world.clock, world.trace, world.chain, world.contract = manifest["clock"], trace, chain, contract
+        # Tick t seals block t + 1, so the clock is the chain's; world.json's must agree.
+        world.clock, world.trace, world.chain, world.contract = len(chain.blocks) - 1, trace, chain, contract
         for principal in manifest["principals"]:
             info = manifest["peers"][principal]
             if not all(map(_plain, [principal, *info["tables"], *info["versions"]])):
@@ -898,7 +891,8 @@ class Report:
 def verify_convergence(world: World) -> Report:
     """Check that every share's two copies agree, match the contract's digest
     and version, and equal the view derived from each holder's whole source
-    (the peers' lens caches are not consulted)."""
+    (the peers' lens caches are not consulted); a view that cannot be derived
+    fails that last check."""
     if not world.quiescent():
         raise NotQuiescent("verify_convergence requires a quiescent world")
     checks: list[CheckResult] = []
@@ -925,14 +919,10 @@ def verify_convergence(world: World) -> Report:
             if version != meta.version:
                 wrong.append(f"copy version {version!r} != contract version {meta.version}")
             checks.append(CheckResult(sid, f"digest-matches-contract[{p}]", not wrong, "; ".join(wrong)))
-            regenerated = world.peers[p].derive_view(sid)
-            ok = regenerated == copy
-            checks.append(
-                CheckResult(
-                    sid,
-                    f"copy-matches-source[{p}]",
-                    ok,
-                    "" if ok else "regenerated view differs from the held copy",
-                )
-            )
+            try:  # a reloaded source may break its lens
+                ok = world.peers[p].derive_view(sid) == copy
+                detail = "" if ok else "regenerated view differs from the held copy"
+            except (LensError, RelationalError) as exc:
+                ok, detail = False, f"the view cannot be derived: {exc}"
+            checks.append(CheckResult(sid, f"copy-matches-source[{p}]", ok, detail))
     return Report(tuple(checks))

@@ -129,7 +129,6 @@ class Edit(NamedTuple):
 @dataclass(frozen=True)
 class PendingProposal:
     view: Table
-    base_version: int
     source: Table  # the source table `view` was derived from
 
 
@@ -301,7 +300,7 @@ class PeerNode:
             base_version=share.version,
             new_digest=new_view.digest(),
         )
-        share.staged = PendingProposal(new_view, share.version, source)
+        share.staged = PendingProposal(new_view, source)
         return tx
 
     # -- message handlers -----------------------------------------------------
@@ -319,7 +318,7 @@ class PeerNode:
         staged, share.staged = share.staged, None
         if receipt.verdict.ok:
             if staged is not None:
-                share.copy, share.version = staged.view, staged.base_version + 1
+                share.copy, share.version = staged.view, tx.base_version + 1
                 if self.tables[share.source_id] is staged.source:
                     return []  # the copy is the view of the current source
             # The source may have moved again while the proposal was in flight.

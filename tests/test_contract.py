@@ -132,6 +132,13 @@ class TestValidateUpdate:
         tx = UpdateTx("D13", "Patient", frozenset({"a4"}), 7, "d" * 64)
         assert validate_update(state, tx).reason is RejectReason.PERMISSION_DENIED
 
+    def test_an_update_declaring_no_attribute_is_denied_after_the_peer_check(self, state):
+        # otherwise a peer permitted on nothing could still move the share's digest
+        tx = UpdateTx("D23", "Researcher", frozenset(), 0, "d" * 64)
+        assert validate_update(state, tx).reason is RejectReason.PERMISSION_DENIED
+        outsider = UpdateTx("D23", "Patient", frozenset(), 0, "d" * 64)
+        assert validate_update(state, outsider).reason is RejectReason.NOT_A_PEER
+
 
 class TestApplyUpdate:
     def test_notifies_exactly_the_counterpart(self, state):

@@ -138,6 +138,9 @@ CONTRACT_VALUES = {
     "contract peers a string": ("peers", "DoctorResearcher"),
 }
 
+# world.json rewrites a reload refuses.
+WORLD_VALUES = ["string clock", "clock another integer", "share name a path", "lens_id a number", "counterpart another peer"]
+
 KV_TABLE = {"id": "KV", "schema": {"attrs": ["k", "v"], "key": ["k"]}, "rows": [["1", "x"]]}
 
 
@@ -735,11 +738,76 @@ class TestCli:
         from medsync.cli import main
 
         dump_dir = str(tmp_path / "dump")
-        assert main(["run", scenario_path("update_flow"), "--dump", dump_dir]) == 0
+        trace = tmp_path / "run.trace.jsonl"
+        assert main(["run", scenario_path("update_flow"), "--dump", dump_dir, "--trace", str(trace)]) == 0
+        assert trace.read_bytes() == (tmp_path / "dump" / "trace.jsonl").read_bytes()
         assert main(["verify", dump_dir]) == 0
         assert main(["replay", str(tmp_path / "dump" / "chain.json")]) == 0
         out = capsys.readouterr().out
         assert "[PASS] replay-matches-contract" in out
+        assert main(["replay", str(tmp_path / "missing.json")]) == 2
+        assert capsys.readouterr().err.startswith("cannot read ")
+
+    def test_a_run_that_does_not_quiesce_exits_1(self, tmp_path, capsys):
+        from medsync.cli import main
+
+        doc = json.loads(Path(scenario_path("update_flow")).read_text(encoding="utf-8"))
+        doc["config"] = {"max_ticks": 1}
+        path = tmp_path / "short.scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("simulation failed: ")
+
+    @pytest.mark.parametrize(
+        "forgery, failure",
+        [
+            ("rejected verdict flipped to ok", "[FAIL] chain-replay: block 2, transaction 0: "),
+            ("contract latest_update_time raised", "[FAIL] replay-matches-contract"),
+        ],
+        ids=["rejected verdict flipped to ok", "contract latest_update_time raised"],
+    )
+    def test_verify_replays_the_chain_against_the_contract(self, tmp_path, capsys, forgery, failure):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("permission_grant"), "--dump", str(dump_dir)]) == 0
+        if forgery == "rejected verdict flipped to ok":  # relinked, so only the replay can tell
+            path = dump_dir / "chain.json"
+            blocks = json.loads(path.read_text(encoding="utf-8"))
+            next(e for b in blocks for e in b["txs"] if not e["verdict"]["ok"])["verdict"] = {"ok": True}
+            path.write_bytes(canonical_json(_relinked(blocks)))
+        else:
+            path = dump_dir / "contract.json"
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc["entries"]["D13"]["latest_update_time"] += 1
+            path.write_bytes(canonical_json(doc))
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == 1
+        assert failure in capsys.readouterr().out
+
+    @pytest.mark.parametrize("broken, shared_id", [("a source cell", "D23"), ("a lens's view_key", "D13")])
+    def test_a_source_that_breaks_its_lens_fails_verify(self, tmp_path, capsys, broken, shared_id):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
+        if broken == "a source cell":  # D3's rows of MedX now disagree on a5, which the Doctor's L32 needs
+            path = dump_dir / "tables" / "Doctor" / "D3.json"
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            at = doc["schema"]["attrs"].index("a5")
+            assert doc["rows"][0][at] == "MeA2"
+            doc["rows"][0][at] = None
+        else:  # the Doctor's L31 keyed on a0 alone, which D3 does not determine its view by
+            path = dump_dir / "world.json"
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            (lens,) = [lens for lens in doc["peers"]["Doctor"]["lenses"] if lens["lens_id"] == "L31"]
+            assert lens["view_key"] == ["a0", "a1"]
+            lens["view_key"] = ["a0"]
+        path.write_bytes(canonical_json(doc))
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == 1
+        failure = f"[FAIL] {shared_id}: copy-matches-source[Doctor]: the view cannot be derived: "
+        assert failure in capsys.readouterr().out
 
     def test_forging_server_quiesces_and_fails(self, tmp_path, capsys, monkeypatch):
         from medsync.cli import main
@@ -909,6 +977,8 @@ class TestCli:
             "data_req key smuggled",
             "edit key smuggled",
             "verdict ok set to 1",
+            # the chain relinked, so the block's tick is the only change the chain shows
+            "a block's tick moved with its events",
             "block index set to a float",
             "notify new_version set to a float",
             "propose base_version set to a float",
@@ -980,6 +1050,15 @@ class TestCli:
             for e in events:
                 if e["kind"] == "edit":
                     e["payload"]["table"] = "forged"
+        elif forgery == "a block's tick moved with its events":
+            chain = dump_dir / "chain.json"
+            blocks = json.loads(chain.read_text(encoding="utf-8"))
+            last = blocks[-1]["tick"]
+            blocks[-1]["tick"] = 10 * last
+            chain.write_bytes(canonical_json(_relinked(blocks)))
+            for e in events:
+                if e["tick"] == last:
+                    e["tick"] = 10 * last
         elif forgery == "verdict ok set to 1":
             next(e for e in events if e["kind"] == "verdict" and e["payload"]["ok"])["payload"]["ok"] = 1
         elif forgery.endswith("set to a float"):
@@ -1090,10 +1169,7 @@ class TestCli:
         [
             "string tick",
             "list payload",
-            "string clock",
-            "share name a path",
-            "lens_id a number",
-            "counterpart another peer",
+            *WORLD_VALUES,
             "event split over two lines",
             "two events on one line",
             *CONTRACT_VALUES,
@@ -1111,12 +1187,14 @@ class TestCli:
             assert doc["entries"]["D23"]["version"] == 1 and field in doc["entries"]["D23"]
             doc["entries"]["D23"][field] = value
             path.write_text(json.dumps(doc), encoding="utf-8")
-        elif target in ("string clock", "share name a path", "lens_id a number", "counterpart another peer"):
+        elif target in WORLD_VALUES:
             path = dump_dir / "world.json"
             doc = json.loads(path.read_text(encoding="utf-8"))
             patient = doc["peers"]["Patient"]
             if target == "string clock":
                 doc["clock"] = str(doc["clock"])
+            elif target == "clock another integer":  # not the chain's: tick t seals block t + 1
+                doc["clock"] -= 2
             elif target == "lens_id a number":  # in the Patient's lens and binding alike
                 patient["lenses"][0]["lens_id"] = patient["bindings"][0]["lens_id"] = 13
             elif target == "counterpart another peer":  # not the other peer of its share D13
