@@ -79,14 +79,7 @@ class NotQuiescent(SimulationError):
     """An operation that requires quiescence was called mid-run."""
 
 
-class CascadeOverflow(SimulationError):
-    """A causal chain of cascades exceeded the hop budget; the scenario is pathological."""
-
-
 # --- scenario model ----------------------------------------------------------
-
-
-MAX_CASCADE_HOPS = 16  # cascades allowed along one causal chain
 
 
 @dataclass(frozen=True)
@@ -303,12 +296,8 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read, parse, and validate a scenario file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, or UnicodeDecodeError
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: scenario must be a JSON object")
@@ -509,12 +498,6 @@ class World:
         self._inflight: list[Message] = []  # sent this tick, delivered next tick, in send order
         self._script: tuple[ScheduledAction, ...] = scenario.script
         self._script_pos = 0
-        # The cascade budget counts hops along one causal chain: a cascade
-        # proposed after merging a share's version is one hop further than the
-        # update that made that version. Hops of cascades awaiting a block, and
-        # of the update behind each share's current version (0 unless a cascade).
-        self._tx_hops: dict[UpdateTx, int] = {}
-        self._version_hops: dict[str, int] = {}
         self._build(scenario)
 
     def _build(self, scenario: Scenario) -> None:
@@ -590,12 +573,7 @@ class World:
                 source = peer.shares[message.shared_id].source_id
                 payload = {"shared_id": message.shared_id, "source_table": source, "version": message.version}
                 self._trace(peer.principal, "put_applied", payload)
-            # The digest check admits only the share's current version.
-            hops = self._version_hops.get(message.shared_id, 0) + 1
             for tx in outcome.cascade_txs:
-                if hops > MAX_CASCADE_HOPS:
-                    raise CascadeOverflow(f"share {tx.shared_id!r} exceeded {MAX_CASCADE_HOPS} cascade hops")
-                self._tx_hops[tx] = hops
                 payload = {"after_merge_of": message.shared_id, "shared_id": tx.shared_id}
                 self._trace(peer.principal, "cascade", payload)
                 self._submit(tx)
@@ -652,13 +630,7 @@ class World:
             peer.outbox.clear()
 
         self.contract, notes, receipts = self.chain.produce_block(self.contract, t)
-        block = self.chain.blocks[-1]
-        for tx, verdict in block.txs:
-            if isinstance(tx, UpdateTx):
-                hops = self._tx_hops.pop(tx, 0)
-                if verdict.ok:
-                    self._version_hops[tx.shared_id] = hops
-        for event in _block_events(block, notes):
+        for event in _block_events(self.chain.blocks[-1], notes):
             self._trace(*event)
         self._inflight.extend(notes)
         self._inflight.extend(receipts)
@@ -674,6 +646,7 @@ class World:
                     f"world {self.name!r} still busy after {self.config.max_ticks} ticks: "
                     f"{len(self._inflight)} messages in flight{stuck}, "
                     f"{len(self.chain.mempool)} mempool transactions, "
+                    f"{len(self._script) - self._script_pos} script actions not yet run, "
                     f"pending proposals on "
                     f"{sorted(sid for p in self.peers.values() for sid, s in p.shares.items() if s.staged)}"
                 )
@@ -855,7 +828,9 @@ def _reload(root: Path) -> World:
                     raise ValidationError(f"world.json: {principal}'s counterpart on {sid} is not its other peer")
         if _manifest(world) != manifest:
             raise ValidationError("world.json holds keys or values a dump does not write")
-    except (OSError, ValueError, LookupError, TypeError, AttributeError, RelationalError, LensError, PeerError) as exc:
+    except (
+        OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError, RelationalError, LensError, PeerError
+    ) as exc:
         raise ValidationError(f"unreadable dump at {root}: {exc}") from exc
     return world
 

@@ -241,7 +241,7 @@ class Chain:
         """Parse and verify a dumped chain; any tampering raises ChainCorrupt."""
         try:
             parsed = json.loads(data)
-        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on mangled bytes
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, or nesting too deep
             raise ChainCorrupt(f"chain dump is not valid JSON: {exc}") from exc
         if not isinstance(parsed, list):
             raise ChainCorrupt("chain dump must be a JSON list of blocks")

@@ -17,7 +17,6 @@ import medsync.harness
 import medsync.relational
 from conftest import BUNDLED_SCENARIOS, scenario_path
 from medsync.harness import (
-    CascadeOverflow,
     MaxTicksExceeded,
     NotQuiescent,
     ParseError,
@@ -109,6 +108,40 @@ def _relinked(blocks):
     return blocks
 
 
+def _relay(n, max_ticks):
+    """A scenario: peers P0..P(n-1) in a line, Pi and Pi+1 sharing Si, and P0
+    updating the one row of its table and proposing S0 at tick 1."""
+    table = {"id": "T", "schema": {"attrs": ["k", "v"], "key": ["k"]}, "rows": [["r", "old"]]}
+    lens = {"source": "T", "view_attrs": ["k", "v"], "view_key": ["k"]}
+    shares = [(f"P{i}", f"P{i + 1}", f"S{i}") for i in range(n - 1)]
+    return {
+        "name": f"relay{n}",
+        "principals": [f"P{i}" for i in range(n)],
+        "tables": {f"P{i}": [table] for i in range(n)},
+        "lenses": {
+            f"P{i}": [{"lens_id": f"L{sid}", **lens} for a, b, sid in shares if f"P{i}" in (a, b)] for i in range(n)
+        },
+        "shares": [
+            {
+                "shared_id": sid,
+                "deployer": a,
+                "authority": a,
+                "peers": {a: f"L{sid}", b: f"L{sid}"},
+                "perm": {"k": [a], "v": [a, b]},
+            }
+            for a, b, sid in shares
+        ],
+        "script": [
+            {"tick": 1, "principal": "P0", "action": action}
+            for action in (
+                {"kind": "edit", "table": "T", "op": "update", "key": {"k": "r"}, "changes": {"v": "new"}},
+                {"kind": "propose", "shared_id": "S0"},
+            )
+        ],
+        "config": {"max_ticks": max_ticks},
+    }
+
+
 def _leaves(doc, path=()):
     """(path, value) of every value in a JSON document that is no object or list."""
     if isinstance(doc, (dict, list)):
@@ -140,6 +173,9 @@ CONTRACT_VALUES = {
 
 # world.json rewrites a reload refuses.
 WORLD_VALUES = ["string clock", "clock another integer", "share name a path", "lens_id a number", "counterpart another peer"]
+
+# Files the JSON reader cannot decode.
+UNDECODABLE = {"not UTF-8": b"\xff\xfe{}", "nested too deep": b"[" * 200_000 + b"]" * 200_000}
 
 KV_TABLE = {"id": "KV", "schema": {"attrs": ["k", "v"], "key": ["k"]}, "rows": [["1", "x"]]}
 
@@ -382,14 +418,8 @@ class TestRun:
         with pytest.raises(MaxTicksExceeded):
             run(replace(update_flow, config=replace(update_flow.config, max_ticks=2)))
 
-    def test_cascade_hop_budget(self, cascade_delete, monkeypatch):
-        monkeypatch.setattr(medsync.harness, "MAX_CASCADE_HOPS", 0)
-        with pytest.raises(CascadeOverflow):
-            run(cascade_delete)
-
-    def test_cascade_budget_counts_hops_per_causal_chain(self):
-        # 17 unrelated deletes each cascade once into D13: 17 cascades on one
-        # share over the run, one hop per causal chain, within the budget of 16.
+    def test_unrelated_cascades_into_one_share_converge(self):
+        # 17 unrelated deletes each cascade once into D13: 17 cascades on one share over the run.
         doc = json.loads(Path(scenario_path("cascade_delete")).read_text(encoding="utf-8"))
         meds = [f"Med{i:02d}" for i in range(20)]
         rows = {
@@ -410,10 +440,21 @@ class TestRun:
         ]
         doc["config"]["max_ticks"] = 250
         world = run(scenario_from_json_dict(doc))
-        assert medsync.harness.MAX_CASCADE_HOPS == 16
         assert [e.payload["shared_id"] for e in world.trace if e.kind == "cascade"] == ["D13"] * 17
         assert verify_convergence(world).ok
         assert len(world.peers["Patient"].tables["D1"].rows) == 3
+
+    def test_a_relay_of_19_peers_converges_within_max_ticks(self):
+        # One edit relayed through 17 cascades, one per peer between the ends;
+        # each hop costs three ticks, so max_ticks alone bounds the chain.
+        world = run(scenario_from_json_dict(_relay(19, max_ticks=200)))
+        assert world.quiescent()
+        assert [e.payload["shared_id"] for e in world.trace if e.kind == "cascade"] == [f"S{i}" for i in range(1, 18)]
+        assert verify_convergence(world).ok
+        assert medsync.harness.trace_mismatch(world) is None
+        assert world.peers["P18"].tables["T"].get_row({"k": "r"})["v"] == "new"
+        with pytest.raises(MaxTicksExceeded):
+            run(scenario_from_json_dict(_relay(19, max_ticks=40)))
 
     def test_update_reaches_counterpart_table(self, update_flow):
         world = run(update_flow)
@@ -756,7 +797,9 @@ class TestCli:
         path = tmp_path / "short.scenario.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["run", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("simulation failed: ")
+        err = capsys.readouterr().err
+        assert err.startswith("simulation failed: ")
+        assert "2 script actions not yet run" in err
 
     @pytest.mark.parametrize(
         "forgery, failure",
@@ -840,15 +883,17 @@ class TestCli:
         forged = next(e for e in load_dump(dump_dir).trace if e.kind == "data_resp" and e.actor == "Patient")
         assert f"[FAIL] trace-matches-chain: event {forged.seq} " in out
 
-    def test_scenario_errors_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [b"{", *UNDECODABLE.values()], ids=["bad JSON", *UNDECODABLE])
+    def test_scenario_errors_exit_2(self, tmp_path, capsys, content):
         from medsync.cli import main
 
         bad = tmp_path / "bad.json"
-        bad.write_text("{", encoding="utf-8")
+        bad.write_bytes(content)
         assert main(["run", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: ")
 
     @pytest.mark.parametrize("subdir, table", [("tables", "D3"), ("shared", "D23")])
-    @pytest.mark.parametrize("corruption", ["bad JSON", "duplicate primary key"])
+    @pytest.mark.parametrize("corruption", ["bad JSON", "duplicate primary key", *UNDECODABLE])
     def test_corrupt_dump_exits_2(self, tmp_path, capsys, subdir, table, corruption):
         from medsync.cli import main
 
@@ -857,6 +902,8 @@ class TestCli:
         path = dump_dir / subdir / "Doctor" / f"{table}.json"
         if corruption == "bad JSON":
             path.write_text("{", encoding="utf-8")
+        elif corruption in UNDECODABLE:
+            path.write_bytes(UNDECODABLE[corruption])
         else:
             doc = json.loads(path.read_text(encoding="utf-8"))
             doc["rows"].append(doc["rows"][0])
@@ -1169,7 +1216,9 @@ class TestCli:
         [
             "string tick",
             "list payload",
+            "payload nested too deep",
             *WORLD_VALUES,
+            *(f"world.json {corruption}" for corruption in UNDECODABLE),
             "event split over two lines",
             "two events on one line",
             *CONTRACT_VALUES,
@@ -1204,6 +1253,8 @@ class TestCli:
                 versions = doc["peers"]["Doctor"]["versions"]
                 versions["../Researcher/D23"] = versions.pop("D23")
             path.write_text(json.dumps(doc), encoding="utf-8")
+        elif target.startswith("world.json "):
+            (dump_dir / "world.json").write_bytes(UNDECODABLE[target.removeprefix("world.json ")])
         else:
             path = dump_dir / "trace.jsonl"
             events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
@@ -1216,6 +1267,10 @@ class TestCli:
                 lines[1] = lines[1].replace(", ", ",\n", 1)
             elif target == "two events on one line":
                 lines[0:2] = [" ".join(lines[0:2])]
+            elif target == "payload nested too deep":  # one value of the propose event
+                (at,) = [i for i, e in enumerate(events) if e["kind"] == "propose"]
+                digest = json.dumps(events[at]["payload"]["new_digest"])
+                lines[at] = lines[at].replace(digest, UNDECODABLE["nested too deep"].decode())
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         capsys.readouterr()
         assert main(["verify", str(dump_dir)]) == 2
@@ -1347,7 +1402,8 @@ class TestCli:
         assert main(["verify", str(dump_dir)]) == 1
         assert "[FAIL] chain: malformed chain dump" in capsys.readouterr().out
 
-    def test_corrupt_chain_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("corruption", ["bit flipped", *UNDECODABLE])
+    def test_corrupt_chain_exits_1(self, tmp_path, capsys, corruption):
         from medsync.cli import main
 
         dump_dir = tmp_path / "dump"
@@ -1355,8 +1411,11 @@ class TestCli:
         chain_path = dump_dir / "chain.json"
         data = bytearray(chain_path.read_bytes())
         data[len(data) // 2] ^= 0x01
-        chain_path.write_bytes(bytes(data))
+        chain_path.write_bytes(UNDECODABLE.get(corruption, bytes(data)))
+        capsys.readouterr()
         assert main(["replay", str(chain_path)]) == 1
+        assert main(["verify", str(dump_dir)]) == 1
+        assert capsys.readouterr().out.count("[FAIL] chain: ") == 2
 
     @pytest.mark.parametrize("target", DUMP_FILES)
     @pytest.mark.parametrize("key", ["extra", "reason"])
