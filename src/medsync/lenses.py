@@ -26,15 +26,21 @@ the cached source, and checks the dependency and the view-key cells only there;
 visits only the source rows behind the view keys it reports. Without a cache
 both start from the empty table: a full `get` is the same computation with
 every source row new.
+
+`compile_lens` does once what each call would otherwise redo: it builds the
+getters of a source row's view cells and view key, and of a view row's source
+key, decides whether `put` can rewrite a source key, and finds the view-key
+attributes outside the source key, the only ones whose cells a view row can
+leave null. A call on a small table then costs what its rows need.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter, ne
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .relational import (
     Cells,
@@ -104,7 +110,16 @@ class LensSpec:
 class Lens:
     """A compiled lens: spec plus derived view schema, insert capability, whether a
     view row can stand for several source rows (the view key does not cover the
-    source key), and the source positions of the view attributes and view key."""
+    source key), and the source positions of the view attributes.
+
+    The rest is derived once here so that no call derives it again: whether `put`
+    can rewrite a source key (a source-key attribute is a view attribute outside
+    the view key), the view-key attributes outside the source key with their
+    source positions (the only key cells a view can hold null), and the getters
+    of a source row's view cells and view key, and of a view row's source key
+    (None when the lens fans out, as the source key is then not in the view).
+    The getters are not compared: two compilations of one spec are equal.
+    """
 
     spec: LensSpec
     source_schema: Schema
@@ -112,7 +127,11 @@ class Lens:
     inserts_allowed: bool
     fans_out: bool
     view_at: tuple[int, ...]
-    key_at: tuple[int, ...]
+    rekeys: bool
+    nullable_key_at: tuple[tuple[str, int], ...]
+    view_of: Callable[[Cells], Cells] = field(compare=False, repr=False)
+    view_key_of: Callable[[Cells], Cells] = field(compare=False, repr=False)
+    key_in_view: Optional[Callable[[Cells], Cells]] = field(compare=False, repr=False)
 
 
 def compile_lens(spec: LensSpec, source_schema: Schema) -> Lens:
@@ -132,11 +151,17 @@ def compile_lens(spec: LensSpec, source_schema: Schema) -> Lens:
     if outside:
         raise UnknownAttribute(f"lens {spec.lens_id!r} view key {outside} outside view attributes")
     view_schema = Schema(spec.view_attrs, spec.view_key)
-    inserts_allowed = set(source_schema.key) <= set(spec.view_attrs)
-    fans_out = not set(source_schema.key) <= set(spec.view_key)
-    at = source_schema.at.__getitem__
-    view_at, key_at = tuple(map(at, spec.view_attrs)), tuple(map(at, spec.view_key))
-    return Lens(spec, source_schema, view_schema, inserts_allowed, fans_out, view_at, key_at)
+    source_key, at = source_schema.key, source_schema.at
+    inserts_allowed = set(source_key) <= set(spec.view_attrs)
+    fans_out = not set(source_key) <= set(spec.view_key)
+    view_at, key_at = tuple(map(at.__getitem__, spec.view_attrs)), tuple(map(at.__getitem__, spec.view_key))
+    rekeys = any(a in source_key for a in spec.view_attrs if a not in spec.view_key)
+    nullable_key_at = tuple((a, at[a]) for a in spec.view_key if a not in source_key)
+    key_in_view = None if fans_out else tuple_getter([view_schema.at[a] for a in source_key])
+    return Lens(
+        spec, source_schema, view_schema, inserts_allowed, fans_out, view_at, rekeys, nullable_key_at,
+        tuple_getter(view_at), tuple_getter(key_at), key_in_view,
+    )
 
 
 class LensCache:
@@ -184,7 +209,7 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
         )
     if source is cache.source:
         return
-    support, view_of, view_key_of = cache.support, tuple_getter(lens.view_at), tuple_getter(lens.key_at)
+    support, view_of, view_key_of = cache.support, lens.view_of, lens.view_key_of
     gone_skeys, gone_rows, came_skeys, came_rows = source.changes_since(cache.source)
     if lens.spec.view_key == lens.source_schema.key:  # the view key is the source key
         gone_keys, came_keys = gone_skeys, came_skeys
@@ -220,13 +245,13 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
             if skeys and arriving[view_key] != view_of(source_row(skeys[0])):
                 raise _fd_violation(lens, source)
         keys, cells = list(arriving), list(arriving.values())
-    for attr, at in zip(lens.spec.view_key, lens.key_at):
-        if attr not in lens.source_schema.key and None in map(itemgetter(at), came_rows):
+    for attr, at in lens.nullable_key_at:
+        if None in map(itemgetter(at), came_rows):
             raise SchemaMismatch(f"primary-key cell {attr!r} must not be null")
 
     view = cache.view
     row_at = view.lookup()
-    if len(view):  # take a new view row only where its cells differ from the cached row's
+    if view._chunks:  # take a new view row only where its cells differ from the cached row's
         differs = list(map(ne, map(row_at, keys), cells))
         keys, cells = compress(keys, differs), compress(cells, differs)
     changes: dict[tuple[Value, ...], Optional[Cells]] = dict(zip(keys, cells))
@@ -274,7 +299,7 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
     cache then holds the result and `view` itself, which derived views share
     chunks with from then on.
     """
-    if view.schema != lens.view_schema:
+    if view.schema is not lens.view_schema and view.schema != lens.view_schema:
         raise SchemaMismatch(
             f"table {view.id!r} does not match the view schema of lens {lens.spec.lens_id!r}"
         )
@@ -283,7 +308,7 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
     _advance(lens, cache, source)
 
     schema, view_at, key_of = source.schema, lens.view_at, source.schema.key_of
-    rekeys = any(a in schema.key for a in lens.spec.view_attrs if a not in lens.spec.view_key)
+    rekeys, key_in_view = lens.rekeys, lens.key_in_view
     gone_keys, gone_rows, came_keys, came_rows = view.changes_since(cache.view)
     current = dict(zip(gone_keys, gone_rows))  # the cached view's rows where `view` differs
     came = dict(zip(came_keys, came_rows))
@@ -291,7 +316,6 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
     added = [(k, row) for k, row in edited if k not in current]
     removed = [k for k in current if k not in came]
     source_row = source.lookup()
-    key_in_view = None if cache.support is not None else tuple_getter([lens.view_schema.at[a] for a in schema.key])
 
     def carriers(k: tuple[Value, ...]) -> list[tuple[Value, ...]]:
         """The keys of the source rows carrying view key `k`, in key order (with no support index, the view row's)."""

@@ -290,6 +290,8 @@ class PeerNode:
             return None
         source = self.tables[share.source_id]
         new_view = self.regenerate_view(shared_id)
+        if new_view is share.copy:  # the copy itself: nothing to diff
+            return None
         changed = changed_view_attrs(share.copy, new_view)
         if not changed:  # the view equals the copy
             return None

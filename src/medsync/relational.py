@@ -35,7 +35,10 @@ Two tables derived from one another share the chunks neither changed, so they
 differ only in the rows of the other chunks: `Table.changes_since`, the one diff
 the lenses and peers use, skips shared chunks and pairs the remaining rows by
 key. That holds along a line of splices, across branches, and between `with_id`
-copies and the views a peer adopts, which share their chunks too.
+copies and the views a peer adopts, which share their chunks too. Two short
+paths keep the diff of a small table as cheap as its rows: tables holding the
+same chunk tuple differ in nothing, and two tables of one chunk each, as small
+tables are, pair their chunks' dicts without looking for shared chunks first.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter, lt
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 Value = Optional[str]  # a cell: text, or None for null
 Row = dict[str, Value]  # a row at the API edges, keyed by attribute name
@@ -285,9 +288,11 @@ class _Rows(Sequence):
     def __iter__(self) -> Iterator[Row]:
         return map(dict, map(zip, repeat(self._table.schema.attrs), self._table._cells()))
 
-    def __getitem__(self, i: int) -> Row:
-        cells = next(islice(self._table._cells(), range(len(self))[i], None))
-        return dict(zip(self._table.schema.attrs, cells))
+    def __getitem__(self, i: Union[int, slice]) -> Union[Row, list[Row]]:
+        attrs = self._table.schema.attrs
+        if isinstance(i, slice):  # dicts of the selected rows only
+            return [dict(zip(attrs, cells)) for cells in list(self._table._cells())[i]]
+        return dict(zip(attrs, next(islice(self._table._cells(), range(len(self))[i], None))))
 
 
 class Table:
@@ -427,13 +432,21 @@ class Table:
         rows that left or changed, and the keys and cells of those that arrived
         or changed, each in key order.
 
-        From the empty table, where a full lens `get` starts, every row arrived.
-        Otherwise chunks both tables hold are skipped and the rows of the others
-        are paired by key; a row that is the same object on both sides is unchanged.
+        Two tables holding one chunk tuple did not change. From the empty table,
+        where a full lens `get` starts, every row arrived. Otherwise chunks both
+        tables hold are skipped and the rows of the others are paired by key; a
+        row that is the same object on both sides is unchanged. Two tables of one
+        chunk each pair their chunks' dicts directly.
         """
-        if not old._chunks:
-            return [], [], list(chain.from_iterable(map(_rows, self._chunks))), list(self._cells())
-        gone, came = _apart(old._chunks, self._chunks)
+        old_chunks, chunks = old._chunks, self._chunks
+        if old_chunks is chunks:
+            return [], [], [], []
+        if not old_chunks:
+            return [], [], list(chain.from_iterable(map(_rows, chunks))), list(self._cells())
+        if len(old_chunks) == 1 == len(chunks):  # pair the two dicts: no chunk to skip
+            gone, came = old_chunks[0].rows, chunks[0].rows
+        else:
+            gone, came = _apart(old_chunks, chunks)
         gone_keys = [k for k, row in gone.items() if came.get(k) is not row]
         came_keys = [k for k, row in came.items() if gone.get(k) is not row]
         return gone_keys, list(map(gone.__getitem__, gone_keys)), came_keys, list(map(came.__getitem__, came_keys))

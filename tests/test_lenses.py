@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import D3_SCHEMA, L32_SPEC, make_edited_view, make_lens_case
+from conftest import D3_SCHEMA, L31_SPEC, L32_SPEC, make_edited_view, make_lens_case, scenario_path
+from medsync.harness import dump, load_dump, load_scenario, run
 from medsync.lenses import (
     EmptyViewKey,
     FdViolation,
@@ -44,6 +45,39 @@ class TestCompile:
 
     def test_spec_json_roundtrip(self):
         assert LensSpec.from_json_dict(L32_SPEC.to_json_dict()) == L32_SPEC
+
+    @pytest.mark.parametrize("spec", [L31_SPEC, L32_SPEC], ids=["L31", "L32"])
+    def test_two_compilations_of_one_spec_are_equal(self, spec):
+        # The getters compiled once per lens compare by identity; they are left out of equality.
+        first, second = compile_lens(spec, D3_SCHEMA), compile_lens(spec, D3_SCHEMA)
+        assert first == second
+        assert first.view_of is not second.view_of
+
+    def test_a_reloaded_worlds_lenses_equal_the_live_ones(self, tmp_path):
+        world = run(load_scenario(scenario_path("update_flow")))
+        reloaded = load_dump(dump(world, tmp_path / "d"))
+        assert sorted(reloaded.peers) == sorted(world.peers)
+        for principal, peer in world.peers.items():
+            assert peer.lenses and reloaded.peers[principal].lenses == peer.lenses
+            for sid, share in peer.shares.items():
+                assert reloaded.peers[principal].shares[sid].lens == share.lens
+
+    def test_a_null_view_key_cell_outside_the_source_key_is_refused(self):
+        schema = Schema(("k", "x", "y"), ("k",))
+        lens = compile_lens(LensSpec("L", "s", ("x", "y"), ("x",)), schema)
+        assert lens.nullable_key_at == (("x", 1),)
+        source = Table("s", schema, ({"k": "1", "x": "a", "y": None}, {"k": "2", "x": None, "y": "b"}))
+        with pytest.raises(SchemaMismatch, match="^primary-key cell 'x' must not be null$"):
+            get(lens, source)
+        assert list(get(lens, source.delete_row({"k": "2"})).rows) == [{"x": "a", "y": None}]
+
+    def test_a_source_key_attribute_outside_the_view_key_rekeys_on_put(self):
+        schema = Schema(("k", "v", "w"), ("k",))
+        lens = compile_lens(LensSpec("L", "s", ("k", "v"), ("v",)), schema)
+        assert lens.rekeys and not compile_lens(LensSpec("L", "s", ("k", "v"), ("k",)), schema).rekeys
+        source = Table("s", schema, ({"k": "1", "v": "a", "w": "x"}, {"k": "2", "v": "b", "w": "y"}))
+        result = put(lens, source, get(lens, source).update_row({"v": "a"}, {"k": "9"}))
+        assert list(result.rows) == [{"k": "2", "v": "b", "w": "y"}, {"k": "9", "v": "a", "w": "x"}]
 
 
 class TestGet:

@@ -5,11 +5,12 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import D3_SCHEMA, ROW1, ROW2, ROW3
 from medsync.relational import (
+    CHUNK,
     KeyConflict,
     KeyImmutable,
     NotFound,
@@ -276,6 +277,17 @@ class TestRowDicts:
         with pytest.raises(IndexError):
             table.rows[10_000]
 
+    def test_a_slice_is_the_list_of_the_row_dicts_it_selects(self):
+        schema = Schema(("k", "v"), ("k",))
+        table = Table("t", schema, [{"k": f"{i:03}", "v": str(i)} for i in range(3 * CHUNK + 5)])
+        assert len(table._chunks) > 1
+        rows = list(table.rows)
+        for s in (slice(0, 0), slice(7, 3), slice(-5, None), slice(-70, -10), slice(None, None, 7),
+                  slice(None, None, -9), slice(10, 90, 3), slice(200, None), slice(None)):
+            assert table.rows[s] == rows[s], s
+        one = Table("T", Schema(("a", "b"), ("a",)), [{"a": "1", "b": "x"}])
+        assert one.rows[0:1] == [{"a": "1", "b": "x"}] and one.rows[1:] == []
+
     def test_caller_dicts_are_copied_in_and_out(self):
         given, inserted, changes = [dict(ROW1), dict(ROW2)], dict(ROW3), {"a2": "changed"}
         key1 = {a: ROW1[a] for a in D3_SCHEMA.key}
@@ -367,3 +379,81 @@ def test_json_decode_builds_what_the_constructor_builds(rows, order, data):
     assert decoded.canonical_bytes() == expected.canonical_bytes()
     assert decoded.digest() == expected.digest()
     assert _chunk_bounds(decoded) == _chunk_bounds(expected)
+
+
+# --- the diff against a diff from scratch -----------------------------------------
+
+DIFF_SCHEMA = Schema(("v", "k"), ("k",))
+DIFF_CASES = ("same chunks", "one vs one", "one vs one, rebuilt", "one vs split", "many vs many", "from empty")
+
+
+def _by_key(table: Table) -> dict:
+    return {k: row for chunk in table._chunks for k, row in chunk.rows.items()}
+
+
+def _dict_diff(old: Table, new: Table) -> tuple:
+    """`changes_since` from scratch: the rows paired by key, a row unchanged iff it is the same object."""
+    old_rows, new_rows = _by_key(old), _by_key(new)
+    gone = sorted(k for k, row in old_rows.items() if new_rows.get(k) is not row)
+    came = sorted(k for k, row in new_rows.items() if old_rows.get(k) is not row)
+    return gone, [old_rows[k] for k in gone], came, [new_rows[k] for k in came]
+
+
+@st.composite
+def diff_pairs(draw):
+    """A case of `DIFF_CASES` and two tables of the chunk counts it names, `new` edited from `old`."""
+    case = draw(st.sampled_from(DIFF_CASES))
+    low, high = {"one vs split": (CHUNK // 2, CHUNK), "many vs many": (2 * CHUNK, 4 * CHUNK)}.get(case, (1, CHUNK))
+    n = draw(st.integers(low, high))
+    keys = [3 * i + offset for i, offset in enumerate(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))]
+    cells = draw(st.lists(values, min_size=n, max_size=n))
+    old = Table("t", DIFF_SCHEMA, [{"k": f"{k:03}", "v": v} for k, v in zip(keys, cells)])
+    if case == "same chunks":
+        return case, old, old.with_id("u")
+    if case == "one vs one, rebuilt":  # equal rows, each a distinct object
+        return case, old, Table("t", DIFF_SCHEMA, list(old.rows))
+    fresh = sorted(set(range(3 * high)) - set(keys))
+    added = 2 * CHUNK + 1 - len(keys) if case == "one vs split" else 0
+    inserts = draw(st.lists(st.sampled_from(fresh), min_size=added, max_size=added + 5, unique=True))
+    edits = draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(["update", "delete"]), values), max_size=8))
+    new = old
+    for k in inserts:
+        new = new.insert_row({"k": f"{k:03}", "v": draw(values)})
+    for k, op, value in edits:
+        if new.get_row({"k": f"{k:03}"}) is not None:
+            new = new.update_row({"k": f"{k:03}"}, {"v": value}) if op == "update" else new.delete_row({"k": f"{k:03}"})
+    if case == "from empty":
+        return case, Table.empty("t", DIFF_SCHEMA), new
+    return case, old, new
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(diff_pairs())
+def test_the_diffs_short_paths_agree_with_a_diff_from_scratch(pair):
+    case, old, new = pair
+    if case == "same chunks":
+        assert new._chunks is old._chunks
+    elif case.startswith("one vs one"):
+        assume(len(new._chunks) == 1)  # deletes may empty it
+        assert len(old._chunks) == 1
+    elif case == "one vs split":
+        assert len(old._chunks) == 1 < len(new._chunks)
+    elif case == "many vs many":
+        assume(len(new._chunks) > 1)
+        assert len(old._chunks) > 1
+    else:
+        assert not old._chunks
+    for before, after in ((old, new), (new, old)):
+        gone_keys, gone_rows, came_keys, came_rows = diff = after.changes_since(before)
+        assert diff == _dict_diff(before, after)
+        old_rows, new_rows = _by_key(before), _by_key(after)
+        # The rows reported are the tables' own objects, and the diff rebuilds `after` from `before`.
+        assert all(row is old_rows[k] for k, row in zip(gone_keys, gone_rows))
+        assert all(row is new_rows[k] for k, row in zip(came_keys, came_rows))
+        rebuilt = {k: row for k, row in old_rows.items() if k not in set(gone_keys)}
+        rebuilt.update(zip(came_keys, came_rows))
+        assert rebuilt == new_rows
+        if case == "one vs one, rebuilt":
+            assert gone_keys == came_keys == sorted(old_rows) and gone_rows == came_rows
+        if case == "same chunks":
+            assert diff == ([], [], [], [])
