@@ -865,9 +865,13 @@ class Report:
 
 def verify_convergence(world: World) -> Report:
     """Check that every share's two copies agree, match the contract's digest
-    and version, and equal the view derived from each holder's whole source
-    (the peers' lens caches are not consulted); a view that cannot be derived
-    fails that last check."""
+    and version, and equal the view derived from each holder's whole source;
+    a view that cannot be derived fails that last check.
+
+    The derivation is a cache-free `lenses.get`: the lens's definition in
+    whole-table passes, which neither reads the peers' lens caches nor runs
+    the incremental engine that maintains them, so the check tests that
+    engine against an independent derivation."""
     if not world.quiescent():
         raise NotQuiescent("verify_convergence requires a quiescent world")
     checks: list[CheckResult] = []

@@ -23,9 +23,11 @@ view row, the source keys behind each view key. `get` re-derives the view rows
 only at the view keys of the source rows `Table.changes_since` reports against
 the cached source, and checks the dependency and the view-key cells only there;
 `put` takes the same diff of the incoming view against the cached view and
-visits only the source rows behind the view keys it reports. Without a cache
-both start from the empty table: a full `get` is the same computation with
-every source row new.
+visits only the source rows behind the view keys it reports. Without a cache,
+`put` starts from the empty table, while `get` applies the lens's definition
+in whole-table passes (project, key, check, sort, chunk) and builds no cache.
+The convergence check derives its views that way, so it tests the incremental
+engine against an independent derivation.
 
 `compile_lens` does once what each call would otherwise redo: it builds the
 getters of a source row's view cells and view key, and of a view row's source
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter, ne
 from typing import Callable, Mapping, Optional
 
@@ -50,6 +52,8 @@ from .relational import (
     Table,
     UnknownAttribute,
     Value,
+    _chunked,
+    _increasing,
     _only_keys,
     _typed,
     names_of,
@@ -194,6 +198,42 @@ def _fd_violation(lens: Lens, source: Table) -> FdViolation:
     )
 
 
+def _wrong_source(lens: Lens, source: Table) -> SchemaMismatch:
+    return SchemaMismatch(f"table {source.id!r} does not match the source schema of lens {lens.spec.lens_id!r}")
+
+
+def _null_view_key(attr: str) -> SchemaMismatch:
+    return SchemaMismatch(f"primary-key cell {attr!r} must not be null")
+
+
+def _derived(lens: Lens, source: Table, view_id: str) -> Table:
+    """The lens's view of `source` from its definition, in whole-table passes:
+    project every row, key it, check the dependency and the view-key cells
+    once, sort unless the keys already increase, and chunk. No cache is built.
+    """
+    if source.schema is not lens.source_schema and source.schema != lens.source_schema:
+        raise _wrong_source(lens, source)
+    rows = list(source._cells())
+    cells = list(map(lens.view_of, rows))
+    if lens.spec.view_key == lens.source_schema.key:  # the source keys, already in key order
+        items = list(zip(chain.from_iterable(chunk.rows for chunk in source._chunks), cells))
+    else:
+        keys = list(map(lens.view_key_of, rows))
+        if lens.fans_out:  # rows agreeing on a view key collapse to one view row
+            distinct = dict(zip(keys, cells))
+            if len(distinct) != len(set(cells)):  # the cells include the view key
+                raise _fd_violation(lens, source)
+            keys, items = list(distinct), list(distinct.items())
+        else:
+            items = list(zip(keys, cells))
+        for attr, at in lens.nullable_key_at:  # before sorting: None < str raises
+            if None in map(itemgetter(at), rows):
+                raise _null_view_key(attr)
+        if not _increasing(keys):
+            items.sort(key=itemgetter(0))
+    return Table._of(view_id, lens.view_schema, tuple(_chunked(items)))
+
+
 def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
     """Bring `cache` to `source`, re-deriving the view rows at the view keys of
     the source rows that differ from the cached source.
@@ -204,9 +244,7 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
     The cache changes only once every check has passed.
     """
     if source.schema is not lens.source_schema and source.schema != lens.source_schema:
-        raise SchemaMismatch(
-            f"table {source.id!r} does not match the source schema of lens {lens.spec.lens_id!r}"
-        )
+        raise _wrong_source(lens, source)
     if source is cache.source:
         return
     support, view_of, view_key_of = cache.support, lens.view_of, lens.view_key_of
@@ -247,7 +285,7 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
         keys, cells = list(arriving), list(arriving.values())
     for attr, at in lens.nullable_key_at:
         if None in map(itemgetter(at), came_rows):
-            raise SchemaMismatch(f"primary-key cell {attr!r} must not be null")
+            raise _null_view_key(attr)
 
     view = cache.view
     row_at = view.lookup()
@@ -269,7 +307,7 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
         cache.view = view._spliced(view.id, changes)
 
 
-def get(lens: Lens, source: Table, cache: Optional[LensCache] = None) -> Table:
+def get(lens: Lens, source: Table, cache: Optional[LensCache] = None, view_id: Optional[str] = None) -> Table:
     """Project the source onto the view attributes, collapsing duplicates.
 
     The view is keyed by the lens view key; the functional-dependency
@@ -277,10 +315,13 @@ def get(lens: Lens, source: Table, cache: Optional[LensCache] = None) -> Table:
     can be null only where the view key reaches outside the source key; such
     a view is refused. With a cache, only the view rows at the view keys of
     source rows that differ from the cached source are derived again, and the
-    cache moves to `source`; the result carries the cache's view id.
+    cache moves to `source`; the result carries the cache's view id. Without
+    one, the view is the lens's definition applied in whole-table passes,
+    independent of the incremental engine, and carries `view_id` (by default
+    the lens id).
     """
     if cache is None:
-        cache = LensCache(lens)
+        return _derived(lens, source, view_id or lens.spec.lens_id)
     _advance(lens, cache, source)
     return cache.view
 

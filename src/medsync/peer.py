@@ -247,9 +247,11 @@ class PeerNode:
         return lens_get(share.lens, self.tables[share.source_id], share.cache)
 
     def derive_view(self, shared_id: str) -> Table:
-        """The share's view derived from the whole source table: a new cache, not the share's."""
+        """The share's view derived from the whole source table by a cache-free
+        `get`: the lens's definition in whole-table passes, independent of the
+        share's cache and of the incremental engine that maintains it."""
         share = self._share(shared_id)
-        return lens_get(share.lens, self.tables[share.source_id], LensCache(share.lens, shared_id))
+        return lens_get(share.lens, self.tables[share.source_id], view_id=shared_id)
 
     def install_share(self, shared_id: str, agreed: Optional[Table] = None) -> Table:
         """Initialize the local copy of a share from the current source; version 0.

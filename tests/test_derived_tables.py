@@ -188,9 +188,10 @@ def test_lens_cases_cover_fan_out_deletes_inserts_and_rewritten_source_keys():
 # A LensCache re-derives only the view rows at the view keys of the source rows
 # that changed. Random schemas and lenses (view keys inside and outside the
 # source key), random CRUD, replace (a delete and an insert) and put steps;
-# after each step the cached view must be what a get from the empty table
-# derives, or both must refuse the source. Each pair of table versions a step
-# diffs is also held to a reference diff by key and row identity, and so is
+# after each step the cached view must be what a cache-free get derives from
+# the lens's definition in whole-table passes, an independent implementation,
+# or both must refuse the source. Each pair of table versions a step diffs is
+# also held to a reference diff by key and row identity, and so is
 # the source against every earlier source of the case, its siblings, `with_id`
 # copies and adopted views. A case runs at one of `CHUNK_SIZES`, so its tables
 # span several chunks, which splices split and drop.
@@ -381,6 +382,64 @@ def test_delta_cases_cover_refusals_emptied_groups_puts_and_fan_out():
         "sibling diff",
         "diff from an adopted view",
     }
+
+
+def test_a_view_keyed_on_the_source_key_in_another_order_is_sorted():
+    # The view key covers the source key, so no view row fans out, but a view
+    # keyed (m, p) over a source keyed (p, m) holds its rows in another order;
+    # random cases draw view keys in attribute order and never reach this.
+    schema = Schema(("p", "m", "note"), ("p", "m"))
+    lens = compile_lens(LensSpec("BY_MP", "s", ("m", "p", "note"), ("m", "p")), schema)
+    n_rows = 5 * relational.CHUNK
+    source = Table("s", schema, ({"p": f"P{i // 10:03d}", "m": f"M{i % 10}", "note": f"n{i}"} for i in range(n_rows)))
+    assert list(map(lens.view_key_of, source._cells())) != sorted(map(lens.view_key_of, source._cells()))
+    cache = LensCache(lens)
+    for _ in range(2):  # the first derive, then one after an edit
+        whole = get(lens, source)
+        assert whole == get(lens, source, cache)
+        assert len(whole) == n_rows and len(whole._chunks) > 2
+        assert_matches_reference(whole)
+        source = source.update_row({"p": "P007", "m": "M3"}, {"note": "changed"})
+
+
+def _raised(fn) -> tuple[type, str]:
+    """The type and message of the lens or table error `fn` raises."""
+    with pytest.raises((relational.RelationalError, lenses.LensError)) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+# Source keyed on `k`. Lenses keyed on `v` fan out; one keyed (k, v) or (v, k)
+# covers the source key but reaches outside it, so only `v` can be null.
+KVW = Schema(("k", "v", "w"), ("k",))
+BY_V = LensSpec("BY_V", "s", ("v", "w"), ("v",))
+
+
+def _kvw(*rows: tuple) -> Table:
+    return Table("s", KVW, (dict(zip(KVW.attrs, row)) for row in rows))
+
+
+@pytest.mark.parametrize(
+    "spec, source, error",
+    [
+        (BY_V, _kvw(("1", "x", "a"), ("2", "x", "b")), FdViolation),
+        (BY_V, _kvw(("1", None, "a"), ("2", "x", "a")), SchemaMismatch),
+        (LensSpec("BY_KV", "s", ("k", "v"), ("k", "v")), _kvw(("1", "x", "a"), ("2", None, "a")), SchemaMismatch),
+        (
+            LensSpec("BY_VK", "s", ("v", "k"), ("v", "k")),  # unsorted keys: a null must not reach a comparison
+            _kvw(("1", "y", "a"), ("2", None, "a"), ("3", "x", "a")),
+            SchemaMismatch,
+        ),
+        (BY_V, Table("s", Schema(("k", "v"), ("k",)), ({"k": "1", "v": "x"},)), SchemaMismatch),
+        (BY_V, _kvw(("1", None, "a"), ("2", "x", "a"), ("3", "x", "b")), FdViolation),
+    ],
+    ids=["fd-break", "null-key-fan-out", "null-key", "null-key-unsorted", "other-schema", "fd-break-and-null-key"],
+)
+def test_the_whole_and_the_incremental_get_raise_the_same_error(spec, source, error):
+    lens = compile_lens(spec, KVW)
+    whole = _raised(lambda: get(lens, source))
+    assert whole == _raised(lambda: get(lens, source, LensCache(lens)))
+    assert whole[0] is error
 
 
 # Source keyed on `id`; the view is keyed on `tag` and carries `id`, so a view
@@ -746,6 +805,23 @@ def test_sibling_and_adopted_view_diffs_read_the_chunks_that_differ(counted):
     assert a.on_data_response(DataResponse("S", 2, b.read_shared("S"), "B", "A"), _meta(b.read_shared("S"), 2)).applied
     assert a.tables["wide"].get_row({"p": "P0700", "m": "M000"})["dose"] == "b"
     assert counted["read"] and max(counted["read"]) <= 2 * relational.CHUNK
+
+
+def test_derive_view_builds_no_cache_and_splices_nothing(counted, monkeypatch):
+    node = wide_peer("A", "B")
+    caches = []
+    init = LensCache.__init__
+    monkeypatch.setattr(LensCache, "__init__", lambda self, *a, **kw: caches.append(a) or init(self, *a, **kw))
+    counted.update(spliced={})
+    counted["read"].clear()
+    for sid in ("S", "T"):  # keyed on the source key, and fanning out
+        share = node.shares[sid]
+        cache = share.cache
+        held = cache.source, cache.view, cache.support
+        assert node.derive_view(sid) == node.read_shared(sid)
+        assert share.cache is cache
+        assert all(now is then for now, then in zip((cache.source, cache.view, cache.support), held))
+    assert caches == [] and counted["spliced"] == {} and counted["read"] == []
 
 
 def test_a_merge_visits_the_rows_it_changes_and_a_quiet_cascade_builds_nothing(counted):
