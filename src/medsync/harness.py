@@ -21,7 +21,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .contract import (
     TX_TYPES,
@@ -760,6 +760,29 @@ def dump(world: World, out_dir: str | Path) -> Path:
     return out
 
 
+_T, _R = TypeVar("_T"), TypeVar("_R")
+
+
+def _collector_paused(fn: Callable[[_T], _R]) -> Callable[[_T], _R]:
+    """`fn` run with the cyclic collector disabled, leaving it as it was found
+    on every exit, errors included. A decorator, not a `with` block: a `with`
+    statement allocates its manager before the collector is off, and a pass
+    can start right there."""
+
+    @functools.wraps(fn)
+    def paused(arg: _T) -> _R:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(arg)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def load_dump(dump_dir: str | Path) -> World:
     """Rebuild a (quiescent) world from a dump directory.
 
@@ -774,17 +797,7 @@ def load_dump(dump_dir: str | Path) -> World:
     each object once and frees almost nothing, so a collector pass would only
     walk what was just built.
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _reload(Path(dump_dir))
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _reload(root: Path) -> World:
-    """The world of the dump at `root`, as `load_dump` describes."""
+    root = Path(dump_dir)
 
     def read(*parts: str):
         return json.loads(root.joinpath(*parts).read_text(encoding="utf-8"))
@@ -863,6 +876,7 @@ class Report:
         return out
 
 
+@_collector_paused
 def verify_convergence(world: World) -> Report:
     """Check that every share's two copies agree, match the contract's digest
     and version, and equal the view derived from each holder's whole source;
@@ -871,7 +885,10 @@ def verify_convergence(world: World) -> Report:
     The derivation is a cache-free `lenses.get`: the lens's definition in
     whole-table passes, which neither reads the peers' lens caches nor runs
     the incremental engine that maintains them, so the check tests that
-    engine against an independent derivation."""
+    engine against an independent derivation. The cyclic collector is paused
+    meanwhile, and left as it was found: a derivation allocates a cell tuple
+    per view row and frees it once compared, so a collector pass would only
+    walk objects that cannot form a cycle."""
     if not world.quiescent():
         raise NotQuiescent("verify_convergence requires a quiescent world")
     checks: list[CheckResult] = []

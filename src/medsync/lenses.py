@@ -25,9 +25,13 @@ the cached source, and checks the dependency and the view-key cells only there;
 `put` takes the same diff of the incoming view against the cached view and
 visits only the source rows behind the view keys it reports. Without a cache,
 `put` starts from the empty table, while `get` applies the lens's definition
-in whole-table passes (project, key, check, sort, chunk) and builds no cache.
-The convergence check derives its views that way, so it tests the incremental
-engine against an independent derivation.
+to the whole source and builds no cache: a lens keyed on the source key maps
+each source chunk to one view chunk of the same keys (path copying reuses the
+source's chunk layout), and any other lens projects, keys, checks, sorts and
+chunks in whole-table passes. A share's first view is derived that way and
+seeds its cache (`LensCache.seed`), so the incremental engine only ever
+handles deltas; the convergence check derives its views that way too, so it
+tests that engine against an independent derivation.
 
 `compile_lens` does once what each call would otherwise redo: it builds the
 getters of a source row's view cells and view key, and of a view row's source
@@ -52,9 +56,11 @@ from .relational import (
     Table,
     UnknownAttribute,
     Value,
+    _Chunk,
     _chunked,
     _increasing,
     _only_keys,
+    _rows,
     _typed,
     names_of,
     replaced,
@@ -175,10 +181,12 @@ class LensCache:
     necessarily the object the lens built: a caller may set any equal table,
     such as a counterpart's copy of the same view, and `put` adopts the view
     it is given. The support index maps each view key to the keys of the
-    source rows that carry it; it is kept only for a lens that fans out, since
-    otherwise the source key is part of the view key. `get` and `put` advance
-    the cache to the source they are given. A new cache holds the empty source
-    and view.
+    source rows that carry it, in the order `get` filed them; it is kept only
+    for a lens that fans out, since otherwise the source key is part of the
+    view key. `get` and `put` advance the cache to the source they are given.
+    A new cache holds the empty source and view; `seed` sets it to a source
+    and a whole view of it derived elsewhere, so that the incremental engine
+    only ever handles deltas.
     """
 
     __slots__ = ("source", "view", "support")
@@ -189,6 +197,17 @@ class LensCache:
         self.support: Optional[defaultdict[tuple[Value, ...], list[tuple[Value, ...]]]] = (
             defaultdict(list) if lens.fans_out else None
         )
+
+    def seed(self, lens: Lens, source: Table, view: Table) -> None:
+        """Hold `source` and `view`, a table equal to the lens's view of it, as
+        `get` from a new cache would: for a lens that fans out, the support
+        index files every source row's key under its view key, in one pass in
+        source-key order."""
+        self.source, self.view = source, view
+        if self.support is not None:
+            self.support = defaultdict(list)
+            skeys = chain.from_iterable(map(_rows, source._chunks))
+            any(map(list.append, map(self.support.__getitem__, map(lens.view_key_of, source._cells())), skeys))
 
 
 def _fd_violation(lens: Lens, source: Table) -> FdViolation:
@@ -207,30 +226,34 @@ def _null_view_key(attr: str) -> SchemaMismatch:
 
 
 def _derived(lens: Lens, source: Table, view_id: str) -> Table:
-    """The lens's view of `source` from its definition, in whole-table passes:
-    project every row, key it, check the dependency and the view-key cells
-    once, sort unless the keys already increase, and chunk. No cache is built.
+    """The lens's view of the whole of `source`, from its definition.
+
+    A lens keyed on the source key maps each source chunk to one view chunk of
+    the same keys: no row is keyed, checked or sorted again, as the source's
+    own chunks already are. Any other lens projects every row, keys it, checks
+    the dependency and the view-key cells once, sorts unless the keys already
+    increase, and chunks. No cache is built.
     """
     if source.schema is not lens.source_schema and source.schema != lens.source_schema:
         raise _wrong_source(lens, source)
+    view_of = lens.view_of
+    if lens.spec.view_key == lens.source_schema.key:
+        chunks = tuple(_Chunk(dict(zip(c.rows, map(view_of, c.rows.values()))), c.first) for c in source._chunks)
+        return Table._of(view_id, lens.view_schema, chunks)
     rows = list(source._cells())
-    cells = list(map(lens.view_of, rows))
-    if lens.spec.view_key == lens.source_schema.key:  # the source keys, already in key order
-        items = list(zip(chain.from_iterable(chunk.rows for chunk in source._chunks), cells))
+    cells, keys = list(map(view_of, rows)), list(map(lens.view_key_of, rows))
+    if lens.fans_out:  # rows agreeing on a view key collapse to one view row
+        distinct = dict(zip(keys, cells))
+        if len(distinct) != len(set(cells)):  # the cells include the view key
+            raise _fd_violation(lens, source)
+        keys, items = list(distinct), list(distinct.items())
     else:
-        keys = list(map(lens.view_key_of, rows))
-        if lens.fans_out:  # rows agreeing on a view key collapse to one view row
-            distinct = dict(zip(keys, cells))
-            if len(distinct) != len(set(cells)):  # the cells include the view key
-                raise _fd_violation(lens, source)
-            keys, items = list(distinct), list(distinct.items())
-        else:
-            items = list(zip(keys, cells))
-        for attr, at in lens.nullable_key_at:  # before sorting: None < str raises
-            if None in map(itemgetter(at), rows):
-                raise _null_view_key(attr)
-        if not _increasing(keys):
-            items.sort(key=itemgetter(0))
+        items = list(zip(keys, cells))
+    for attr, at in lens.nullable_key_at:  # before sorting: None < str raises
+        if None in map(itemgetter(at), rows):
+            raise _null_view_key(attr)
+    if not _increasing(keys):
+        items.sort(key=itemgetter(0))
     return Table._of(view_id, lens.view_schema, tuple(_chunked(items)))
 
 

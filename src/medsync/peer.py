@@ -9,13 +9,15 @@ counterpart's update into a source table, the peer re-derives its other views
 over that source and proposes any that changed (the cascade).
 
 A share's lens cache holds the source its view was last derived from, a view
-equal to what the lens derived from it, and the lens's support index, so
-regenerating a view and merging fetched data cost what the edit touched, not
-the table size. The view need not be the object the lens built: the two peers
-of a share start from one initial view (`install_share`'s `agreed`), and a
-merge adopts the fetched view, so both peers' views share their chunks. A
-share's unanswered count lets a stale response refetch only when it was the
-last one out. Both are working state: not dumped, and fresh in a reloaded
+equal to what the lens derived from it, and the lens's support index.
+`install_share` derives the first view from the whole source and seeds the
+cache with it; from then on the cache handles only deltas, so regenerating a
+view and merging fetched data cost what the edit touched, not the table size.
+The view need not be the object the lens built: the two peers of a share
+start from one initial view (`install_share`'s `agreed`), and a merge adopts
+the fetched view, so both peers' views share their chunks. A share's
+unanswered count lets a stale response refetch only when it was the last one
+out. Both are working state: not dumped, and fresh in a reloaded
 peer; verification derives every view from its whole source.
 """
 
@@ -241,7 +243,7 @@ class PeerNode:
         """Derive the current view for a share from the local source table.
 
         Only the view rows the source edits since the last derivation touched
-        are derived again; the first call derives them all.
+        are derived again, from the cache `install_share` seeded.
         """
         share = self._share(shared_id)
         return lens_get(share.lens, self.tables[share.source_id], share.cache)
@@ -256,15 +258,18 @@ class PeerNode:
     def install_share(self, shared_id: str, agreed: Optional[Table] = None) -> Table:
         """Initialize the local copy of a share from the current source; version 0.
 
-        `agreed` is a view the counterpart already holds. When it equals the
-        view derived here, the peer holds `agreed` itself, as its copy and as
-        its lens cache's view, so the two peers' views share every chunk (and
-        the hash states a digest keeps on them). Returns the copy.
+        The view is derived once, from the whole source (`derive_view`), and
+        seeds the share's lens cache, so the incremental engine only ever
+        handles deltas. `agreed` is a view the counterpart already holds. When
+        it equals the view derived here, the peer holds `agreed` itself, as its
+        copy and as its lens cache's view, so the two peers' views share every
+        chunk (and the hash states a digest keeps on them). Returns the copy.
         """
         share = self._share(shared_id)
-        view = self.regenerate_view(shared_id)
+        view = self.derive_view(shared_id)
         if agreed is not None and agreed == view:
-            view = share.cache.view = agreed
+            view = agreed
+        share.cache.seed(share.lens, self.tables[share.source_id], view)
         share.copy, share.version = view, 0
         return view
 

@@ -432,8 +432,7 @@ class Table:
         rows that left or changed, and the keys and cells of those that arrived
         or changed, each in key order.
 
-        Two tables holding one chunk tuple did not change. From the empty table,
-        where a full lens `get` starts, every row arrived. Otherwise chunks both
+        Two tables holding one chunk tuple did not change. Otherwise chunks both
         tables hold are skipped and the rows of the others are paired by key; a
         row that is the same object on both sides is unchanged. Two tables of one
         chunk each pair their chunks' dicts directly.
@@ -441,8 +440,6 @@ class Table:
         old_chunks, chunks = old._chunks, self._chunks
         if old_chunks is chunks:
             return [], [], [], []
-        if not old_chunks:
-            return [], [], list(chain.from_iterable(map(_rows, chunks))), list(self._cells())
         if len(old_chunks) == 1 == len(chunks):  # pair the two dicts: no chunk to skip
             gone, came = old_chunks[0].rows, chunks[0].rows
         else:

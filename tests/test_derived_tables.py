@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import medsync.lenses as lenses
 import medsync.peer as peer_module
 import medsync.relational as relational
-from conftest import iter_law_cases, make_edited_view, make_lens_case
+from conftest import BUNDLED_SCENARIOS, iter_law_cases, make_edited_view, make_lens_case, scenario_path
 from medsync.contract import SharedTableMetadata, Verdict
 from medsync.harness import (
     EditAction,
@@ -26,6 +26,7 @@ from medsync.harness import (
     ScheduledAction,
     ShareDeployment,
     World,
+    load_scenario,
     verify_convergence,
 )
 from medsync.ledger import Receipt
@@ -708,12 +709,7 @@ def counted(monkeypatch):
     `changes_since`, the rows of its chunks the other side lacks (from the
     empty table, every row)."""
     counts = {"view_rows": 0, "encoded": 0, "spliced": {}, "read": []}
-    encoded, spliced, apart, changes_since = (
-        relational._encoded,
-        relational.Table._spliced,
-        relational._apart,
-        relational.Table.changes_since,
-    )
+    encoded, spliced, apart = relational._encoded, relational.Table._spliced, relational._apart
 
     def count_encoded(rows):
         counts["encoded"] += len(rows)
@@ -730,15 +726,9 @@ def counted(monkeypatch):
         counts["read"] += [len(gone), len(came)]
         return gone, came
 
-    def count_from_empty(table, old):
-        if not len(old):
-            counts["read"] += [0, len(table)]
-        return changes_since(table, old)
-
     monkeypatch.setattr(relational, "_encoded", count_encoded)
     monkeypatch.setattr(relational.Table, "_spliced", count_spliced)
     monkeypatch.setattr(relational, "_apart", count_read)
-    monkeypatch.setattr(relational.Table, "changes_since", count_from_empty)
     return counts
 
 
@@ -764,8 +754,7 @@ def test_a_one_row_edit_and_proposal_build_one_row_and_encode_one_chunk(counted)
 )
 def test_a_one_row_edit_is_diffed_without_walking_the_table(counted, edit, attrs):
     node = wide_peer("A", "B")
-    assert sum(counted["read"]) >= 10_000  # a share's first view diffs its source against the empty table
-    counted["read"].clear()
+    assert counted["read"] == []  # installation derives each view from the whole source and diffs nothing
     # A splice of a table built by `Table(...)` shares all its other chunks.
     node.local_edit("wide", Edit("update", key={"p": "P0500", "m": "M000"}, changes={"note": "changed"}))
     tx = node.regenerate_and_propose("S")
@@ -822,6 +811,53 @@ def test_derive_view_builds_no_cache_and_splices_nothing(counted, monkeypatch):
         assert share.cache is cache
         assert all(now is then for now, then in zip((cache.source, cache.view, cache.support), held))
     assert caches == [] and counted["spliced"] == {} and counted["read"] == []
+
+
+def test_a_whole_view_keyed_on_the_source_key_takes_one_chunk_per_source_chunk():
+    lens = compile_lens(BY_ROW, WIDE)
+    source = wide_table()
+    cache = LensCache(lens)
+    get(lens, source, cache)
+    rows, built = list(source.rows), len(source._chunks)
+    for i in range(32):  # fills P0100's chunk to exactly 2 * CHUNK rows
+        source = source.insert_row({**rows[1000], "m": f"M009x{i:02d}"})
+    for i in range(40):  # splits P0500's chunk
+        source = source.insert_row({**rows[5000], "m": f"M009x{i:02d}"})
+    for row in rows[6401:6432]:  # shrinks the chunk from P0640 to its first row
+        source = source.delete_row({k: row[k] for k in WIDE.key})
+    sizes = [len(chunk.rows) for chunk in source._chunks]
+    assert min(sizes) == 1 and max(sizes) == 2 * relational.CHUNK and len(sizes) > built
+
+    view = get(lens, source)
+    assert view == get(lens, source, cache)
+    assert view == Table("BY_ROW", lens.view_schema, [{a: row[a] for a in BY_ROW.view_attrs} for row in source.rows])
+    assert [len(chunk.rows) for chunk in view._chunks] == sizes  # none empty, none over 2 * CHUNK
+    assert_chunks_hold(view)
+    assert view.digest() == sha256_hex(canonical_json(view.to_json_dict()))
+
+
+def _seeded_shares():
+    """(peer, share) for every share of a world built from each bundled scenario, and of the `wide` peer."""
+    for name in BUNDLED_SCENARIOS:
+        world = World(load_scenario(scenario_path(name)))
+        yield from ((node, share) for node in world.peers.values() for share in node.shares.values())
+    node = wide_peer("A", "B")
+    yield from ((node, share) for share in node.shares.values())
+
+
+def test_installation_seeds_each_cache_as_the_engine_would_leave_it():
+    fanned = 0
+    for node, share in _seeded_shares():
+        cache, source = share.cache, node.tables[share.source_id]
+        assert cache.source is source and cache.view is share.copy
+        fresh = LensCache(share.lens)
+        assert get(share.lens, source, fresh) == share.copy.with_id(share.lens.spec.lens_id)
+        if share.lens.fans_out:
+            fanned += 1
+            assert list(cache.support.items()) == list(fresh.support.items())  # the same lists, in the same order
+        else:
+            assert cache.support is None
+    assert fanned >= 6  # L32 in each bundled scenario, and BY_MED
 
 
 def test_a_merge_visits_the_rows_it_changes_and_a_quiet_cascade_builds_nothing(counted):

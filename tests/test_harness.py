@@ -57,6 +57,34 @@ def _set(path, value):
     return rewrite
 
 
+def collections_during(fn, call, collecting: bool) -> list[int]:
+    """The generation of each collection that starts while a frame of `fn` runs,
+    over `call()` with the collector on or off as `collecting` says and its
+    threshold at 1, so that a running collector would start at almost every
+    allocation; the call must leave the collector as it found it."""
+    inside = []
+
+    def watch(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not fn.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            inside.append(info["generation"])
+
+    found, threshold = gc.isenabled(), gc.get_threshold()
+    gc.set_threshold(1)
+    gc.callbacks.append(watch)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        call()
+        assert gc.isenabled() is collecting
+    finally:
+        gc.callbacks.remove(watch)
+        gc.set_threshold(*threshold)
+        (gc.enable if found else gc.disable)()
+    return inside
+
+
 def _script(*actions):
     """A scenario rewrite whose script is `actions`, all at tick 1."""
     return _set(("script",), [{"tick": 1, "principal": who, "action": action} for who, action in actions])
@@ -622,31 +650,15 @@ class TestDump:
         out = dump(run(update_flow), tmp_path / "d")
         if malformed:
             (out / "world.json").write_text("{", encoding="utf-8")
-        inside = []  # the generation of each collection that starts while load_dump runs
 
-        def watch(phase, info):
-            frame = sys._getframe(1)
-            while frame is not None and frame.f_code is not load_dump.__code__:
-                frame = frame.f_back
-            if phase == "start" and frame is not None:
-                inside.append(info["generation"])
-
-        found, threshold = gc.isenabled(), gc.get_threshold()
-        gc.set_threshold(1)  # were the collector running, it would collect at almost every allocation
-        gc.callbacks.append(watch)
-        (gc.enable if collecting else gc.disable)()
-        try:
+        def reload():
             if malformed:
                 with pytest.raises(ValidationError):
                     load_dump(out)
             else:
                 load_dump(out)
-            assert gc.isenabled() is collecting
-        finally:
-            gc.callbacks.remove(watch)
-            gc.set_threshold(*threshold)
-            (gc.enable if found else gc.disable)()
-        assert inside == []
+
+        assert collections_during(load_dump, reload, collecting) == []
 
     def test_corrupted_copy_fails_digest_check(self, tmp_path, update_flow):
         world = run(update_flow)
@@ -729,6 +741,39 @@ class TestVerifyConvergence:
         world = World(update_flow)  # script not yet executed
         with pytest.raises(NotQuiescent):
             verify_convergence(world)
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["collector on", "collector off"])
+    @pytest.mark.parametrize("case", ["passing world", "source breaks its lens", "not quiescent"])
+    def test_verify_pauses_the_collector_and_leaves_it_as_found(self, tmp_path, update_flow, collecting, case):
+        if case == "passing world":
+            world = run(update_flow)
+        elif case == "source breaks its lens":  # D3's rows of MedX disagree on a5, which the Doctor's L32 needs
+            out = dump(run(update_flow), tmp_path / "d")
+            path = out / "tables" / "Doctor" / "D3.json"
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc["rows"][0][doc["schema"]["attrs"].index("a5")] = None
+            path.write_bytes(canonical_json(doc))
+            world = load_dump(out)
+        else:
+            world = World(update_flow)  # script not yet executed
+        reports = []
+
+        def verify():
+            if case == "not quiescent":
+                with pytest.raises(NotQuiescent):
+                    verify_convergence(world)
+            else:
+                reports.append(verify_convergence(world))
+
+        assert collections_during(verify_convergence, verify, collecting) == []
+        if case == "passing world":
+            assert reports[0].ok
+        elif case == "source breaks its lens":
+            failed = [line for line in reports[0].lines() if line.startswith("[FAIL]")]
+            assert failed == [
+                "[FAIL] D23: copy-matches-source[Doctor]: the view cannot be derived: "
+                "source 'D3' violates ('a1',) -> ('a1', 'a5') required by lens 'L32'"
+            ]
 
     # The peers' lens caches are working state. Verification derives every view
     # from its whole source, so a cache that went wrong cannot vouch for itself.
