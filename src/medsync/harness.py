@@ -39,7 +39,7 @@ from .contract import (
     tx_submitter,
     tx_to_json_dict,
 )
-from .ledger import Block, Chain, Receipt, execute_block
+from .ledger import Block, Chain, Receipt
 from .lenses import Lens, LensError, LensSpec, compile_lens
 from .peer import (
     EDIT_KEYS,
@@ -381,15 +381,16 @@ def trace_mismatch(world: World) -> Optional[str]:
 
     Tick t seals block t + 1, so the trace's ticks, in order, must be exactly
     0, 1, ..., n-1 for the chain's n blocks after genesis, and each tick is read
-    against its block, executed again through `execute_block`. A tick's events
-    must end with exactly the events the tick loop emits for its block: the
-    block itself (index, transaction count), a `verdict` per transaction and a
-    `notify` per notification the executor derives, each at the block's tick,
+    against its block as `Chain.replayed` re-executes it; a chain that fails
+    replay raises ChainCorrupt when the walk reaches the failing block. A tick's
+    events must end with exactly the events the tick loop emits for its block:
+    the block itself (index, transaction count), a `verdict` per transaction and
+    a `notify` per notification the replay derives, each at the block's tick,
     which is thereby the tick's own; no `block`, `verdict` or `notify` event
-    comes earlier. The tick's `propose` events must be its block's
-    transactions, in order. These rebuilt events are
-    compared with the trace's by canonical JSON, not `==`, so a value of another
-    JSON type that compares equal (`1` for `true`, `1.0` for `1`) is a mismatch.
+    comes earlier. The tick's `propose` events must be its block's transactions,
+    in order. These rebuilt events are compared with the trace's by canonical
+    JSON, not `==`, so a value of another JSON type that compares equal (`1`
+    for `true`, `1.0` for `1`) is a mismatch.
     A `data_req`, `data_resp`, `put_applied` or `cascade` payload holds exactly
     its kind's string and integer keys. Each `data_req` and `data_resp` goes
     from its actor to the share's other peer; a `data_req` asks for a version
@@ -411,17 +412,15 @@ def trace_mismatch(world: World) -> Optional[str]:
         if event.seq != seq:
             return f"event {seq} carries seq {event.seq}"
 
-    blocks = iter(world.chain.blocks)
-    genesis = next(blocks)  # the deployments; genesis events are not traced
-    state, _, _ = execute_block(ContractState.empty(), [tx for tx, _ in genesis.txs], genesis.tick)
+    blocks = world.chain.replayed()
+    _, state, _ = next(blocks)  # genesis: the deployments, whose events are not traced
     registered = {(sid, 0): e.content_digest for sid, e in state.entries.items()}  # (share, version) -> digest
     requests: Counter = Counter()  # (requester, share) of data_req events not yet answered
     responses: Counter = Counter()  # (to, share, version) of data_resp events not yet applied
     ticks = [(tick, list(events)) for tick, events in itertools.groupby(trace, key=lambda e: e.tick)]
     if [tick for tick, _ in ticks] != list(range(len(world.chain.blocks) - 1)):
         return f"the trace's ticks are not 0 to {len(world.chain.blocks) - 2}, one per block after genesis"
-    for (tick, events), block in zip(ticks, blocks):
-        after, _, notes = execute_block(state, [tx for tx, _ in block.txs], block.tick)
+    for (tick, events), (block, after, notes) in zip(ticks, blocks):
         closing = [(block.tick, *e) for e in _block_events(block, notes)]
         body = events[: len(events) - len(closing)]
         if _encode([(e.tick, e.actor, e.kind, e.payload) for e in events[len(body) :]]) != _encode(closing):
@@ -510,7 +509,7 @@ class World:
         for p in sorted(scenario.principals):
             self.peers[p] = PeerNode(p, scenario.tables[p], scenario.lenses[p], bindings[p])
 
-        deploys: list[DeployTx] = []
+        self.chain = Chain()
         for share in sorted(scenario.shares, key=lambda s: s.shared_id):
             first, second = (self.peers[p] for p in share.lens_by_peer)
             try:
@@ -530,13 +529,12 @@ class World:
                 authority=share.authority,
                 content_digest=initial.digest(),
             )
-            deploys.append(DeployTx(meta, share.deployer))
+            self.chain.submit(DeployTx(meta, share.deployer))
 
-        self.contract, verdicts, _ = execute_block(ContractState.empty(), deploys, 0)
-        for tx, verdict in zip(deploys, verdicts):
-            if not verdict.ok:
-                raise ValidationError(f"share {tx.meta.shared_id!r}: {verdict.detail}")
-        self.chain = Chain(list(zip(deploys, verdicts)))
+        self.contract, _, receipts = self.chain.produce_block(ContractState.empty(), 0)  # genesis
+        for receipt in receipts:
+            if not receipt.verdict.ok:
+                raise ValidationError(f"share {receipt.tx.meta.shared_id!r}: {receipt.verdict.detail}")
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .contract import (
     ContractState,
@@ -73,17 +73,11 @@ class Block:
             "txs": [{"tx": tx_to_json_dict(tx), "verdict": v.to_json_dict()} for tx, v in txs],
         }
 
-    @staticmethod
-    def compute_digest(
-        index: int, tick: int, txs: Sequence[tuple[Transaction, Verdict]], prev_digest: str
-    ) -> str:
-        return sha256_hex(canonical_json(Block._body(index, tick, txs, prev_digest)))
-
     @classmethod
     def build(
         cls, index: int, tick: int, txs: Sequence[tuple[Transaction, Verdict]], prev_digest: str
     ) -> "Block":
-        digest = cls.compute_digest(index, tick, txs, prev_digest)
+        digest = sha256_hex(canonical_json(cls._body(index, tick, txs, prev_digest)))
         return cls(index, tick, tuple(txs), prev_digest, digest)
 
     def to_json_dict(self) -> dict:
@@ -104,9 +98,9 @@ def execute_block(
     """Run one block's transactions in order against the evolving contract state.
 
     Returns the new state, one verdict per transaction, and the notifications
-    of the accepted updates. Block production and replay both go through here,
-    and nothing else writes the registry: it copies the entries once, then
-    each accepted transaction's apply step replaces one entry of the copy.
+    of the accepted updates. Only `Chain` calls it, in `produce_block` and
+    `replayed`, and nothing else writes the registry: it copies the entries
+    once, then each accepted transaction's apply step replaces one entry.
     An update whose shared table already saw an accepted update in this block
     is rejected with BlockedBySerialization regardless of its own merits; the
     submitter must refetch and resubmit.
@@ -147,13 +141,13 @@ class Chain:
     """The ledger: an append-only block list plus a FIFO mempool.
 
     Owned by a single driver; block production is the system's serialization
-    point. The genesis block may carry the scenario's deployments, with the
-    verdicts `execute_block` gave them, so a replay from scratch reproduces
-    the full contract state.
+    point. A chain starts with no block. Its first, the genesis block, is
+    sealed like any other and carries the scenario's deployments, so a replay
+    from scratch reproduces the full contract state.
     """
 
-    def __init__(self, genesis_txs: Sequence[tuple[Transaction, Verdict]] = ()) -> None:
-        self.blocks: list[Block] = [Block.build(0, 0, tuple(genesis_txs), ZERO_DIGEST)]
+    def __init__(self) -> None:
+        self.blocks: list[Block] = []
         self.mempool: list[Transaction] = []  # in arrival order
 
     def submit(self, tx: Transaction) -> None:
@@ -163,15 +157,15 @@ class Chain:
     def produce_block(
         self, contract_state: ContractState, tick: int
     ) -> tuple[ContractState, list[Notification], list[Receipt]]:
-        """Drain the mempool into one block, executed in arrival order."""
+        """Seal the mempool into the next block, executed in arrival order; genesis links to ZERO_DIGEST."""
         txs, self.mempool = self.mempool, []
         state, verdicts, notes = execute_block(contract_state, txs, tick)
         recorded = list(zip(txs, verdicts))
-        prev = self.blocks[-1]
-        self.blocks.append(Block.build(prev.index + 1, tick, recorded, prev.block_digest))
+        prev_digest = self.blocks[-1].block_digest if self.blocks else ZERO_DIGEST
+        self.blocks.append(Block.build(len(self.blocks), tick, recorded, prev_digest))
         return state, notes, [Receipt(tx, v, tx_submitter(tx)) for tx, v in recorded]
 
-    def verify(self, encoded: Optional[Sequence[Mapping]] = None) -> None:
+    def verify(self, encoded: Sequence[Mapping]) -> None:
         """Raise ChainCorrupt unless links and digests check out and blocks re-encode to `encoded`."""
         prev_digest = ZERO_DIGEST
         for i, block in enumerate(self.blocks):
@@ -180,25 +174,24 @@ class Chain:
             if block.prev_digest != prev_digest:
                 raise ChainCorrupt(f"block {i} does not link to its predecessor")
             body = Block._body(block.index, block.tick, block.txs, block.prev_digest)
-            if encoded is not None and {**body, "block_digest": block.block_digest} != encoded[i]:
+            if {**body, "block_digest": block.block_digest} != encoded[i]:
                 raise ChainCorrupt(f"block {i} holds keys or values its encoding does not write")
             if sha256_hex(canonical_json(body)) != block.block_digest:
                 raise ChainCorrupt(f"block {i} digest mismatch")
             prev_digest = block.block_digest
 
-    def replay(self) -> ContractState:
-        """Re-execute every block from genesis, re-deriving every recorded verdict.
-
-        The result must equal the incrementally maintained contract state. A
-        re-derived verdict that differs from the recorded one, accepted or
-        rejected, means the chain was tampered with and raises ChainCorrupt.
-        Links and digests are not re-checked: a chain read from bytes was
-        verified by `loads`, and a live chain was built by `produce_block`.
-        """
+    def replayed(self) -> Iterator[tuple[Block, ContractState, list[Notification]]]:
+        """Re-execute each block from genesis on, yielding it with the contract
+        state after it and its notifications. A recorded verdict, accepted or
+        rejected, that replay does not re-derive, or a block that fails to
+        execute, means the chain was tampered with and raises ChainCorrupt
+        before the block is yielded. Links and digests are not re-checked: a
+        chain read from bytes was verified by `loads`, and a live chain was
+        built by `produce_block`."""
         state = ContractState.empty()
         for block in self.blocks:
             try:
-                state, verdicts, _ = execute_block(state, [tx for tx, _ in block.txs], block.tick)
+                state, verdicts, notes = execute_block(state, [tx for tx, _ in block.txs], block.tick)
             except Exception as exc:  # tampered transactions can trip any contract check
                 raise ChainCorrupt(f"block {block.index}: fails on replay: {exc}") from exc
             for i, ((_tx, recorded), derived) in enumerate(zip(block.txs, verdicts)):
@@ -207,6 +200,13 @@ class Chain:
                         f"block {block.index}, transaction {i}: recorded verdict "
                         f"{recorded.to_json_dict()} but replay gives {derived.to_json_dict()}"
                     )
+            yield block, state, notes
+
+    def replay(self) -> ContractState:
+        """The state `replayed` leaves; it must equal the incrementally maintained one."""
+        state = ContractState.empty()
+        for _, state, _ in self.replayed():
+            pass
         return state
 
     def history(self, shared_id: str) -> list[tuple[int, Transaction, Verdict]]:

@@ -196,7 +196,7 @@ def _relink(blocks: list[dict]) -> None:
     for b in blocks:
         b["prev_digest"] = prev
         block = Block.from_json_dict(b)
-        b["block_digest"] = prev = Block.compute_digest(block.index, block.tick, block.txs, prev)
+        b["block_digest"] = prev = Block.build(block.index, block.tick, block.txs, prev).block_digest
 
 
 @pytest.mark.parametrize(

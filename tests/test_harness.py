@@ -333,7 +333,8 @@ SCENARIO_ERRORS = {
     "update without changes": _script(_edit("Researcher", "D2", op="update", key={"a1": "MedX"})),
 }
 
-# Values of the wrong JSON type, each named by the object that holds it.
+# Rewrites, each with the start of the message it is refused with: a value of
+# the wrong JSON type is named by the object that holds it.
 SCENARIO_ERROR_PLACES = {
     "lenses a list": (_set(("lenses",), []), "lenses"),
     "perm a list": (_set(("shares", 0, "perm"), []), "shares[0]"),
@@ -341,6 +342,59 @@ SCENARIO_ERROR_PLACES = {
     "action a list": (_set(("script", 0, "action"), []), "script[0]"),
     "edit table a list": (_set(("script", 0, "action", "table"), ["D2"]), "script[0]"),
     "propose shared_id a list": (_script(_propose("Researcher", ["D23"])), "script[0]"),
+    "shares an object": (_set(("shares",), {}), "shares must be a list, got dict"),
+    "tables of an unknown principal": (_set(("tables", "Nurse"), []), "tables[Nurse]: unknown principal"),
+    "duplicate table ids": (
+        lambda doc: doc["tables"]["Patient"].append(doc["tables"]["Patient"][0]),
+        "tables[Patient]: duplicate table ids",
+    ),
+    "lenses of an unknown principal": (_set(("lenses", "Nurse"), []), "lenses[Nurse]: unknown principal"),
+    "duplicate lens ids": (
+        lambda doc: doc["lenses"]["Patient"].append(doc["lenses"]["Patient"][0]),
+        "lenses[Patient]: duplicate lens ids",
+    ),
+    "lens over a table its principal does not hold": (
+        _set(("lenses", "Patient", 0, "source"), "D3"),
+        "lenses[Patient][0]: source table 'D3' not held by Patient",
+    ),
+    "shared_id a path": (
+        _set(("shares", 0, "shared_id"), "a/b"),
+        "shares[0]: the shared_id must be a plain name (a non-empty string without / or \\, not . or ..), got 'a/b'",
+    ),
+    "share of three peers": (
+        _set(("shares", 0, "peers", "Researcher"), "L23"),
+        "shares[0]: a share has exactly two peers",
+    ),
+    "share peer an unknown principal": (
+        _set(("shares", 0, "peers"), {"Patient": "L13", "Nurse": "L31"}),
+        "shares[0]: unknown principal 'Nurse'",
+    ),
+    "deployer not a peer": (
+        _set(("shares", 0, "deployer"), "Researcher"),
+        "shares[0]: the deployer must be a sharing peer",
+    ),
+    "edit of a table the actor does not hold": (
+        _script(_edit("Researcher", "D3", op="update", key={"a1": "MedX"}, changes={"a5": "MeA2"})),
+        "script[0]: 'Researcher' has no table 'D3'",
+    ),
+    "unknown action kind": (
+        _set(("script", 1, "action", "kind"), "publish"),
+        "script[1]: unknown action kind 'publish'",
+    ),
+    "propose by a principal not sharing": (
+        _script(_propose("Patient", "D23")),
+        "script[0]: 'Patient' does not share 'D23'",
+    ),
+    "scheduled action of an unknown principal": (
+        _set(("script", 0, "principal"), "Nurse"),
+        "script[0]: unknown principal 'Nurse'",
+    ),
+}
+
+# The audit's own words for some trace forgeries, after `[FAIL] trace-matches-chain`.
+FORGED_TRACE_DETAILS = {
+    "cascade duplicated": ": event 11 is not followed by its actor's propose of its share",
+    "data_req kind renamed to gossip": ": event 14 has kind 'gossip', which no event before its tick's block has",
 }
 
 
@@ -358,6 +412,12 @@ class TestLoadScenario:
         p = tmp_path / "bad.json"
         p.write_text("{", encoding="utf-8")
         with pytest.raises(ParseError):
+            load_scenario(p)
+
+    def test_a_scenario_that_is_no_object(self, tmp_path):
+        p = tmp_path / "list.scenario.json"
+        p.write_text("[]", encoding="utf-8")
+        with pytest.raises(ParseError, match="scenario must be a JSON object$"):
             load_scenario(p)
 
     def test_unknown_lens_reference(self, tmp_path):
@@ -441,6 +501,17 @@ class TestRun:
         perm_changes = sum(isinstance(tx, PermChangeTx) for tx, _ in txs)
         expected = Counter(validate_deploy=deploys, validate_update=updates, validate_perm_change=perm_changes)
         assert updates and calls == expected
+
+    def test_the_chain_alone_executes_its_blocks(self, monkeypatch, update_flow):
+        import medsync.ledger as ledger
+
+        executed = []
+        original = ledger.execute_block
+        monkeypatch.setattr(ledger, "execute_block", lambda *a: executed.append(a) or original(*a))
+        world = run(update_flow)
+        assert len(executed) == len(world.chain.blocks) == 6  # genesis included
+        assert medsync.harness.trace_mismatch(world) is None
+        assert len(executed) == 2 * len(world.chain.blocks)  # the audit re-executes each block once
 
     def test_max_ticks_exceeded(self, update_flow):
         with pytest.raises(MaxTicksExceeded):
@@ -873,6 +944,25 @@ class TestCli:
         assert main(["verify", str(dump_dir)]) == 1
         assert failure in capsys.readouterr().out
 
+    def test_the_trace_audit_re_derives_each_verdict(self, tmp_path):
+        from medsync.cli import main
+        from medsync.ledger import ChainCorrupt
+
+        # The rejected verdict flipped to ok, relinked: the trace still agrees with the chain's verdicts.
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("permission_grant"), "--dump", str(dump_dir)]) == 0
+        path = dump_dir / "chain.json"
+        blocks = json.loads(path.read_text(encoding="utf-8"))
+        next(e for b in blocks for e in b["txs"] if not e["verdict"]["ok"])["verdict"] = {"ok": True}
+        path.write_bytes(canonical_json(_relinked(blocks)))
+        world = load_dump(dump_dir)
+        with pytest.raises(ChainCorrupt) as replayed:
+            world.chain.replay()
+        assert str(replayed.value).startswith("block 2, transaction 0: recorded verdict {'ok': True} but replay gives ")
+        with pytest.raises(ChainCorrupt) as audited:
+            medsync.harness.trace_mismatch(world)
+        assert str(audited.value) == str(replayed.value)
+
     @pytest.mark.parametrize("broken, shared_id", [("a source cell", "D23"), ("a lens's view_key", "D13")])
     def test_a_source_that_breaks_its_lens_fails_verify(self, tmp_path, capsys, broken, shared_id):
         from medsync.cli import main
@@ -1022,6 +1112,20 @@ class TestCli:
         else:
             assert "[FAIL] D23: digest-matches-contract[Doctor]: copy version 7 != contract version 1" in out
 
+    def test_a_copy_dropped_from_the_dump_fails_verify(self, tmp_path, capsys):
+        from medsync.cli import main
+
+        dump_dir = tmp_path / "dump"
+        assert main(["run", scenario_path("update_flow"), "--dump", str(dump_dir)]) == 0
+        path = dump_dir / "world.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["peers"]["Doctor"]["versions"]["D23"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        (dump_dir / "shared" / "Doctor" / "D23.json").unlink()
+        capsys.readouterr()
+        assert main(["verify", str(dump_dir)]) == 1
+        assert "[FAIL] D23: copy-present[Doctor]: Doctor holds no copy" in capsys.readouterr().out.splitlines()
+
     def test_verify_checks_the_loaded_chain_once(self, tmp_path, capsys, monkeypatch):
         from medsync.cli import main
         from medsync.ledger import Chain
@@ -1063,6 +1167,8 @@ class TestCli:
             "edit tables renamed to forged",
             "data_req dropped",
             "data_req duplicated",
+            "cascade duplicated",
+            "data_req kind renamed to gossip",
             "data_resp duplicated",
             "edit moved after its tick's block",
             "data_req moved after its tick's block",
@@ -1151,6 +1257,8 @@ class TestCli:
             for e in events:
                 if e["tick"] == last:
                     e["tick"] = 10 * last
+        elif forgery == "data_req kind renamed to gossip":
+            next(e for e in events if e["kind"] == "data_req")["kind"] = "gossip"
         elif forgery == "verdict ok set to 1":
             next(e for e in events if e["kind"] == "verdict" and e["payload"]["ok"])["payload"]["ok"] = 1
         elif forgery.endswith("set to a float"):
@@ -1194,7 +1302,7 @@ class TestCli:
         path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
         capsys.readouterr()
         assert main(["verify", str(dump_dir)]) == 1
-        assert "[FAIL] trace-matches-chain" in capsys.readouterr().out
+        assert f"[FAIL] trace-matches-chain{FORGED_TRACE_DETAILS.get(forgery, '')}" in capsys.readouterr().out
 
     def test_every_type_swapped_dump_value_fails_verify(self, tmp_path, capsys):
         from medsync.cli import main
@@ -1266,6 +1374,7 @@ class TestCli:
             *(f"world.json {corruption}" for corruption in UNDECODABLE),
             "event split over two lines",
             "two events on one line",
+            "trace line a lone bracket",
             *CONTRACT_VALUES,
         ],
     )
@@ -1312,6 +1421,8 @@ class TestCli:
                 lines[1] = lines[1].replace(", ", ",\n", 1)
             elif target == "two events on one line":
                 lines[0:2] = [" ".join(lines[0:2])]
+            elif target == "trace line a lone bracket":  # no JSON value starts on it
+                lines.insert(1, "]")
             elif target == "payload nested too deep":  # one value of the propose event
                 (at,) = [i for i, e in enumerate(events) if e["kind"] == "propose"]
                 digest = json.dumps(events[at]["payload"]["new_digest"])
@@ -1319,7 +1430,10 @@ class TestCli:
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         capsys.readouterr()
         assert main(["verify", str(dump_dir)]) == 2
-        assert capsys.readouterr().err.startswith("dump error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("dump error: ")
+        if target == "trace line a lone bracket":
+            assert err.endswith(": trace line 2 does not hold exactly one event\n")
 
     @pytest.mark.parametrize("layout", ["CRLF endings", "blank lines", "leading and trailing spaces"])
     def test_a_trace_with_crlf_endings_or_blank_lines_verifies(self, tmp_path, capsys, layout):

@@ -16,17 +16,19 @@ from medsync.contract import (
     UpdateTx,
 )
 from medsync.ledger import Block, Chain, ChainCorrupt, execute_block
-from medsync.relational import ZERO_DIGEST
+from medsync.relational import ZERO_DIGEST, canonical_json, sha256_hex
 
 from test_contract import d13_meta, d23_meta
 
 
 @pytest.fixture
 def deployed() -> tuple[Chain, ContractState]:
-    genesis = [DeployTx(d13_meta(), "Doctor"), DeployTx(d23_meta(), "Doctor")]
-    state, verdicts, _ = execute_block(ContractState.empty(), genesis, 0)
-    assert all(v.ok for v in verdicts)
-    return Chain(list(zip(genesis, verdicts))), state
+    chain = Chain()
+    for meta in (d13_meta(), d23_meta()):
+        chain.submit(DeployTx(meta, "Doctor"))
+    state, _, receipts = chain.produce_block(ContractState.empty(), 0)
+    assert all(r.verdict.ok for r in receipts)
+    return chain, state
 
 
 def update(shared_id, requester, attrs, base, digest_char) -> UpdateTx:
@@ -158,22 +160,25 @@ class TestProduceBlock:
 class TestChainIntegrity:
     def test_genesis_links_from_zero(self):
         chain = Chain()
-        assert chain.blocks[0].prev_digest == ZERO_DIGEST
-        chain.verify()
+        assert chain.blocks == []  # no block until the first is sealed
+        chain.produce_block(ContractState.empty(), 0)
+        assert chain.blocks[0].index == 0 and chain.blocks[0].prev_digest == ZERO_DIGEST
+        chain.verify(chain.to_json_list())
 
     def test_linkage_holds_after_blocks(self, deployed):
         chain, state = deployed
         for tick in range(3):
             chain.submit(update("D23", "Researcher", {"a5"}, tick, str(tick)))
             state, _, _ = chain.produce_block(state, tick)
-        chain.verify()
+        chain.verify(chain.to_json_list())
         for prev, block in zip(chain.blocks, chain.blocks[1:]):
             assert block.prev_digest == prev.block_digest
 
     def test_digest_covers_contents(self):
         block = Block.build(1, 2, (), "a" * 64)
-        assert block.block_digest == Block.compute_digest(1, 2, (), "a" * 64)
-        assert block.block_digest != Block.compute_digest(1, 3, (), "a" * 64)
+        body = {k: v for k, v in block.to_json_dict().items() if k != "block_digest"}
+        assert block.block_digest == sha256_hex(canonical_json(body))  # the block less its own digest
+        assert block.block_digest != Block.build(1, 3, (), "a" * 64).block_digest
 
 
 class TestReplay:
@@ -187,7 +192,10 @@ class TestReplay:
         assert chain.replay().canonical_bytes() == state.canonical_bytes()
 
     def test_genesis_only_chain_replays_to_empty(self):
-        assert Chain().replay().canonical_bytes() == ContractState.empty().canonical_bytes()
+        chain = Chain()  # no block at all
+        assert chain.replay().canonical_bytes() == ContractState.empty().canonical_bytes()
+        chain.produce_block(ContractState.empty(), 0)  # an empty genesis
+        assert chain.replay().canonical_bytes() == ContractState.empty().canonical_bytes()
 
     def test_tampered_tx_detected(self, deployed):
         chain, state = deployed
