@@ -4,9 +4,9 @@ A scenario declares the principals, their local tables and lenses, the shares
 to deploy, and a script of scheduled actions. The driver advances a global
 tick; each tick t it (1) delivers every message sent in tick t-1, retried data
 requests included, to peers in lexicographic order, (2) runs the script actions
-of tick t, (3) collects peer outboxes, then (4) seals one block and (5) sends
-its notifications and receipts. The loop stops at quiescence (no messages in
-flight, empty mempool, script exhausted).
+of tick t, (3) sends the data requests and responses the peers returned in (1),
+then (4) seals one block and (5) sends its notifications and receipts. The loop
+stops at quiescence (no messages in flight, empty mempool, script exhausted).
 There is no randomness anywhere: a scenario always yields the same trace,
 chain, and dumps, byte for byte.
 """
@@ -549,21 +549,20 @@ class World:
         """No messages in flight, empty mempool, script done.
 
         No peer needs a look: a staged proposal has its transaction in the
-        mempool or its receipt in flight, and every step empties the outboxes.
+        mempool or its receipt in flight, and a peer holds no unsent message.
         """
         return not self._inflight and not self.chain.mempool and self._script_pos >= len(self._script)
 
     # -- the tick loop -----------------------------------------------------------
 
-    def _dispatch(self, peer: PeerNode, message: Message) -> None:
+    def _dispatch(self, peer: PeerNode, message: Message, sent: list[Message]) -> None:
+        """Deliver `message` to `peer` and route what it returns: a proposal to the ledger, data onto `sent`."""
         if isinstance(message, Notification):
-            peer.on_notification(message)
+            out = peer.on_notification(message)
         elif isinstance(message, Receipt):
-            for tx in peer.on_receipt(message):
-                self._submit(tx)
+            out = peer.on_receipt(message)
         elif isinstance(message, DataRequest):
-            if peer.on_data_request(message) == RETRY:
-                self._inflight.append(message)
+            out = peer.on_data_request(message)
         elif isinstance(message, DataResponse):
             meta = query_metadata(self.contract, message.shared_id)
             outcome = peer.on_data_response(message, meta)
@@ -575,8 +574,15 @@ class World:
                 payload = {"after_merge_of": message.shared_id, "shared_id": tx.shared_id}
                 self._trace(peer.principal, "cascade", payload)
                 self._submit(tx)
+            out = outcome.refetch
         else:
             raise TypeError(f"unroutable message {message!r}")
+        if isinstance(out, UpdateTx):
+            self._submit(out)
+        elif out == RETRY:  # the request waits in flight for the version it asks for
+            self._inflight.append(message)
+        elif out is not None:
+            sent.append(out)
 
     def _run_action(self, scheduled: ScheduledAction) -> None:
         peer = self.peers[scheduled.principal]
@@ -599,9 +605,10 @@ class World:
 
         due, self._inflight = self._inflight, []
         due.sort(key=lambda m: m.to)  # stable: each inbox stays in send order
+        sent: list[Message] = []
         for message in due:
             try:
-                self._dispatch(self.peers[message.to], message)
+                self._dispatch(self.peers[message.to], message, sent)
             except (RelationalError, LensError) as exc:
                 # The scripted edits produced shared data the recipient's lenses cannot absorb.
                 raise ValidationError(f"tick {t}, {message.to}: {exc}") from exc
@@ -615,17 +622,16 @@ class World:
                 raise ValidationError(f"script tick {scheduled.tick}, {scheduled.principal}: {exc}") from exc
             self._script_pos += 1
 
-        for principal in sorted(self.peers):
-            peer = self.peers[principal]
-            self._inflight.extend(peer.outbox)
-            for msg in peer.outbox:
-                route = {"shared_id": msg.shared_id, "from": msg.sender, "to": msg.to}
-                if isinstance(msg, DataRequest):
-                    self._trace(principal, "data_req", {**route, "requested_version": msg.requested_version})
-                elif isinstance(msg, DataResponse):
-                    payload = {**route, "version": msg.version, "digest": msg.table.digest()}
-                    self._trace(principal, "data_resp", payload)
-            peer.outbox.clear()
+        # A peer sends only while a message to it is dispatched (no script action
+        # fetches or serves), and `due` is dispatched in stable recipient order:
+        # so `sent` is in principal order, each peer's messages in send order.
+        for msg in sent:
+            route = {"shared_id": msg.shared_id, "from": msg.sender, "to": msg.to}
+            if isinstance(msg, DataRequest):
+                self._trace(msg.sender, "data_req", {**route, "requested_version": msg.requested_version})
+            else:
+                self._trace(msg.sender, "data_resp", {**route, "version": msg.version, "digest": msg.table.digest()})
+        self._inflight.extend(sent)
 
         self.contract, notes, receipts = self.chain.produce_block(self.contract, t)
         for event in _block_events(self.chain.blocks[-1], notes):

@@ -327,7 +327,7 @@ def _advance(lens: Lens, cache: LensCache, source: Table) -> None:
         any(map(list.append, map(support.__getitem__, came_keys), came_skeys))
     cache.source = source
     if changes:
-        cache.view = view._spliced(view.id, changes)
+        cache.view = view._spliced(changes)
 
 
 def get(lens: Lens, source: Table, cache: Optional[LensCache] = None, view_id: Optional[str] = None) -> Table:
@@ -415,7 +415,7 @@ def put(lens: Lens, source: Table, view: Table, cache: Optional[LensCache] = Non
         if changes.get(k) is not None or (k not in changes and source_row(k) is not None):
             raise KeyConflict(f"duplicate primary key {k} in table {source.id!r}")
         changes[k] = row
-    result = source._spliced(source.id, changes) if changes else source
+    result = source._spliced(changes) if changes else source
     cache.view = view
     if cache.support is None:  # one source row per view row: by PutGet, `view` is the view of `result`
         cache.source = result

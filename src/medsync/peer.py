@@ -8,6 +8,10 @@ counterpart and verified against the contract digest. After merging a
 counterpart's update into a source table, the peer re-derives its other views
 over that source and proposes any that changed (the cascade).
 
+A peer sends only by returning: each message handler returns the proposal or
+data message the message makes it send, and the driver routes it. Only a
+delivered message makes a peer fetch or serve; it keeps nothing to send later.
+
 A share's lens cache holds the source its view was last derived from, a view
 equal to what the lens derived from it, and the lens's support index.
 `install_share` derives the first view from the whole source and seeds the
@@ -44,10 +48,7 @@ class UnknownTable(PeerError):
     """A local edit referenced a table this peer does not hold."""
 
 
-# on_data_request outcomes
-SERVED = "served"
-RETRY = "retry"
-REFUSED = "refused"
+RETRY = "retry"  # on_data_request's answer to a request for a version not held yet
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,7 @@ class MergeOutcome:
 
     applied: bool
     cascade_txs: tuple[UpdateTx, ...] = ()
+    refetch: Optional[DataRequest] = None  # after a stale response that was the last one out
 
 
 def changed_view_attrs(old: Table, new: Table) -> frozenset[str]:
@@ -193,7 +195,6 @@ class PeerNode:
             lens = self.lenses[binding.lens_id]
             share = self.shares[shared_id] = ShareState(binding, lens, LensCache(lens, shared_id))
             self._shares_of.setdefault(share.source_id, []).append(shared_id)
-        self.outbox: list[Message] = []
 
     def to_json_dict(self) -> dict:
         """The peer's dump entry; table contents are written separately, one file each."""
@@ -233,11 +234,11 @@ class PeerNode:
             raise UnknownShare(f"{self.principal!r} is not bound to share {shared_id!r}")
         return share
 
-    def _fetch(self, share: ShareState, version: int) -> None:
-        """Ask the share's counterpart for `version` of the share (or a later one)."""
+    def _fetch(self, share: ShareState, version: int) -> DataRequest:
+        """The request to the share's counterpart for `version` of the share (or a later one), counted as unanswered."""
         binding = share.binding
-        self.outbox.append(DataRequest(binding.shared_id, version, self.principal, binding.counterpart))
         share.unanswered += 1
+        return DataRequest(binding.shared_id, version, self.principal, binding.counterpart)
 
     def regenerate_view(self, shared_id: str) -> Table:
         """Derive the current view for a share from the local source table.
@@ -282,10 +283,6 @@ class PeerNode:
             raise UnknownTable(f"{self.principal!r} has no table {table_id!r}")
         self.tables[table_id] = edit.applied_to(table)
 
-    def read_shared(self, shared_id: str) -> Table:
-        """Local query of a shared copy; no messages, no ledger interaction."""
-        return self._share(shared_id).copy
-
     def regenerate_and_propose(self, shared_id: str) -> Optional[UpdateTx]:
         """Regenerate the view and, if it drifted from the shared copy, stage a proposal.
 
@@ -314,53 +311,51 @@ class PeerNode:
 
     # -- message handlers -----------------------------------------------------
 
-    def on_receipt(self, receipt: Receipt) -> list[UpdateTx]:
-        """Close the propose loop; may return catch-up proposals to submit.
+    def on_receipt(self, receipt: Receipt) -> Optional[Union[UpdateTx, DataRequest]]:
+        """Close the propose loop: returns the catch-up proposal to submit, the refetch to send, or None.
 
-        Stale or serialization rejections trigger a refetch from the
-        counterpart; all other rejections just drop the staged view.
+        Stale or serialization rejections refetch from the counterpart; all
+        other rejections just drop the staged view.
         """
         tx = receipt.tx
         if not isinstance(tx, UpdateTx):
-            return []
+            return None
         share = self._share(tx.shared_id)
         staged, share.staged = share.staged, None
         if receipt.verdict.ok:
             if staged is not None:
                 share.copy, share.version = staged.view, tx.base_version + 1
                 if self.tables[share.source_id] is staged.source:
-                    return []  # the copy is the view of the current source
+                    return None  # the copy is the view of the current source
             # The source may have moved again while the proposal was in flight.
-            follow_up = self.regenerate_and_propose(tx.shared_id)
-            return [follow_up] if follow_up else []
+            return self.regenerate_and_propose(tx.shared_id)
         if receipt.verdict.reason in (RejectReason.STALE_VERSION, RejectReason.BLOCKED_BY_SERIALIZATION):
             # Refetch only if the winning version has not already been merged
             # through the notification path while this receipt was in flight.
             if share.version <= tx.base_version:
-                self._fetch(share, tx.base_version + 1)
-        return []
+                return self._fetch(share, tx.base_version + 1)
+        return None
 
-    def on_notification(self, note: Notification) -> None:
-        """A counterpart updated the share: ask them for the new data.
+    def on_notification(self, note: Notification) -> DataRequest:
+        """A counterpart updated the share: returns the request for the new data.
 
         The contract notifies the peer that did not request the update, so the
         notification's source is always this peer's counterpart on the share.
         """
-        self._fetch(self._share(note.shared_id), note.new_version)
+        return self._fetch(self._share(note.shared_id), note.new_version)
 
-    def on_data_request(self, req: DataRequest) -> str:
-        """Serve the current copy, or signal a retry if we don't hold it yet.
+    def on_data_request(self, req: DataRequest) -> Union[DataResponse, str, None]:
+        """The response serving the current copy, or RETRY if we don't hold it yet.
 
-        Requests from anyone but the share's counterpart are refused: shared
+        A request from anyone but the share's counterpart gets None: shared
         data never travels to a third party.
         """
         share = self._share(req.shared_id)
         if req.sender != share.binding.counterpart:
-            return REFUSED
+            return None
         if share.version < req.requested_version:
             return RETRY
-        self.outbox.append(DataResponse(req.shared_id, share.version, share.copy, self.principal, req.sender))
-        return SERVED
+        return DataResponse(req.shared_id, share.version, share.copy, self.principal, req.sender)
 
     def on_data_response(self, resp: DataResponse, meta: SharedTableMetadata) -> MergeOutcome:
         """Verify fetched data against the contract entry and merge it into the source.
@@ -378,9 +373,8 @@ class PeerNode:
         # The count stays at zero for a response to no counted request.
         share.unanswered = max(share.unanswered - 1, 0)
         if resp.table.digest() != meta.content_digest or resp.version != meta.version:
-            if resp.version < meta.version and not share.unanswered:
-                self._fetch(share, meta.version)
-            return MergeOutcome(applied=False)
+            stale = resp.version < meta.version and not share.unanswered
+            return MergeOutcome(applied=False, refetch=self._fetch(share, meta.version) if stale else None)
 
         # The digest covers the id, so the check above proved it is the share's.
         share.copy, share.version = resp.table, resp.version

@@ -389,8 +389,8 @@ class Table:
             return lambda k, default=None: chunks[max(bisect_right(chunks, k, key=_first) - 1, 0)].rows.get(k, default)
         return chunks[0].rows.get if chunks else {}.get
 
-    def _spliced(self, id: str, changes: Mapping[Key, Optional[Cells]]) -> "Table":
-        """This table under `id`, with the row at each key of `changes` replaced or
+    def _spliced(self, changes: Mapping[Key, Optional[Cells]]) -> "Table":
+        """This table with the row at each key of `changes` replaced or
         inserted, or deleted where the change is None.
 
         The new rows must be valid for the schema, and every deleted key present.
@@ -399,7 +399,7 @@ class Table:
         """
         chunks = self._chunks
         if not chunks:  # nothing to splice into: the new rows, sorted (keys are distinct)
-            return Table._of(id, self.schema, tuple(_chunked(sorted(filter(itemgetter(1), changes.items())))))
+            return Table._of(self.id, self.schema, tuple(_chunked(sorted(filter(itemgetter(1), changes.items())))))
         keys_at: dict[int, list[Key]] = {}  # chunk index -> the keys of `changes` it takes
         for k in sorted(changes):
             i = max(bisect_right(chunks, k, key=_first) - 1, 0) if len(chunks) > 1 else 0
@@ -425,7 +425,7 @@ class Table:
                 out.append(_Chunk(rows, next(iter(rows))))
             done = i + 1
         out += chunks[done:]
-        return Table._of(id, self.schema, tuple(out))
+        return Table._of(self.id, self.schema, tuple(out))
 
     def changes_since(self, old: "Table") -> tuple[list[Key], list[Cells], list[Key], list[Cells]]:
         """Between `old` and this version of the table: the keys and cells of the
@@ -466,7 +466,7 @@ class Table:
         k = self.schema.key_of(cells)
         if self.lookup()(k) is not None:
             raise KeyConflict(f"row with key {k} already in table {self.id!r}")
-        return self._spliced(self.id, {k: cells})
+        return self._spliced({k: cells})
 
     def update_row(self, key: Mapping[str, Value], changes: Mapping[str, Value]) -> "Table":
         """Overwrite cells of the row matching `key`; key attributes are immutable."""
@@ -483,14 +483,14 @@ class Table:
             raise NotFound(f"no row with key {k} in table {self.id!r}")
         if not changes:
             return self
-        return self._spliced(self.id, {k: replaced(old, map(self.schema.at.__getitem__, changes), changes.values())})
+        return self._spliced({k: replaced(old, map(self.schema.at.__getitem__, changes), changes.values())})
 
     def delete_row(self, key: Mapping[str, Value]) -> "Table":
         """Remove the row matching `key`."""
         k = self._bind_key(key)
         if self.lookup()(k) is None:
             raise NotFound(f"no row with key {k} in table {self.id!r}")
-        return self._spliced(self.id, {k: None})
+        return self._spliced({k: None})
 
     def project(self, attrs: Sequence[str]) -> frozenset[tuple[Value, ...]]:
         """Project onto `attrs` with set semantics: duplicate rows collapse."""

@@ -286,7 +286,7 @@ def test_criterion_7_stale_proposal_recovery():
     assert reproposals, "no re-proposal against the fetched version"
     # the re-applied edit survived everywhere
     for peer in ("Doctor", "Researcher"):
-        copy = world.peers[peer].read_shared("D23")
+        copy = world.peers[peer].shares["D23"].copy
         assert copy.get_row({"a1": "MedX"})["a5"] == "MeA2"
     assert world.peers["Doctor"].tables["D3"].get_row({"a0": "P1", "a1": "MedY"})["a5"] == "MeA8"
     _passed(

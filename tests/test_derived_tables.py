@@ -649,15 +649,15 @@ def test_an_accepted_receipt_on_an_unmoved_source_derives_no_view(monkeypatch):
     calls = []
     original = peer_module.lens_get
     monkeypatch.setattr(peer_module, "lens_get", lambda *args: calls.append(args) or original(*args))
-    assert node.on_receipt(Receipt(tx, Verdict.accept(), "A")) == []
+    assert node.on_receipt(Receipt(tx, Verdict.accept(), "A")) is None
     assert calls == []
-    assert node.read_shared("S").get_row({"k": "r0500"})["v"] == "changed"
+    assert node.shares["S"].copy.get_row({"k": "r0500"})["v"] == "changed"
     # Once the source moves, the receipt still leads to a follow-up proposal.
     node.local_edit("big", Edit("update", key={"k": "r0501"}, changes={"v": "again"}))
     tx = node.regenerate_and_propose("S")
     node.local_edit("big", Edit("update", key={"k": "r0502"}, changes={"v": "more"}))
     calls.clear()
-    (follow_up,) = node.on_receipt(Receipt(tx, Verdict.accept(), "A"))
+    follow_up = node.on_receipt(Receipt(tx, Verdict.accept(), "A"))
     assert len(calls) == 1
     assert follow_up.base_version == 2
 
@@ -715,11 +715,11 @@ def counted(monkeypatch):
         counts["encoded"] += len(rows)
         return encoded(rows)
 
-    def count_spliced(table, id, changes):
-        counts["spliced"][id] = counts["spliced"].get(id, 0) + len(changes)
+    def count_spliced(table, changes):
+        counts["spliced"][table.id] = counts["spliced"].get(table.id, 0) + len(changes)
         if table.schema != WIDE:  # a view: its source tables are all "wide"
             counts["view_rows"] += sum(row is not None for row in changes.values())
-        return spliced(table, id, changes)
+        return spliced(table, changes)
 
     def count_read(old, new):
         gone, came = apart(old, new)
@@ -759,7 +759,7 @@ def test_a_one_row_edit_is_diffed_without_walking_the_table(counted, edit, attrs
     node.local_edit("wide", Edit("update", key={"p": "P0500", "m": "M000"}, changes={"note": "changed"}))
     tx = node.regenerate_and_propose("S")
     assert counted["read"] and max(counted["read"]) <= relational.CHUNK
-    assert node.on_receipt(Receipt(tx, Verdict.accept(), "A")) == []
+    assert node.on_receipt(Receipt(tx, Verdict.accept(), "A")) is None
     counted["read"].clear()
     node.local_edit("wide", edit)
     tx = node.regenerate_and_propose("S")
@@ -785,13 +785,13 @@ def test_sibling_and_adopted_view_diffs_read_the_chunks_that_differ(counted):
     a.local_edit("wide", Edit("update", key={"p": "P0500", "m": "M000"}, changes={"dose": "a"}))
     tx = a.regenerate_and_propose("S")
     a.on_receipt(Receipt(tx, Verdict.accept(), "A"))
-    assert b.on_data_response(DataResponse("S", 1, a.read_shared("S"), "A", "B"), _meta(a.read_shared("S"), 1)).applied
+    assert b.on_data_response(DataResponse("S", 1, a.shares["S"].copy, "A", "B"), _meta(a.shares["S"].copy, 1)).applied
     counted["read"].clear()
     b.local_edit("wide", Edit("update", key={"p": "P0700", "m": "M000"}, changes={"dose": "b"}))
     tx = b.regenerate_and_propose("S")
     b.on_receipt(Receipt(tx, Verdict.accept(), "B"))
     assert tx.changed_attrs == {"dose"}
-    assert a.on_data_response(DataResponse("S", 2, b.read_shared("S"), "B", "A"), _meta(b.read_shared("S"), 2)).applied
+    assert a.on_data_response(DataResponse("S", 2, b.shares["S"].copy, "B", "A"), _meta(b.shares["S"].copy, 2)).applied
     assert a.tables["wide"].get_row({"p": "P0700", "m": "M000"})["dose"] == "b"
     assert counted["read"] and max(counted["read"]) <= 2 * relational.CHUNK
 
@@ -807,7 +807,7 @@ def test_derive_view_builds_no_cache_and_splices_nothing(counted, monkeypatch):
         share = node.shares[sid]
         cache = share.cache
         held = cache.source, cache.view, cache.support
-        assert node.derive_view(sid) == node.read_shared(sid)
+        assert node.derive_view(sid) == node.shares[sid].copy
         assert share.cache is cache
         assert all(now is then for now, then in zip((cache.source, cache.view, cache.support), held))
     assert caches == [] and counted["spliced"] == {} and counted["read"] == []
@@ -865,7 +865,7 @@ def test_a_merge_visits_the_rows_it_changes_and_a_quiet_cascade_builds_nothing(c
     a.local_edit("wide", Edit("update", key={"p": "P0500", "m": "M000"}, changes={"dose": "changed"}))
     tx = a.regenerate_and_propose("S")
     a.on_receipt(Receipt(tx, Verdict.accept(), "A"))
-    view = a.read_shared("S")
+    view = a.shares["S"].copy
     meta = _meta(view, 1)
     counted.update(view_rows=0, encoded=0, spliced={})
     outcome = b.on_data_response(DataResponse("S", 1, view, "A", "B"), meta)
@@ -884,7 +884,7 @@ def test_a_fan_out_edit_checks_its_group_and_a_fan_out_merge_visits_one_group(co
     with pytest.raises(FdViolation):  # the other nine rows of M007 still say e7
         a.regenerate_view("T")
     assert counted["view_rows"] == 0
-    incoming = b.read_shared("T").update_row({"m": "M007"}, {"mech": "new"})
+    incoming = b.shares["T"].copy.update_row({"m": "M007"}, {"mech": "new"})
     meta = _meta(incoming, 1)
     counted.update(view_rows=0, encoded=0, spliced={})
     outcome = b.on_data_response(DataResponse("T", 1, incoming, "A", "B"), meta)

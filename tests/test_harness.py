@@ -23,6 +23,7 @@ from medsync.harness import (
     TraceEvent,
     ValidationError,
     World,
+    _trace_bytes,
     dump,
     load_dump,
     load_scenario,
@@ -464,6 +465,25 @@ class TestRun:
         shares = [s for peer in world.peers.values() for s in peer.shares.values()]
         assert shares and all(s.staged is None and not s.unanswered for s in shares)
 
+    @pytest.mark.parametrize("name", ["stale_recovery", "cascade_delete", "conflicting_updates"])
+    def test_a_tick_looks_up_peers_only_by_recipient(self, name):
+        # 200 principals that hold nothing, and a peer map that refuses to be walked:
+        # a tick reaches a peer only through a message addressed to it.
+        class Unwalkable(dict):
+            def walked(self, *args):
+                raise AssertionError("the tick loop walked the peer map")
+
+            __iter__ = keys = values = items = walked
+
+        plain = run(load_scenario(scenario_path(name)))
+        doc = json.loads(Path(scenario_path(name)).read_text(encoding="utf-8"))
+        doc["principals"] += [f"Idle{i:03d}" for i in range(200)]
+        world = World(scenario_from_json_dict(doc))
+        world.peers = Unwalkable(world.peers)
+        world.run_to_quiescence()
+        assert world.chain.dumps() == plain.chain.dumps()
+        assert _trace_bytes(world.trace) == _trace_bytes(plain.trace)
+
     @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
     def test_the_peers_of_a_share_start_from_one_view(self, name):
         world = World(load_scenario(scenario_path(name)))
@@ -639,7 +659,7 @@ class TestRun:
         from medsync.peer import DataResponse
 
         world = World(replace(update_flow, script=(), config=replace(update_flow.config, max_ticks=0)))
-        view = world.peers["Researcher"].read_shared("D23")
+        view = world.peers["Researcher"].shares["D23"].copy
         tx = UpdateTx("D23", "Doctor", frozenset({"a5"}), 1, view.digest())
         for message, text in [
             (
@@ -852,7 +872,7 @@ class TestVerifyConvergence:
     def test_a_corrupt_cached_view_fails_copy_matches_source(self, update_flow):
         world = run(update_flow)
         doctor = world.peers["Doctor"]
-        copy = doctor.read_shared("D13")
+        copy = doctor.shares["D13"].copy
         assert doctor.regenerate_view("D13") is copy  # the held copy is the lens's cached view
         row = copy.rows[0]
         forged = copy.update_row({a: row[a] for a in copy.schema.key}, {"a4": "forged"})
@@ -878,15 +898,15 @@ class TestVerifyConvergence:
         built = []  # the rows each splice of a D13 view takes in
         spliced = Table._spliced
 
-        def counted(table, id, changes):
-            if id == "D13":
+        def counted(table, changes):
+            if table.id == "D13":
                 built.extend(row for row in changes.values() if row is not None)
-            return spliced(table, id, changes)
+            return spliced(table, changes)
 
         monkeypatch.setattr(Table, "_spliced", counted)
         doctor = reloaded.peers["Doctor"]
         view = doctor.regenerate_view("D13")
-        assert view == doctor.read_shared("D13")
+        assert view == doctor.shares["D13"].copy
         assert len(built) == len(view.rows)  # nothing of the dumped copy was taken on trust
 
 
@@ -989,21 +1009,20 @@ class TestCli:
 
     def test_forging_server_quiesces_and_fails(self, tmp_path, capsys, monkeypatch):
         from medsync.cli import main
-        from medsync.peer import PeerNode
+        from medsync.peer import DataResponse, PeerNode
 
         serve = PeerNode.on_data_request
 
         def forging(node, req):
             # The Patient answers D13 at the version it serves, with one non-key cell changed.
-            outcome = serve(node, req)
-            if node.principal == "Patient" and req.shared_id == "D13" and node.outbox:
-                honest = node.outbox.pop()
+            honest = serve(node, req)
+            if node.principal == "Patient" and req.shared_id == "D13" and isinstance(honest, DataResponse):
                 table = honest.table
                 attr = next(a for a in table.schema.attrs if a not in table.schema.key)
                 row = table.rows[0]
                 forged = table.update_row({k: row[k] for k in table.schema.key}, {attr: f"forged {row[attr]}"})
-                node.outbox.append(replace(honest, table=forged))
-            return outcome
+                return replace(honest, table=forged)
+            return honest
 
         monkeypatch.setattr(PeerNode, "on_data_request", forging)
         dump_dir = tmp_path / "dump"

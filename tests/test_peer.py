@@ -9,6 +9,7 @@ import pytest
 from conftest import D3_SCHEMA, L31_SPEC, L32_SPEC, ROW1, ROW2, ROW3
 from medsync.contract import (
     Notification,
+    PermChangeTx,
     RejectReason,
     SharedTableMetadata,
     UpdateTx,
@@ -17,9 +18,7 @@ from medsync.contract import (
 from medsync.ledger import Receipt
 from medsync.lenses import LensSpec, compile_lens
 from medsync.peer import (
-    REFUSED,
     RETRY,
-    SERVED,
     DataRequest,
     DataResponse,
     Edit,
@@ -82,10 +81,10 @@ def meta_for(node: PeerNode, shared_id: str, version: int = 0) -> SharedTableMet
 class TestLocalEdit:
     def test_edit_changes_table_not_copy(self):
         node = researcher()
-        before_copy = node.read_shared("D23")
+        before_copy = node.shares["D23"].copy
         node.local_edit("D2", Edit("update", key={"a1": "MedX"}, changes={"a5": "MeA2"}))
         assert node.tables["D2"].get_row({"a1": "MedX"})["a5"] == "MeA2"
-        assert node.read_shared("D23") == before_copy
+        assert node.shares["D23"].copy == before_copy
 
     def test_noop_edit(self):
         node = researcher()
@@ -109,7 +108,7 @@ class TestRegenerateAndPropose:
         assert tx.base_version == 0
         assert tx.requester == "Researcher"
         # staged, not yet visible
-        assert node.read_shared("D23").get_row({"a1": "MedX"})["a5"] == "MeA1"
+        assert node.shares["D23"].copy.get_row({"a1": "MedX"})["a5"] == "MeA1"
         assert node.shares["D23"].staged is not None
 
     def test_untouched_source_proposes_nothing(self):
@@ -141,9 +140,8 @@ class TestOnReceipt:
     def test_accept_promotes_staged_view(self):
         node = researcher()
         tx = self.stage(node)
-        follow_ups = node.on_receipt(Receipt(tx, Verdict.accept(), "Researcher"))
-        assert follow_ups == []
-        assert node.read_shared("D23").get_row({"a1": "MedX"})["a5"] == "MeA2"
+        assert node.on_receipt(Receipt(tx, Verdict.accept(), "Researcher")) is None
+        assert node.shares["D23"].copy.get_row({"a1": "MedX"})["a5"] == "MeA2"
         assert node.shares["D23"].version == 1
         assert node.shares["D23"].staged is None
 
@@ -151,28 +149,25 @@ class TestOnReceipt:
         node = researcher()
         tx = self.stage(node)
         node.local_edit("D2", Edit("update", key={"a1": "MedY"}, changes={"a5": "MeA8"}))
-        follow_ups = node.on_receipt(Receipt(tx, Verdict.accept(), "Researcher"))
-        assert len(follow_ups) == 1
-        assert follow_ups[0].base_version == 1
-        assert follow_ups[0].changed_attrs == {"a5"}
+        follow_up = node.on_receipt(Receipt(tx, Verdict.accept(), "Researcher"))
+        assert isinstance(follow_up, UpdateTx)
+        assert follow_up.base_version == 1
+        assert follow_up.changed_attrs == {"a5"}
 
     def test_stale_rejection_triggers_refetch(self):
         node = researcher()
         tx = self.stage(node)
-        node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.STALE_VERSION), "Researcher"))
+        req = node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.STALE_VERSION), "Researcher"))
         assert node.shares["D23"].staged is None
-        assert node.read_shared("D23").get_row({"a1": "MedX"})["a5"] == "MeA1"
-        (req,) = node.outbox
+        assert node.shares["D23"].copy.get_row({"a1": "MedX"})["a5"] == "MeA1"
         assert isinstance(req, DataRequest)
         assert (req.to, req.requested_version) == ("Doctor", 1)
 
     def test_blocked_rejection_triggers_refetch(self):
         node = researcher()
         tx = self.stage(node)
-        node.on_receipt(
-            Receipt(tx, Verdict.reject(RejectReason.BLOCKED_BY_SERIALIZATION), "Researcher")
-        )
-        assert [m for m in node.outbox if isinstance(m, DataRequest)]
+        req = node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.BLOCKED_BY_SERIALIZATION), "Researcher"))
+        assert isinstance(req, DataRequest)
 
     def test_stale_rejection_skips_refetch_when_already_merged(self):
         # the winning version arrived through the notification path before the
@@ -180,26 +175,31 @@ class TestOnReceipt:
         node = researcher()
         tx = self.stage(node)
         node.shares["D23"].version = 1  # merge completed while the receipt was in flight
-        node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.STALE_VERSION), "Researcher"))
-        assert node.outbox == []
+        assert node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.STALE_VERSION), "Researcher")) is None
         assert node.shares["D23"].staged is None
 
     def test_permission_rejection_only_drops_staging(self):
         node = researcher()
         tx = self.stage(node)
-        node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.PERMISSION_DENIED), "Researcher"))
+        assert node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.PERMISSION_DENIED), "Researcher")) is None
         assert node.shares["D23"].staged is None
-        assert node.outbox == []
         assert node.shares["D23"].version == 0
+
+    def test_permission_change_receipt_returns_nothing(self):
+        node = researcher()
+        tx = self.stage(node)
+        change = PermChangeTx("D23", "Researcher", "a5", frozenset({"Researcher"}))
+        assert node.on_receipt(Receipt(change, Verdict.accept(), "Researcher")) is None
+        assert node.shares["D23"].staged.view.digest() == tx.new_digest  # the update's proposal stays staged
+        assert (node.shares["D23"].version, node.shares["D23"].unanswered) == (0, 0)
 
 
 class TestNotificationAndRequests:
     def test_notification_requests_data_from_source_peer(self):
         node = doctor()
-        node.on_notification(
-            Notification("D23", 1, frozenset({"a5"}), "Researcher", "Doctor")
-        )
-        (req,) = node.outbox
+        req = node.on_notification(Notification("D23", 1, frozenset({"a5"}), "Researcher", "Doctor"))
+        assert isinstance(req, DataRequest)
+        assert node.shares["D23"].unanswered == 1
         assert (req.shared_id, req.requested_version, req.to) == ("D23", 1, "Researcher")
 
     def test_notification_for_unbound_share(self):
@@ -209,28 +209,27 @@ class TestNotificationAndRequests:
 
     def test_serves_current_copy(self):
         node = researcher()
-        status = node.on_data_request(DataRequest("D23", 0, "Doctor", "Researcher"))
-        assert status == SERVED
-        (resp,) = node.outbox
+        resp = node.on_data_request(DataRequest("D23", 0, "Doctor", "Researcher"))
         assert isinstance(resp, DataResponse)
+        assert (resp.shared_id, resp.sender, resp.to) == ("D23", "Researcher", "Doctor")
         assert resp.version == 0
-        assert resp.table == node.read_shared("D23")
+        assert resp.table == node.shares["D23"].copy
 
     def test_not_ready_when_behind(self):
         node = researcher()
+        # RETRY is the whole answer: the request waits, and nothing is sent.
         assert node.on_data_request(DataRequest("D23", 2, "Doctor", "Researcher")) == RETRY
-        assert node.outbox == []
 
     def test_third_party_refused(self):
         node = researcher()
-        assert node.on_data_request(DataRequest("D23", 0, "Patient", "Researcher")) == REFUSED
-        assert node.outbox == []
+        assert node.on_data_request(DataRequest("D23", 0, "Patient", "Researcher")) is None
+        assert node.shares["D23"].unanswered == 0
 
 
 class TestOnDataResponse:
     def test_merge_updates_copy_and_source(self):
         node = doctor()
-        incoming = node.read_shared("D23").update_row({"a1": "MedX"}, {"a5": "MeA2"})
+        incoming = node.shares["D23"].copy.update_row({"a1": "MedX"}, {"a5": "MeA2"})
         meta = SharedTableMetadata(
             shared_id="D23",
             view_schema=node.lenses["L32"].view_schema,
@@ -251,7 +250,7 @@ class TestOnDataResponse:
 
     def test_merge_cascades_through_overlapping_view(self):
         node = doctor()
-        incoming = node.read_shared("D23").delete_row({"a1": "MedX"})
+        incoming = node.shares["D23"].copy.delete_row({"a1": "MedX"})
         meta = SharedTableMetadata(
             shared_id="D23",
             view_schema=node.lenses["L32"].view_schema,
@@ -272,7 +271,7 @@ class TestOnDataResponse:
 
     def test_digest_mismatch_discards_without_refetch(self):
         node = doctor()
-        incoming = node.read_shared("D23").update_row({"a1": "MedX"}, {"a5": "MeA2"})
+        incoming = node.shares["D23"].copy.update_row({"a1": "MedX"}, {"a5": "MeA2"})
         meta = meta_for(node, "D23", version=1)  # digest of the *old* copy
         before = node.tables["D3"]
         outcome = node.on_data_response(
@@ -281,23 +280,23 @@ class TestOnDataResponse:
         assert not outcome.applied
         assert node.tables["D3"] == before
         # Other bytes at the registered version are a lie; asking the liar again would loop.
-        assert node.outbox == []
+        assert outcome.refetch is None
 
     def two_requests_out(self) -> tuple[PeerNode, DataResponse, SharedTableMetadata]:
         """A Doctor notified of D23 versions 1 and 2, and version 1's answer, now stale."""
         node = doctor()
         for version in (1, 2):
             node.on_notification(Notification("D23", version, frozenset({"a5"}), "Researcher", "Doctor"))
-        node.outbox.clear()
-        incoming = node.read_shared("D23").update_row({"a1": "MedX"}, {"a5": "MeA2"})
+        incoming = node.shares["D23"].copy.update_row({"a1": "MedX"}, {"a5": "MeA2"})
         newest = incoming.update_row({"a1": "MedX"}, {"a5": "MeA3"})
         meta = replace(meta_for(node, "D23", version=2), content_digest=newest.digest())
         return node, DataResponse("D23", 1, incoming, "Researcher", "Doctor"), meta
 
     def test_stale_response_with_another_request_out_sends_nothing(self):
         node, resp, meta = self.two_requests_out()
-        assert not node.on_data_response(resp, meta).applied
-        assert node.outbox == []  # the request for version 2 is still out
+        outcome = node.on_data_response(resp, meta)
+        assert not outcome.applied
+        assert outcome.refetch is None  # the request for version 2 is still out
 
     @pytest.mark.parametrize("mismatch", ["stale version", "digest"])
     def test_last_unanswered_response_refetches_only_if_stale(self, mismatch):
@@ -306,38 +305,50 @@ class TestOnDataResponse:
         node.on_data_response(resp, meta)
         if mismatch == "digest":
             resp = DataResponse("D23", 2, resp.table, "Researcher", "Doctor")
-        assert not node.on_data_response(resp, meta).applied
+        outcome = node.on_data_response(resp, meta)
+        assert not outcome.applied
         assert node.tables["D3"] == before
         if mismatch == "digest":
-            assert node.outbox == []  # the registered version with other bytes: a lie, not refetched
+            assert outcome.refetch is None  # the registered version with other bytes: a lie, not refetched
             return
-        (req,) = node.outbox
+        req = outcome.refetch
         assert isinstance(req, DataRequest)
         assert (req.shared_id, req.requested_version, req.to) == ("D23", meta.version, "Researcher")
 
+    def test_last_stale_response_returns_its_refetch_counted(self):
+        node = doctor()
+        node.on_notification(Notification("D23", 1, frozenset({"a5"}), "Researcher", "Doctor"))
+        old = node.shares["D23"].copy
+        newer = old.update_row({"a1": "MedX"}, {"a5": "MeA2"})
+        meta = replace(meta_for(node, "D23", version=1), content_digest=newer.digest())
+        outcome = node.on_data_response(DataResponse("D23", 0, old, "Researcher", "Doctor"), meta)
+        assert (outcome.applied, outcome.cascade_txs) == (False, ())
+        assert outcome.refetch == DataRequest("D23", 1, "Doctor", "Researcher")
+        assert node.shares["D23"].unanswered == 1  # the answered request out, the refetch in
 
-class TestReadShared:
+
+class TestSharedCopy:
     def test_read_returns_copy(self):
         node = researcher()
-        view = node.read_shared("D23")
+        view = node.shares["D23"].copy
         assert {(r["a1"], r["a5"]) for r in view.rows} == {("MedX", "MeA1"), ("MedY", "MeA9")}
 
     def test_unknown_share(self):
         with pytest.raises(UnknownShare):
-            researcher().read_shared("D99")
+            researcher().regenerate_view("D99")
 
 
 class TestChangedViewAttrs:
     def test_cell_difference(self):
-        old = researcher().read_shared("D23")
+        old = researcher().shares["D23"].copy
         new = old.update_row({"a1": "MedX"}, {"a5": "MeA2"})
         assert changed_view_attrs(old, new) == {"a5"}
 
     def test_insert_and_delete_count_all_attrs(self):
-        old = researcher().read_shared("D23")
+        old = researcher().shares["D23"].copy
         assert changed_view_attrs(old, old.delete_row({"a1": "MedX"})) == {"a1", "a5"}
         assert changed_view_attrs(old, old.insert_row({"a1": "MedZ", "a5": "MeA5"})) == {"a1", "a5"}
 
     def test_identical_views(self):
-        old = researcher().read_shared("D23")
+        old = researcher().shares["D23"].copy
         assert changed_view_attrs(old, old) == frozenset()
