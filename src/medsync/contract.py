@@ -242,8 +242,8 @@ def validate_deploy(state: ContractState, tx: DeployTx) -> Verdict:
         outside = principals - meta.peers
         if outside:
             return _malformed(f"{sid!r}: non-peers {sorted(outside)} permitted on {attr!r}")
-    if meta.version != 0:
-        return _malformed("deployed metadata must start at version 0")
+    if meta.version != 0 or meta.latest_update_time != 0:
+        return _malformed("deployed metadata must start at version 0 and update time 0")
     return ACCEPT
 
 

@@ -17,6 +17,9 @@ equal to what the lens derived from it, and the lens's support index.
 `install_share` derives the first view from the whole source and seeds the
 cache with it; from then on the cache handles only deltas, so regenerating a
 view and merging fetched data cost what the edit touched, not the table size.
+A staged proposal is the cache's view: nothing rewrites the cache before the
+receipt, as a newer version merged meanwhile fails the proposal and a re-sent
+held version is acknowledged unmerged (a merge could only revert later edits).
 The view need not be the object the lens built: the two peers of a share
 start from one initial view (`install_share`'s `agreed`), and a merge adopts
 the fetched view, so both peers' views share their chunks. A share's
@@ -129,12 +132,6 @@ class Edit(NamedTuple):
         raise ValueError(f"unknown edit op {self.op!r}")
 
 
-@dataclass(frozen=True)
-class PendingProposal:
-    view: Table
-    source: Table  # the source table `view` was derived from
-
-
 @dataclass
 class ShareState:
     """Everything a peer holds for one share it is bound to."""
@@ -144,7 +141,7 @@ class ShareState:
     cache: LensCache  # what the lens last derived
     copy: Optional[Table] = None  # as last installed, accepted or merged
     version: int = 0
-    staged: Optional[PendingProposal] = None  # the proposal awaiting its receipt
+    staged: bool = False  # the cache's view is proposed and awaits its receipt
     unanswered: int = 0  # data requests sent and not yet answered
 
     @property
@@ -290,12 +287,9 @@ class PeerNode:
         Returns None when nothing changed or a proposal is already in flight.
         """
         share = self._share(shared_id)
-        if share.staged is not None:
+        if share.staged:
             return None
-        source = self.tables[share.source_id]
         new_view = self.regenerate_view(shared_id)
-        if new_view is share.copy:  # the copy itself: nothing to diff
-            return None
         changed = changed_view_attrs(share.copy, new_view)
         if not changed:  # the view equals the copy
             return None
@@ -306,7 +300,7 @@ class PeerNode:
             base_version=share.version,
             new_digest=new_view.digest(),
         )
-        share.staged = PendingProposal(new_view, source)
+        share.staged = True
         return tx
 
     # -- message handlers -----------------------------------------------------
@@ -315,18 +309,17 @@ class PeerNode:
         """Close the propose loop: returns the catch-up proposal to submit, the refetch to send, or None.
 
         Stale or serialization rejections refetch from the counterpart; all
-        other rejections just drop the staged view.
+        other rejections just drop the proposal.
         """
         tx = receipt.tx
         if not isinstance(tx, UpdateTx):
             return None
         share = self._share(tx.shared_id)
-        staged, share.staged = share.staged, None
-        if receipt.verdict.ok:
-            if staged is not None:
-                share.copy, share.version = staged.view, tx.base_version + 1
-                if self.tables[share.source_id] is staged.source:
-                    return None  # the copy is the view of the current source
+        share.staged = False
+        if receipt.verdict.ok:  # the proposal was the cache's view, which nothing rewrote since
+            share.copy, share.version = share.cache.view, tx.base_version + 1
+            if self.tables[share.source_id] is share.cache.source:
+                return None  # the copy is the view of the current source
             # The source may have moved again while the proposal was in flight.
             return self.regenerate_and_propose(tx.shared_id)
         if receipt.verdict.reason in (RejectReason.STALE_VERSION, RejectReason.BLOCKED_BY_SERIALIZATION):
@@ -377,9 +370,10 @@ class PeerNode:
             return MergeOutcome(applied=False, refetch=self._fetch(share, meta.version) if stale else None)
 
         # The digest covers the id, so the check above proved it is the share's.
-        share.copy, share.version = resp.table, resp.version
         source_id = share.source_id
-        self.tables[source_id] = lens_put(share.lens, self.tables[source_id], resp.table, share.cache)
+        if resp.version != share.version:  # a re-sent held version would only revert later edits
+            share.copy, share.version = resp.table, resp.version
+            self.tables[source_id] = lens_put(share.lens, self.tables[source_id], resp.table, share.cache)
 
         others = [sid for sid in self._shares_of[source_id] if sid != resp.shared_id]
         proposed = (self.regenerate_and_propose(sid) for sid in others)

@@ -29,6 +29,7 @@ from medsync.cli import main
 from medsync.harness import dump, load_scenario, run, verify_convergence
 from medsync.ledger import Block, Chain, ChainCorrupt
 from medsync.lenses import get as lens_get, put as lens_put
+from medsync.peer import PeerNode
 from medsync.relational import ZERO_DIGEST, canonical_json
 
 LAW_CASES = 1000
@@ -137,6 +138,26 @@ def test_criterion_3b_denied_updates_never_leak(tmp_path):
     _passed(f"criterion 3b: denied update left all {len(same)} shared/other-peer files untouched")
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the receiver merges what the ledger accepted without checking "
+    "the fetched data against the attributes the proposer declared",
+)
+def test_criterion_3c_undeclared_attrs_never_leak(monkeypatch):
+    # The Patient declares only the clinical note a2 for its dosage (a4) edit.
+    # The ledger sees no data, so it accepts; only the Doctor can refuse the data.
+    scenario = _load("permission_grant")
+    propose = PeerNode.regenerate_and_propose
+
+    def smuggling(peer: PeerNode, shared_id: str):
+        tx = propose(peer, shared_id)
+        return replace(tx, changed_attrs=frozenset({"a2"})) if tx and peer.principal == "Patient" else tx
+
+    monkeypatch.setattr(PeerNode, "regenerate_and_propose", smuggling)
+    world = run(replace(scenario, script=scenario.script[:2]))  # the edit and its proposal
+    assert world.peers["Doctor"].tables["D3"].get_row({"a0": "P1", "a1": "MedX"})["a4"] == "5mg"
+
+
 def test_criterion_4_per_block_serialization(tmp_path):
     world = run(_load("conflicting_updates"))
     assert verify_convergence(world).ok
@@ -226,6 +247,25 @@ def test_criterion_5_forged_verdict_detected(tmp_path, name, target, forged_reas
         forged.replay()
     assert main(["replay", str(chain_path)]) == 1
     _passed(f"criterion 5: {name}: {target} forged as {forged_reason} was caught by replay")
+
+
+def test_criterion_5_forged_deploy_update_time_detected(tmp_path, capsys):
+    # `deploy` stamps the block's tick over the field, so only validation can see a forged value.
+    dump_dir = dump(run(_load("update_flow")), tmp_path / "update_flow")
+    chain_path = dump_dir / "chain.json"
+    blocks = json.loads(chain_path.read_bytes())
+    blocks[0]["txs"][0]["tx"]["meta"]["latest_update_time"] = 1
+    _relink(blocks)
+    chain_path.write_bytes(canonical_json(blocks) + b"\n")
+
+    capsys.readouterr()
+    assert main(["verify", str(dump_dir)]) == 1
+    want = (
+        "[FAIL] chain-replay: block 0, transaction 0: recorded verdict {'ok': True} "
+        "but replay gives {'ok': False, 'reason': 'MalformedMetadata', "
+    )
+    assert any(line.startswith(want) for line in capsys.readouterr().out.splitlines())
+    _passed("criterion 5: a genesis deploy with a forged update time was caught by replay")
 
 
 PINNED_SHA256 = Path(__file__).with_name("bundled_dumps.sha256")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -99,6 +100,13 @@ class TestDeploy:
     def test_perm_must_cover_view_attrs(self):
         bad = with_perm(d13_meta(), {"a0": frozenset({"Doctor"})})
         verdict = validate_deploy(ContractState.empty(), DeployTx(bad, "Doctor"))
+        assert verdict.reason is RejectReason.MALFORMED_METADATA
+
+    @pytest.mark.parametrize("field", ["version", "latest_update_time"])
+    @pytest.mark.parametrize("value", [1, -1, 2**70])
+    def test_metadata_must_start_at_version_and_update_time_0(self, field, value):
+        # `deploy` stamps the block's tick, so a forged update time would vanish from the registry unchecked.
+        verdict = validate_deploy(ContractState.empty(), DeployTx(replace(d13_meta(), **{field: value}), "Doctor"))
         assert verdict.reason is RejectReason.MALFORMED_METADATA
 
 

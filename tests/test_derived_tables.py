@@ -738,7 +738,7 @@ def test_a_one_row_edit_and_proposal_build_one_row_and_encode_one_chunk(counted)
     node.local_edit("wide", Edit("update", key={"p": "P0500", "m": "M000"}, changes={"note": "changed"}))
     tx = node.regenerate_and_propose("S")
     assert tx is not None and tx.changed_attrs == {"note"}
-    assert tx.new_digest == sha256_hex(canonical_json(node.shares["S"].staged.view.to_json_dict()))
+    assert tx.new_digest == sha256_hex(canonical_json(node.shares["S"].cache.view.to_json_dict()))
     assert counted["view_rows"] <= 1
     assert 0 < counted["encoded"] <= relational.CHUNK  # the proposed view's one changed chunk
     assert counted["spliced"] == {"wide": 1, "S": 1}
@@ -765,7 +765,7 @@ def test_a_one_row_edit_is_diffed_without_walking_the_table(counted, edit, attrs
     tx = node.regenerate_and_propose("S")
     assert tx is not None and tx.changed_attrs == attrs
     assert counted["read"] and max(counted["read"]) <= relational.CHUNK  # each diff reads one chunk a side
-    assert node.shares["S"].staged.view == get(compile_lens(BY_ROW, WIDE), node.tables["wide"]).with_id("S")
+    assert node.shares["S"].cache.view == get(compile_lens(BY_ROW, WIDE), node.tables["wide"]).with_id("S")
 
 
 def test_sibling_and_adopted_view_diffs_read_the_chunks_that_differ(counted):

@@ -463,7 +463,7 @@ class TestRun:
         # `World.quiescent` reads no peer: every proposal got its receipt, every request its answer.
         world = run(load_scenario(scenario_path(name)))
         shares = [s for peer in world.peers.values() for s in peer.shares.values()]
-        assert shares and all(s.staged is None and not s.unanswered for s in shares)
+        assert shares and all(not s.staged and not s.unanswered for s in shares)
 
     @pytest.mark.parametrize("name", ["stale_recovery", "cascade_delete", "conflicting_updates"])
     def test_a_tick_looks_up_peers_only_by_recipient(self, name):

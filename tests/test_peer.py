@@ -109,7 +109,7 @@ class TestRegenerateAndPropose:
         assert tx.requester == "Researcher"
         # staged, not yet visible
         assert node.shares["D23"].copy.get_row({"a1": "MedX"})["a5"] == "MeA1"
-        assert node.shares["D23"].staged is not None
+        assert node.shares["D23"].staged
 
     def test_untouched_source_proposes_nothing(self):
         assert researcher().regenerate_and_propose("D23") is None
@@ -143,7 +143,7 @@ class TestOnReceipt:
         assert node.on_receipt(Receipt(tx, Verdict.accept(), "Researcher")) is None
         assert node.shares["D23"].copy.get_row({"a1": "MedX"})["a5"] == "MeA2"
         assert node.shares["D23"].version == 1
-        assert node.shares["D23"].staged is None
+        assert not node.shares["D23"].staged
 
     def test_accept_reproposes_when_source_moved_again(self):
         node = researcher()
@@ -158,7 +158,7 @@ class TestOnReceipt:
         node = researcher()
         tx = self.stage(node)
         req = node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.STALE_VERSION), "Researcher"))
-        assert node.shares["D23"].staged is None
+        assert not node.shares["D23"].staged
         assert node.shares["D23"].copy.get_row({"a1": "MedX"})["a5"] == "MeA1"
         assert isinstance(req, DataRequest)
         assert (req.to, req.requested_version) == ("Doctor", 1)
@@ -176,13 +176,13 @@ class TestOnReceipt:
         tx = self.stage(node)
         node.shares["D23"].version = 1  # merge completed while the receipt was in flight
         assert node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.STALE_VERSION), "Researcher")) is None
-        assert node.shares["D23"].staged is None
+        assert not node.shares["D23"].staged
 
     def test_permission_rejection_only_drops_staging(self):
         node = researcher()
         tx = self.stage(node)
         assert node.on_receipt(Receipt(tx, Verdict.reject(RejectReason.PERMISSION_DENIED), "Researcher")) is None
-        assert node.shares["D23"].staged is None
+        assert not node.shares["D23"].staged
         assert node.shares["D23"].version == 0
 
     def test_permission_change_receipt_returns_nothing(self):
@@ -190,7 +190,8 @@ class TestOnReceipt:
         tx = self.stage(node)
         change = PermChangeTx("D23", "Researcher", "a5", frozenset({"Researcher"}))
         assert node.on_receipt(Receipt(change, Verdict.accept(), "Researcher")) is None
-        assert node.shares["D23"].staged.view.digest() == tx.new_digest  # the update's proposal stays staged
+        assert node.shares["D23"].staged  # the update's proposal stays staged
+        assert node.shares["D23"].cache.view.digest() == tx.new_digest
         assert (node.shares["D23"].version, node.shares["D23"].unanswered) == (0, 0)
 
 
@@ -325,6 +326,60 @@ class TestOnDataResponse:
         assert (outcome.applied, outcome.cascade_txs) == (False, ())
         assert outcome.refetch == DataRequest("D23", 1, "Doctor", "Researcher")
         assert node.shares["D23"].unanswered == 1  # the answered request out, the refetch in
+
+    @staticmethod
+    def dosage_doctor(*shares: str) -> PeerNode:
+        """A Doctor holding D3 and, of the shares S1 (with the Patient) and S2
+        (with the Researcher), those named: key-aligned views both carrying a4."""
+        specs = {"L31": L31_SPEC, "L34": LensSpec("L34", "D3", ("a0", "a1", "a4"), ("a0", "a1"))}
+        bindings = {"S1": ShareBinding("S1", "L31", "Patient"), "S2": ShareBinding("S2", "L34", "Researcher")}
+        node = PeerNode(
+            "Doctor",
+            tables={"D3": Table("D3", D3_SCHEMA, (ROW1, ROW2, ROW3))},
+            lenses={lens_id: compile_lens(spec, D3_SCHEMA) for lens_id, spec in specs.items()},
+            bindings={sid: bindings[sid] for sid in shares},
+        )
+        for sid in shares:
+            node.install_share(sid)
+        return node
+
+    def resend_held(self, node: PeerNode, shared_id: str) -> None:
+        """Deliver the copy the node holds of a share, at the version it holds, and acknowledge it."""
+        share = node.shares[shared_id]
+        held, version = share.copy, share.version
+        resp = DataResponse(shared_id, version, held, share.binding.counterpart, "Doctor")
+        outcome = node.on_data_response(resp, meta_for(node, shared_id, version))
+        assert outcome.applied and outcome.cascade_txs == ()  # acknowledged: the trace keeps its put_applied
+        assert (share.copy, share.version) == (held, version)
+
+    def test_resent_held_version_keeps_a_staged_cascade(self):
+        node = self.dosage_doctor("S1", "S2")
+        incoming = node.shares["S2"].copy.update_row({"a0": "P1", "a1": "MedX"}, {"a4": "7mg"})
+        meta = replace(meta_for(node, "S2", version=1), content_digest=incoming.digest())
+        (cascade,) = node.on_data_response(DataResponse("S2", 1, incoming, "Researcher", "Doctor"), meta).cascade_txs
+        assert (cascade.shared_id, cascade.changed_attrs) == ("S1", {"a4"}) and node.shares["S1"].staged
+        self.resend_held(node, "S1")
+        assert node.tables["D3"].get_row({"a0": "P1", "a1": "MedX"})["a4"] == "7mg"
+        assert node.shares["S1"].cache.view.digest() == cascade.new_digest  # the staged proposal is intact
+
+    def test_resent_held_version_keeps_a_pending_local_edit(self):
+        node = self.dosage_doctor("S1")
+        node.local_edit("D3", Edit("update", key={"a0": "P2", "a1": "MedX"}, changes={"a4": "12mg"}))
+        self.resend_held(node, "S1")
+        assert node.tables["D3"].get_row({"a0": "P2", "a1": "MedX"})["a4"] == "12mg"
+        tx = node.regenerate_and_propose("S1")
+        assert tx is not None and tx.changed_attrs == {"a4"}
+
+    def test_newer_version_overwrites_a_pending_local_edit(self):
+        # The conflict rule: an accepted version the peer does not hold yet wins over its unproposed edits.
+        node = self.dosage_doctor("S1")
+        node.local_edit("D3", Edit("update", key={"a0": "P2", "a1": "MedX"}, changes={"a4": "12mg"}))
+        incoming = node.shares["S1"].copy.update_row({"a0": "P1", "a1": "MedY"}, {"a4": "3mg"})
+        meta = replace(meta_for(node, "S1", version=1), content_digest=incoming.digest())
+        assert node.on_data_response(DataResponse("S1", 1, incoming, "Patient", "Doctor"), meta).applied
+        assert node.tables["D3"].get_row({"a0": "P2", "a1": "MedX"})["a4"] == "10mg"
+        assert node.tables["D3"].get_row({"a0": "P1", "a1": "MedY"})["a4"] == "3mg"
+        assert node.regenerate_and_propose("S1") is None
 
 
 class TestSharedCopy:
