@@ -21,7 +21,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, TypeVar, Union
+from typing import Callable, Mapping, NamedTuple, Optional, ParamSpec, Sequence, TypeVar, Union
 
 from .contract import (
     TX_TYPES,
@@ -77,6 +77,43 @@ class MaxTicksExceeded(SimulationError):
 
 class NotQuiescent(SimulationError):
     """An operation that requires quiescence was called mid-run."""
+
+
+_P, _R = ParamSpec("_P"), TypeVar("_R")
+
+
+def _collector_paused(fn: Callable[_P, _R]) -> Callable[_P, _R]:
+    """`fn`, of any signature, run with the cyclic collector disabled, which is
+    left as it was found on every exit, errors included.
+
+    A decorated call builds what lives on (a parsed scenario, a world, a
+    reload) or frees what it built, so a young pass would only walk its
+    objects, again to promote them. So when it turns the collector back on,
+    it first moves every tracked object to the oldest generation with
+    `gc.freeze()` then `gc.unfreeze()`, each one list splice in CPython; the
+    next young pass starts from an empty generation 0. It skips that while
+    the caller holds frozen objects (`gc.get_freeze_count()` is nonzero),
+    since `unfreeze` would thaw those too, and when the collector was off, as
+    in a nested call. The promotion is a CPython-specific speed-up that
+    changes no result: a cycle it moves is freed by the next full pass.
+
+    A decorator, not a `with` block: a `with` statement allocates its manager
+    before the collector is off, and a pass can start right there."""
+
+    @functools.wraps(fn)
+    def paused(*args: _P.args, **kwargs: _P.kwargs) -> _R:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if collecting:
+                if not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
+                gc.enable()
+
+    return paused
 
 
 # --- scenario model ----------------------------------------------------------
@@ -251,9 +288,11 @@ def _read_scheduled(
     return ScheduledAction(tick, principal, _read_action(d["action"], principal, tables[principal], shares))
 
 
+@_collector_paused
 def scenario_from_json_dict(doc: Mapping, name: str = "scenario") -> Scenario:
     """Parse a scenario from its JSON form: one reader per object, which refuses
-    keys it does not read, and cross-references resolved through maps."""
+    keys it does not read, and cross-references resolved through maps. The
+    cyclic collector is paused meanwhile, as `_collector_paused` says."""
     doc = {"name": name, "principals": [], "tables": {}, "lenses": {}, "shares": [], "script": [], "config": {}, **doc}
     try:
         _only_keys(doc, _SCENARIO_KEYS, "a scenario (each key optional)")  # a misspelt key would otherwise be dropped
@@ -488,6 +527,7 @@ def trace_mismatch(world: World) -> Optional[str]:
 class World:
     """All simulation state: peers, chain, contract, in-flight messages, clock."""
 
+    @_collector_paused
     def __init__(self, scenario: Scenario) -> None:
         self.name = scenario.name
         self.config = scenario.config
@@ -762,28 +802,6 @@ def dump(world: World, out_dir: str | Path) -> Path:
     _write(out / "chain.json", world.chain.dumps())
     (out / "trace.jsonl").write_bytes(_trace_bytes(world.trace))
     return out
-
-
-_T, _R = TypeVar("_T"), TypeVar("_R")
-
-
-def _collector_paused(fn: Callable[[_T], _R]) -> Callable[[_T], _R]:
-    """`fn` run with the cyclic collector disabled, leaving it as it was found
-    on every exit, errors included. A decorator, not a `with` block: a `with`
-    statement allocates its manager before the collector is off, and a pass
-    can start right there."""
-
-    @functools.wraps(fn)
-    def paused(arg: _T) -> _R:
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(arg)
-        finally:
-            if collecting:
-                gc.enable()
-
-    return paused
 
 
 @_collector_paused

@@ -184,8 +184,10 @@ _TABLE_KEYS = frozenset({"id", "schema", "rows"})
 
 
 def _only_keys(d: object, keys: frozenset[str], what: str) -> None:
-    """Refuse a JSON object holding keys other than `keys`, which nothing would read, or lacking one."""
-    if not isinstance(d, Mapping) or d.keys() != keys:
+    """Refuse a JSON object holding keys other than `keys`, which nothing would read, or lacking one.
+
+    A JSON object decodes to a `dict`, so any other type, mapping or not, is refused."""
+    if type(d) is not dict or d.keys() != keys:
         raise SchemaMismatch(f"{what} is an object with exactly the keys {', '.join(sorted(keys))}")
 
 

@@ -748,6 +748,8 @@ class TestDump:
                     load_dump(out)
             else:
                 load_dump(out)
+                # What the reload built is in the oldest generation, so no young pass walks it next.
+                assert gc.get_count()[0] == 0 or not collecting
 
         assert collections_during(load_dump, reload, collecting) == []
 
@@ -908,6 +910,78 @@ class TestVerifyConvergence:
         view = doctor.regenerate_view("D13")
         assert view == doctor.shares["D13"].copy
         assert len(built) == len(view.rows)  # nothing of the dumped copy was taken on trust
+
+
+class TestCollectorPaused:
+    """Parsing, building and reloading a world start no collector pass and leave
+    what they built in the oldest generation; the caller's collector state and
+    frozen objects are left as found."""
+
+    @pytest.fixture
+    def doc(self):
+        return json.loads(Path(scenario_path("update_flow")).read_text(encoding="utf-8"))
+
+    @pytest.fixture
+    def collector_on(self):
+        found = gc.isenabled()
+        gc.enable()
+        yield
+        (gc.enable if found else gc.disable)()
+
+    @pytest.fixture
+    def frozen(self, collector_on):
+        gc.freeze()
+        yield
+        gc.unfreeze()
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["collector on", "collector off"])
+    @pytest.mark.parametrize("malformed", [False, True], ids=["whole scenario", "malformed scenario"])
+    def test_parse_and_build_pause_the_collector_and_leave_it_as_found(self, doc, collecting, malformed):
+        if malformed:
+            doc["shares"][0]["peers"]["Patient"] = "L99"
+        parsed = []
+
+        def parse():
+            if malformed:
+                with pytest.raises(ValidationError):
+                    scenario_from_json_dict(doc)
+            else:
+                parsed.append(scenario_from_json_dict(doc))
+
+        assert collections_during(scenario_from_json_dict, parse, collecting) == []
+        if not malformed:
+            assert collections_during(World.__init__, lambda: World(parsed[0]), collecting) == []
+
+    def test_a_build_or_reload_leaves_generation_0_empty(self, tmp_path, update_flow, doc, collector_on):
+        out = dump(run(update_flow), tmp_path / "d")
+        scenario = scenario_from_json_dict(doc)
+        assert gc.get_count()[0] == 0
+        world = World(scenario)
+        assert gc.get_count()[0] == 0
+        reloaded = load_dump(out)
+        assert gc.get_count()[0] == 0
+        assert not world.quiescent() and reloaded.quiescent()
+
+    def test_the_callers_frozen_objects_stay_frozen(self, tmp_path, update_flow, doc, frozen):
+        world = run(update_flow)
+        out = dump(world, tmp_path / "d")
+        calls = {
+            "parse": lambda: scenario_from_json_dict(doc),
+            "build": lambda: World(update_flow),
+            "reload": lambda: load_dump(out),
+            "verify": lambda: verify_convergence(world),
+        }
+        for name, call in calls.items():
+            # Measured around each call: a frozen object the test body frees leaves the count.
+            before = gc.get_freeze_count()
+            call()
+            assert gc.get_freeze_count() == before > 0, name
+
+    def test_decorated_functions_take_their_parameters_by_name(self, tmp_path, update_flow, doc):
+        assert scenario_from_json_dict(doc=doc, name="update_flow") == scenario_from_json_dict(doc, "update_flow")
+        assert World(scenario=update_flow).name == "update_flow"
+        out = dump(run(update_flow), tmp_path / "d")
+        assert verify_convergence(world=load_dump(dump_dir=out)).ok
 
 
 class TestCli:

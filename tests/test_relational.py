@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
@@ -223,6 +224,16 @@ class TestCanonicalForm:
     def test_json_rows_must_be_a_list(self, fixture_f):
         with pytest.raises(SchemaMismatch):
             Table.from_json_dict({**fixture_f.to_json_dict(), "rows": ""})
+
+    def test_a_read_only_mapping_is_refused_as_a_list_is(self, fixture_f):
+        # A JSON object decodes to a dict; a mapping proxy of a valid document is no JSON object.
+        doc = fixture_f.to_json_dict()
+        assert Table.from_json_dict(doc) == fixture_f
+        with pytest.raises(SchemaMismatch) as as_list:
+            Table.from_json_dict(list(doc))
+        with pytest.raises(SchemaMismatch) as as_proxy:
+            Table.from_json_dict(MappingProxyType(doc))
+        assert str(as_proxy.value) == str(as_list.value) == "a table is an object with exactly the keys id, rows, schema"
 
     def test_a_repeated_json_key_is_refused(self, fixture_f):
         doc = fixture_f.to_json_dict()
