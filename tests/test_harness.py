@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import json
 import sys
 from collections import Counter
@@ -913,9 +914,9 @@ class TestVerifyConvergence:
 
 
 class TestCollectorPaused:
-    """Parsing, building and reloading a world start no collector pass and leave
-    what they built in the oldest generation; the caller's collector state and
-    frozen objects are left as found."""
+    """Parsing, building, stepping and reloading a world start no collector pass
+    and leave what they built in the oldest generation; the caller's collector
+    state and frozen objects are left as found."""
 
     @pytest.fixture
     def doc(self):
@@ -952,11 +953,30 @@ class TestCollectorPaused:
         if not malformed:
             assert collections_during(World.__init__, lambda: World(parsed[0]), collecting) == []
 
+    @pytest.mark.parametrize("collecting", [True, False], ids=["collector on", "collector off"])
+    @pytest.mark.parametrize("raises", [False, True], ids=["whole run", "a step that raises"])
+    def test_a_step_pauses_the_collector_and_leaves_it_as_found(self, doc, collecting, raises):
+        if raises:  # the Doctor's edit breaks a1 -> a5, which its lens L32 needs: the propose raises
+            SCENARIO_ERRORS["edit breaks a lens FD"](doc)
+        world = World(scenario_from_json_dict(doc))
+
+        def steps():
+            if raises:
+                with pytest.raises(ValidationError, match="lens 'L32'"):
+                    world.run_to_quiescence()
+            else:
+                world.run_to_quiescence()
+
+        assert collections_during(World.step, steps, collecting) == []
+        assert world.clock == (1 if raises else 5)
+
     def test_a_build_or_reload_leaves_generation_0_empty(self, tmp_path, update_flow, doc, collector_on):
         out = dump(run(update_flow), tmp_path / "d")
         scenario = scenario_from_json_dict(doc)
         assert gc.get_count()[0] == 0
         world = World(scenario)
+        assert gc.get_count()[0] == 0
+        world.step()
         assert gc.get_count()[0] == 0
         reloaded = load_dump(out)
         assert gc.get_count()[0] == 0
@@ -965,9 +985,11 @@ class TestCollectorPaused:
     def test_the_callers_frozen_objects_stay_frozen(self, tmp_path, update_flow, doc, frozen):
         world = run(update_flow)
         out = dump(world, tmp_path / "d")
+        stepped = World(update_flow)
         calls = {
             "parse": lambda: scenario_from_json_dict(doc),
             "build": lambda: World(update_flow),
+            "step": stepped.step,
             "reload": lambda: load_dump(out),
             "verify": lambda: verify_convergence(world),
         }
@@ -980,6 +1002,9 @@ class TestCollectorPaused:
     def test_decorated_functions_take_their_parameters_by_name(self, tmp_path, update_flow, doc):
         assert scenario_from_json_dict(doc=doc, name="update_flow") == scenario_from_json_dict(doc, "update_flow")
         assert World(scenario=update_flow).name == "update_flow"
+        assert World.step.__name__ == "step" and World.step.__doc__ == World.step.__wrapped__.__doc__
+        assert list(inspect.signature(World.step).parameters) == ["self"]
+        World.step(self=World(update_flow))
         out = dump(run(update_flow), tmp_path / "d")
         assert verify_convergence(world=load_dump(dump_dir=out)).ok
 
