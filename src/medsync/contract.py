@@ -59,7 +59,7 @@ class Verdict:
         if type(d["ok"]) is not bool:  # 1 would pass as true
             raise ValueError("a verdict's ok must be true or false")
         if d["ok"]:
-            return cls.accept()
+            return ACCEPT  # shared, as the validators return it
         _typed(d, "a verdict", ("detail",))
         return cls.reject(RejectReason(d["reason"]), d["detail"])
 

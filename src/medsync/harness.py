@@ -21,6 +21,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
+from sys import intern
 from typing import Callable, Mapping, NamedTuple, Optional, ParamSpec, Sequence, TypeVar, Union
 
 from .contract import (
@@ -137,19 +138,17 @@ class SimConfig:
     max_ticks: int = 100
 
 
-@dataclass(frozen=True)
-class EditAction:
+# Scenario actions are tuples, as `Edit` is: a large script builds tens of thousands.
+class EditAction(NamedTuple):
     table_id: str
     edit: Edit
 
 
-@dataclass(frozen=True)
-class ProposeAction:
+class ProposeAction(NamedTuple):
     shared_id: str
 
 
-@dataclass(frozen=True)
-class PermChangeAction:
+class PermChangeAction(NamedTuple):
     shared_id: str
     attr: str
     principals: frozenset[str]
@@ -158,8 +157,7 @@ class PermChangeAction:
 Action = Union[EditAction, ProposeAction, PermChangeAction]
 
 
-@dataclass(frozen=True)
-class ScheduledAction:
+class ScheduledAction(NamedTuple):
     tick: int
     principal: str
     action: Action
@@ -383,7 +381,7 @@ class TraceEvent(NamedTuple):
         ints = type(tick) is type(seq) is int  # a bool is no tick
         if not (ints and isinstance(actor, str) and isinstance(kind, str) and isinstance(payload, dict)):
             raise ValueError("a trace event has integer tick and seq, string actor and kind, and an object payload")
-        return cls(tick, seq, actor, kind, payload)
+        return cls(tick, seq, intern(actor), intern(kind), payload)  # a few names, shared as the live trace's are
 
 
 def _propose_event(tx: Transaction) -> tuple[str, str, dict]:
@@ -809,9 +807,10 @@ def dump(world: World, out_dir: str | Path) -> Path:
         if held:
             (out / sub).mkdir(exist_ok=True)
         for principal, by_id in held.items():
-            (out / sub / principal).mkdir(exist_ok=True)
+            directory = out / sub / principal
+            directory.mkdir(exist_ok=True)
             for name, table in by_id.items():
-                _write(out / sub / principal / f"{name}.json", table.canonical_bytes())
+                _write(directory / f"{name}.json", table.canonical_bytes())
     _write(out / "world.json", canonical_json(_manifest(world)))
     _write(out / "contract.json", world.contract.canonical_bytes())
     _write(out / "chain.json", world.chain.dumps())
@@ -841,14 +840,14 @@ def load_dump(dump_dir: str | Path) -> World:
 
     decoded: dict[str, Table] = {}  # file text -> its table: tables are immutable, so equal files share one
 
-    def read_table(sub: str, principal: str, name: str) -> Table:
-        text = root.joinpath(sub, principal, f"{name}.json").read_text(encoding="utf-8")
+    def read_table(directory: Path, name: str) -> Table:
+        text = (directory / f"{name}.json").read_bytes().decode("utf-8")  # JSON reads "\r" as whitespace
         table = decoded.get(text)
         if table is None:
             # The decoder refuses unread keys, and rows out of the order a dump writes.
             table = decoded[text] = Table.from_json_dict(json.loads(text), in_key_order=True)
         if table.id != name:
-            raise ValidationError(f"{sub}/{principal}/{name}.json holds table {table.id!r}")
+            raise ValidationError(f"{directory.parent.name}/{directory.name}/{name}.json holds table {table.id!r}")
         return table
 
     try:
@@ -870,8 +869,9 @@ def load_dump(dump_dir: str | Path) -> World:
             if not all(map(_plain, [principal, *info["tables"], *info["versions"]])):
                 raise ValidationError(f"world.json's principal, table and share names must each be {_PLAIN}")
             _typed(info["versions"], f"world.json's share versions of {principal}", (), tuple(info["versions"]))
-            tables = {tid: read_table("tables", principal, tid) for tid in info["tables"]}
-            copies = {sid: read_table("shared", principal, sid) for sid in info["versions"]}
+            held, shared = root / "tables" / principal, root / "shared" / principal
+            tables = {tid: read_table(held, tid) for tid in info["tables"]}
+            copies = {sid: read_table(shared, sid) for sid in info["versions"]}
             peer = world.peers[principal] = PeerNode.from_json_dict(principal, info, tables, copies)
             for sid, share in peer.shares.items():
                 if contract.entries[sid].peers != {principal, share.binding.counterpart}:

@@ -13,7 +13,7 @@ that replay does not reproduce.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from .contract import (
@@ -60,6 +60,9 @@ class Block:
     txs: tuple[tuple[Transaction, Verdict], ...]
     prev_digest: str
     block_digest: str
+    # The canonical JSON of `_body`, which the digest covers and a dump writes: what `build` hashed,
+    # or what `Chain.verify` checked a decoded block's digest over. No block is encoded twice.
+    body: bytes = field(default=b"", repr=False, compare=False)
 
     @staticmethod
     def _body(
@@ -77,12 +80,8 @@ class Block:
     def build(
         cls, index: int, tick: int, txs: Sequence[tuple[Transaction, Verdict]], prev_digest: str
     ) -> "Block":
-        digest = sha256_hex(canonical_json(cls._body(index, tick, txs, prev_digest)))
-        return cls(index, tick, tuple(txs), prev_digest, digest)
-
-    def to_json_dict(self) -> dict:
-        body = self._body(self.index, self.tick, self.txs, self.prev_digest)
-        return {**body, "block_digest": self.block_digest}
+        body = canonical_json(cls._body(index, tick, txs, prev_digest))
+        return cls(index, tick, tuple(txs), prev_digest, sha256_hex(body), body)
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Block":
@@ -176,8 +175,10 @@ class Chain:
             body = Block._body(block.index, block.tick, block.txs, block.prev_digest)
             if {**body, "block_digest": block.block_digest} != encoded[i]:
                 raise ChainCorrupt(f"block {i} holds keys or values its encoding does not write")
-            if sha256_hex(canonical_json(body)) != block.block_digest:
+            data = canonical_json(body)
+            if sha256_hex(data) != block.block_digest:
                 raise ChainCorrupt(f"block {i} digest mismatch")
+            object.__setattr__(block, "body", data)
             prev_digest = block.block_digest
 
     def replayed(self) -> Iterator[tuple[Block, ContractState, list[Notification]]]:
@@ -218,11 +219,10 @@ class Chain:
                     out.append((block.tick, tx, verdict))
         return out
 
-    def to_json_list(self) -> list:
-        return [b.to_json_dict() for b in self.blocks]
-
     def dumps(self) -> bytes:
-        return canonical_json(self.to_json_list())
+        """The canonical JSON of the blocks: each its digest, the first key in sorted order, then its kept body."""
+        blocks = (b'{"block_digest":"%s",%s' % (b.block_digest.encode(), b.body[1:]) for b in self.blocks)
+        return b"[" + b",".join(blocks) + b"]"
 
     @classmethod
     def from_json_list(cls, blocks: Sequence[Mapping]) -> "Chain":

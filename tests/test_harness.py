@@ -34,6 +34,7 @@ from medsync.harness import (
     verify_convergence,
     write_trace,
 )
+from medsync.ledger import Chain
 from medsync.relational import Table, _encode, canonical_json, sha256_hex
 
 
@@ -736,6 +737,40 @@ class TestDump:
         dump(world, out)  # into the same directory again, as a repeated audit does
         assert sorted(made) == sorted(directories * 2)
 
+    @pytest.mark.parametrize(
+        "name, seed",
+        [pytest.param(name, None, id=name) for name in BUNDLED_SCENARIOS]
+        + [
+            pytest.param(name, seed, id=f"{name}-seed{seed}")
+            for name in ("big_tables", "hot_share", "many_shares")
+            for seed in (1, 2, 3)
+        ],
+    )
+    def test_a_chain_dumps_canonically_and_reloads_to_the_same_bytes(self, monkeypatch, name, seed):
+        if seed is None:
+            scenario = load_scenario(scenario_path(name))
+        else:
+            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+            from test_bench import TINY
+            from workloads import generate
+
+            workload = generate(name, seed, **TINY[name])
+            scenario = scenario_from_json_dict(workload.doc, workload.name)
+        data = run(scenario).chain.dumps()
+        assert data == canonical_json(json.loads(data))
+        assert Chain.loads(data).dumps() == data
+
+    def test_a_reindented_chain_verifies_and_redumps_canonically(self, tmp_path, capsys, cascade_delete):
+        from medsync.cli import main
+
+        out = dump(run(cascade_delete), tmp_path / "d")
+        chain = out / "chain.json"
+        pinned = chain.read_bytes()
+        chain.write_text(json.dumps(json.loads(pinned), indent=1), encoding="utf-8")
+        assert main(["verify", str(out)]) == 0
+        # The reload keeps the bytes it checked each digest over, not the file's text.
+        assert dump(load_dump(out), tmp_path / "again").joinpath("chain.json").read_bytes() == pinned
+
     @pytest.mark.parametrize("collecting", [True, False], ids=["collector on", "collector off"])
     @pytest.mark.parametrize("malformed", [False, True], ids=["whole dump", "malformed dump"])
     def test_load_dump_pauses_the_collector_and_leaves_it_as_found(self, tmp_path, update_flow, collecting, malformed):
@@ -789,6 +824,14 @@ def test_the_trace_codec_writes_canonical_json_and_reads_it_back(tmp_path_factor
     write_trace(trace, path)
     assert path.read_bytes() == b"".join(canonical_json(e.to_json_dict()) + b"\n" for e in trace)
     assert read_trace(path) == trace
+
+
+def test_a_reloaded_trace_shares_its_actor_and_kind_names(tmp_path, update_flow):
+    path = tmp_path / "trace.jsonl"
+    write_trace(run(update_flow).trace, path)
+    events = read_trace(path)
+    first, second = [e for e in events if e.kind == "block"][:2]  # actor "ledger"
+    assert first.kind is second.kind and first.actor is second.actor
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -9,11 +10,13 @@ import pytest
 import medsync.contract as contract
 import medsync.ledger as ledger
 from medsync.contract import (
+    ACCEPT,
     ContractState,
     DeployTx,
     PermChangeTx,
     RejectReason,
     UpdateTx,
+    Verdict,
 )
 from medsync.ledger import Block, Chain, ChainCorrupt, execute_block
 from medsync.relational import ZERO_DIGEST, canonical_json, sha256_hex
@@ -163,21 +166,22 @@ class TestChainIntegrity:
         assert chain.blocks == []  # no block until the first is sealed
         chain.produce_block(ContractState.empty(), 0)
         assert chain.blocks[0].index == 0 and chain.blocks[0].prev_digest == ZERO_DIGEST
-        chain.verify(chain.to_json_list())
+        chain.verify(json.loads(chain.dumps()))
 
     def test_linkage_holds_after_blocks(self, deployed):
         chain, state = deployed
         for tick in range(3):
             chain.submit(update("D23", "Researcher", {"a5"}, tick, str(tick)))
             state, _, _ = chain.produce_block(state, tick)
-        chain.verify(chain.to_json_list())
+        chain.verify(json.loads(chain.dumps()))
         for prev, block in zip(chain.blocks, chain.blocks[1:]):
             assert block.prev_digest == prev.block_digest
 
     def test_digest_covers_contents(self):
         block = Block.build(1, 2, (), "a" * 64)
-        body = {k: v for k, v in block.to_json_dict().items() if k != "block_digest"}
-        assert block.block_digest == sha256_hex(canonical_json(body))  # the block less its own digest
+        body = {"index": 1, "tick": 2, "prev_digest": "a" * 64, "txs": []}  # the block less its own digest
+        assert block.body == canonical_json(body)
+        assert block.block_digest == sha256_hex(canonical_json(body))
         assert block.block_digest != Block.build(1, 3, (), "a" * 64).block_digest
 
 
@@ -201,7 +205,7 @@ class TestReplay:
         chain, state = deployed
         chain.submit(update("D23", "Researcher", {"a5"}, 0, "1"))
         chain.produce_block(state, 1)
-        blocks = chain.to_json_list()
+        blocks = json.loads(chain.dumps())
         blocks[1]["txs"][0]["tx"]["requester"] = "Doctor"
         with pytest.raises(ChainCorrupt):
             Chain.from_json_list(blocks)
@@ -226,7 +230,7 @@ class TestReplay:
         chain, state = deployed
         chain.submit(update("D23", "Researcher", {"a5"}, 0, "1"))
         chain.produce_block(state, 1)
-        blocks = chain.to_json_list()
+        blocks = json.loads(chain.dumps())
         assert type(blocks[1][field]) is (int if field in ("index", "tick") else str)
         blocks[1][field] = value
         # Refused as it is decoded, before any link or digest is checked.
@@ -264,7 +268,7 @@ class TestReplay:
         chain.submit(update("D23", "Researcher", {"a5"}, 0, "1"))
         chain.submit(PermChangeTx("D13", "Doctor", "a4", frozenset({"Doctor", "Patient"})))
         chain.produce_block(state, 1)
-        blocks = chain.to_json_list()
+        blocks = json.loads(chain.dumps())
         (deploy,), (updated, perm_change) = blocks[0]["txs"][:1], blocks[1]["txs"]
         target = {
             "update": updated["tx"],
@@ -279,6 +283,73 @@ class TestReplay:
         # Refused as it is decoded: `False == 0` and `1 == True`, so the
         # re-encoding would equal the JSON it came from.
         with pytest.raises(ChainCorrupt, match="malformed chain dump"):
+            Chain.from_json_list(blocks)
+
+
+class TestChainBytes:
+    """A block keeps the bytes its digest covers, and a dump joins them."""
+
+    @pytest.fixture
+    def sealed(self, deployed) -> Chain:
+        chain, state = deployed
+        chain.submit(update("D23", "Researcher", {"a5"}, 0, "1"))
+        chain.submit(update("D23", "Doctor", {"a5"}, 0, "2"))  # blocked: a rejected verdict too
+        state, _, _ = chain.produce_block(state, 1)
+        chain.submit(PermChangeTx("D13", "Doctor", "a4", frozenset({"Doctor", "Patient"})))
+        chain.produce_block(state, 2)
+        return chain
+
+    def test_a_dump_is_the_canonical_json_of_its_blocks(self, sealed):
+        data = sealed.dumps()
+        assert data == canonical_json(json.loads(data))
+        assert Chain.loads(data).dumps() == data
+        assert Chain().dumps() == b"[]"
+
+    def test_a_dump_encodes_no_block(self, sealed, monkeypatch):
+        reloaded = Chain.loads(sealed.dumps())
+        calls = []
+        monkeypatch.setattr(ledger, "tx_to_json_dict", lambda tx: calls.append(tx))
+        monkeypatch.setattr(ledger, "canonical_json", lambda obj: calls.append(obj))
+        assert sealed.dumps() == reloaded.dumps()
+        assert calls == []
+
+    def test_a_reindented_chain_verifies_and_redumps_canonically(self, sealed):
+        data = sealed.dumps()
+        reindented = json.dumps(json.loads(data), indent=1).encode("utf-8")
+        assert reindented != data
+        reloaded = Chain.loads(reindented)
+        # The kept bytes are the re-encoding the digest was checked over, not the file's text.
+        assert reloaded.dumps() == data
+        assert [b.body for b in reloaded.blocks] == [b.body for b in sealed.blocks]
+
+    def test_the_kept_bytes_are_out_of_equality_and_repr(self, sealed):
+        block = sealed.blocks[1]
+        assert replace(block, body=b"{}") == block
+        assert "body" not in repr(block) and block.body.decode("utf-8") not in repr(block)
+
+    def test_a_reloaded_accepted_verdict_is_the_shared_accept(self, sealed):
+        verdicts = [v for block in Chain.loads(sealed.dumps()).blocks for _, v in block.txs]
+        assert not all(v.ok for v in verdicts)
+        assert all(v is ACCEPT for v in verdicts if v.ok)
+        assert Verdict.from_json_dict({"ok": True}) is ACCEPT
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda blocks: blocks[1].update(extra=1), "block 1 holds keys or values its encoding does not write"),
+            # The decoder reads no reason of an accepted verdict.
+            (
+                lambda blocks: blocks[1]["txs"][0]["verdict"].update(reason="smuggled"),
+                "block 1 holds keys or values its encoding does not write",
+            ),
+            (lambda blocks: blocks[2].update(tick=7), "block 2 digest mismatch"),
+        ],
+        ids=["extra block key", "extra verdict key", "changed tick"],
+    )
+    def test_a_tampered_block_is_refused_by_name(self, sealed, tamper, message):
+        blocks = json.loads(sealed.dumps())
+        tamper(blocks)
+        with pytest.raises(ChainCorrupt, match=f"^{message}$"):
             Chain.from_json_list(blocks)
 
 
